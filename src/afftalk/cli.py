@@ -118,17 +118,23 @@ def _world_config(config: RunConfig) -> world.WorldConfig:
     )
 
 
-def _load_soft(args, schema) -> SoftActionEvidence | None:
-    if not getattr(args, "traj", None):
-        return None
-    if not getattr(args, "bank", None):
-        raise BnError("--traj needs --bank to score the trajectory")
-    bank = serialize.load_gesture_bank(args.bank)
+def _load_bank(path, schema) -> hmm.GestureBank:
+    """The gesture bank at ``path``, whose actions must be the schema's."""
+    bank = serialize.load_gesture_bank(path)
     actions = schema.variable(ACTION_VAR).labels
     if bank.actions != actions:
         raise BnError(
             f"bank actions {bank.actions} do not match the schema {actions}"
         )
+    return bank
+
+
+def _load_soft(args, schema) -> SoftActionEvidence | None:
+    if not getattr(args, "traj", None):
+        return None
+    if not getattr(args, "bank", None):
+        raise BnError("--traj needs --bank to score the trajectory")
+    bank = _load_bank(args.bank, schema)
     traj = serialize.load_trajectory(args.traj)
     return hmm.action_posterior(bank, traj)
 
@@ -197,6 +203,9 @@ def cmd_train_hmm(args, config: RunConfig) -> int:
     serialize.save_gesture_bank(args.out, bank)
     counts = ", ".join(f"{label}:{len(trajs)}" for label, trajs in by_action.items())
     print(f"trained gesture bank ({counts}) with seed {seed}")
+    for model in bank.models:
+        capped = " (capped: stopped before converging)" if model.capped else ""
+        print(f"  {model.action_label}: {len(model.history)} EM iterations{capped}")
     return 0
 
 
@@ -225,7 +234,7 @@ def cmd_infer(args, config: RunConfig) -> int:
 
 def cmd_anticipate(args, config: RunConfig) -> int:
     net = serialize.load_bayesnet(args.bn)
-    bank = serialize.load_gesture_bank(args.bank)
+    bank = _load_bank(args.bank, net.schema)
     obs = _parse_evidence(net.schema, args.ev)
     traj = serialize.load_trajectory(args.traj)
     curve = hmm.prefix_curve(bank, traj)

@@ -9,7 +9,6 @@ early recognition possible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -97,8 +96,9 @@ class HmmModel:
     ``log_trans`` is (Q, Q) with finite entries only on the diagonal and the
     first superdiagonal; the entry state is state 0.  Emissions are diagonal
     Gaussian mixtures stored as stacked arrays of shape (Q, M[, D]).
-    ``history`` records the per-iteration training log-likelihood and is not
-    part of the serialized model.
+    ``history`` records the per-iteration training log-likelihood, and
+    ``capped`` is true when training stopped at ``MAX_EM_ITERATIONS`` before
+    the relative-gain test passed; neither is part of the serialized model.
     """
 
     action_label: str
@@ -107,6 +107,7 @@ class HmmModel:
     means: np.ndarray
     variances: np.ndarray
     history: tuple[float, ...] = ()
+    capped: bool = False
 
     def __post_init__(self):
         for name in ("log_trans", "weights", "means", "variances"):
@@ -245,19 +246,22 @@ def _initial_model(
     )
 
 
-def _sequence_stats(model: HmmModel, frames: np.ndarray):
+def _em_statistics(model: HmmModel, frames: np.ndarray, lengths: np.ndarray):
+    """E-step over a frame-major batch of sequences."""
     log_wcomp, log_b = kernels.gmm_obs_logprob(
         frames, np.log(model.weights + 1e-300), model.means, model.variances
     )
-    log_alpha = kernels.log_forward(model.log_trans, log_b)
-    loglik = float(np.logaddexp.reduce(log_alpha[-1]))
-    if not math.isfinite(loglik):
+    log_alpha = kernels.log_forward(model.log_trans, log_b, lengths)
+    logliks = np.logaddexp.reduce(log_alpha[np.cumsum(lengths) - 1], axis=1)
+    if not np.isfinite(logliks).all():
         raise HmmError("sequence has zero likelihood under the current model")
-    log_beta = kernels.log_backward(model.log_trans, log_b)
-    gamma = np.exp(log_alpha + log_beta - loglik)
+    log_beta = kernels.log_backward(model.log_trans, log_b, lengths)
+    gamma = np.exp(log_alpha + log_beta - np.repeat(logliks, lengths)[:, None])
     resp = gamma[:, :, None] * np.exp(log_wcomp - log_b[:, :, None])
-    xi = kernels.transition_xi_sum(model.log_trans, log_b, log_alpha, log_beta, loglik)
-    return loglik, gamma, resp, xi
+    xi = kernels.transition_xi_sum(
+        model.log_trans, log_b, log_alpha, log_beta, logliks, lengths
+    )
+    return logliks, gamma, resp, xi
 
 
 def train_hmm(
@@ -269,8 +273,9 @@ def train_hmm(
 ) -> HmmModel:
     """Baum-Welch training, deterministic for a given seed.
 
-    Stops after 100 iterations or when the relative log-likelihood gain drops
-    below 1e-6.  Zero entries of the left-to-right transition matrix stay
+    Stops when the relative log-likelihood gain drops below 1e-6, or after
+    ``MAX_EM_ITERATIONS`` iterations, which the returned model records as
+    ``capped``.  Zero entries of the left-to-right transition matrix stay
     zero, and variances never fall below the floor.
     """
     if not trajs:
@@ -286,27 +291,21 @@ def train_hmm(
                 f"trajectory of length {len(traj)} is shorter than {n_states} states"
             )
     model = _initial_model(trajs, n_states, n_mix, seed, action_label)
+    frames = np.concatenate([traj.frames for traj in trajs])
+    lengths = np.array([len(traj) for traj in trajs])
     history: list[float] = []
+    capped = False
     for iteration in range(MAX_EM_ITERATIONS):
-        total_ll = 0.0
-        trans_num = np.zeros((n_states, n_states))
-        occupancy = np.zeros(n_states)
-        resp_sum = np.zeros((n_states, n_mix))
-        mean_num = np.zeros((n_states, n_mix, dim))
-        sq_num = np.zeros((n_states, n_mix, dim))
-        for traj in trajs:
-            loglik, gamma, resp, xi = _sequence_stats(model, traj.frames)
-            total_ll += loglik
-            trans_num += xi
-            occupancy += gamma.sum(axis=0)
-            resp_sum += resp.sum(axis=0)
-            mean_num += np.einsum("tqm,td->qmd", resp, traj.frames)
-            sq_num += np.einsum("tqm,td->qmd", resp, traj.frames**2)
-        history.append(total_ll)
+        logliks, gamma, resp, trans_num = _em_statistics(model, frames, lengths)
+        history.append(float(logliks.sum()))
         if iteration > 0:
-            gain = total_ll - history[-2]
+            gain = history[-1] - history[-2]
             if gain < EM_REL_TOL * abs(history[-2]):
                 break
+        occupancy = gamma.sum(axis=0)
+        resp_sum = resp.sum(axis=0)
+        mean_num = np.einsum("tqm,td->qmd", resp, frames)
+        sq_num = np.einsum("tqm,td->qmd", resp, frames**2)
         trans = np.exp(model.log_trans)
         row_tot = trans_num.sum(axis=1)
         for i in range(n_states):
@@ -336,7 +335,9 @@ def train_hmm(
             means=means,
             variances=variances,
         )
-    return replace(model, history=tuple(history))
+    else:
+        capped = True
+    return replace(model, history=tuple(history), capped=capped)
 
 
 def train_bank(
@@ -354,26 +355,36 @@ def train_bank(
     return GestureBank(models=tuple(models))
 
 
-def _prefix_logliks(model: HmmModel, traj: Trajectory) -> np.ndarray:
-    if traj.dim != model.dim:
-        raise HmmError(
-            f"trajectory dimension {traj.dim} does not match model dimension {model.dim}"
-        )
-    _, log_b = kernels.gmm_obs_logprob(
-        traj.frames, np.log(model.weights + 1e-300), model.means, model.variances
+def _prefix_logliks(models: Sequence[HmmModel], traj: Trajectory) -> np.ndarray:
+    """(T, K) log-likelihoods of every prefix under each of K models, from
+    one forward pass.  Models with fewer states are padded with states no
+    transition enters, which leaves their scores unchanged."""
+    n_states = max(m.n_states for m in models)
+    log_trans = np.full((len(models), n_states, n_states), -np.inf)
+    log_b = np.zeros((len(models), len(traj), n_states))
+    for k, model in enumerate(models):
+        if traj.dim != model.dim:
+            raise HmmError(
+                f"trajectory dimension {traj.dim} does not match model dimension {model.dim}"
+            )
+        log_trans[k, : model.n_states, : model.n_states] = model.log_trans
+        log_b[k, :, : model.n_states] = kernels.gmm_obs_logprob(
+            traj.frames, np.log(model.weights + 1e-300), model.means, model.variances
+        )[1]
+    log_alpha = kernels.log_forward(
+        log_trans, log_b.reshape(-1, n_states), [len(traj)] * len(models)
     )
-    log_alpha = kernels.log_forward(model.log_trans, log_b)
-    return np.logaddexp.reduce(log_alpha, axis=1)
+    return np.logaddexp.reduce(log_alpha, axis=1).reshape(len(models), -1).T
 
 
 def forward_loglik(model: HmmModel, traj: Trajectory) -> float:
     """Log-likelihood of the whole trajectory under one model."""
-    return float(_prefix_logliks(model, traj)[-1])
+    return float(_prefix_logliks([model], traj)[-1, 0])
 
 
 def action_posterior(bank: GestureBank, traj: Trajectory) -> SoftActionEvidence:
     """Posterior over actions from normalized likelihoods (uniform prior)."""
-    logliks = np.array([forward_loglik(m, traj) for m in bank.models])
+    logliks = _prefix_logliks(bank.models, traj)[-1]
     peak = logliks.max()
     if peak == -np.inf:
         raise HmmError("trajectory has zero likelihood under every model")
@@ -410,7 +421,7 @@ class PrefixCurve:
 
 def prefix_curve(bank: GestureBank, traj: Trajectory) -> PrefixCurve:
     """Length-normalized prefix log-likelihoods plus per-prefix posteriors."""
-    log_liks = np.stack([_prefix_logliks(m, traj) for m in bank.models], axis=1)
+    log_liks = _prefix_logliks(bank.models, traj)
     t = np.arange(1, len(traj) + 1)[:, None].astype(np.float64)
     scores = log_liks / t
     peak = log_liks.max(axis=1, keepdims=True)

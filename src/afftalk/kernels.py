@@ -1,16 +1,34 @@
 """Hot numeric kernels for the gesture models.
 
-Two interchangeable backends: numba ``@njit`` loops (default when numba is
-importable) and vectorized numpy.  Set ``AFFTALK_NO_NUMBA=1`` before import
-to force the numpy path; ``backend()`` reports which one is live.  Both
-paths work in the log domain; the only hard invariant is that a row of all
-``-inf`` stays ``-inf`` instead of turning into NaN.
+The passes work on a batch of N sequences stored frame-major: the rows of
+all sequences concatenated into one ``(sum(lengths), Q)`` array, with
+``lengths`` giving each sequence's frame count.  Inside, they pad to
+``(T_max, N, Q)`` and step every sequence at once.  Transitions are
+left-to-right (``HmmModel`` validates this), so a step combines each state
+only with its neighbour: a diagonal term plus a shifted superdiagonal term,
+one two-way ``logaddexp`` per step instead of a Q-way reduction per state.
+
+* ``gmm_obs_logprob`` gives the log density of each frame under each
+  mixture component, ``log_wcomp`` (F, Q, M), and under each state,
+  ``log_b`` (F, Q).
+* ``log_forward`` gives log alpha_t(j) = log P(o_1..t, q_t = j), entering
+  in state 0; ``logaddexp.reduce`` over its states is the log-likelihood
+  of each prefix.
+* ``log_backward`` gives log beta_t(i) = log P(o_t+1..T | q_t = i).
+* ``transition_xi_sum`` sums the transition posteriors
+  xi_t(i, j) = P(q_t = i, q_t+1 = j | o) over all frames and sequences.
+
+Everything stays in the log domain.  A per-frame rescaled linear-domain
+alpha (Rabiner 1989, section V.A) flushes a state whose probability falls
+more than ~708 nats below the frame's best to zero, which changes the
+result when that state later wins; the log domain has no such limit, and
+with the band its step costs fewer numpy calls than a rescaled one.  A
+frame no state can emit gives ``-inf`` from there on, never NaN.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -25,19 +43,12 @@ __all__ = [
 ]
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get("AFFTALK_NO_NUMBA", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
+def backend() -> str:
+    """Name of the kernel implementation, always ``"numpy"``."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-
-def _gmm_obs_logprob_np(frames, log_weights, means, variances):
+def gmm_obs_logprob(frames, log_weights, means, variances):
     diff = frames[:, None, None, :] - means[None, :, :, :]
     quad = (diff * diff / variances[None, :, :, :]).sum(axis=-1)
     norm = np.log(variances).sum(axis=-1) + frames.shape[1] * _LOG_2PI
@@ -46,141 +57,61 @@ def _gmm_obs_logprob_np(frames, log_weights, means, variances):
     return log_wcomp, log_b
 
 
-def _log_forward_np(log_trans, log_obs):
-    T, Q = log_obs.shape
-    log_alpha = np.full((T, Q), -np.inf)
-    log_alpha[0, 0] = log_obs[0, 0]
-    for t in range(1, T):
-        step = log_alpha[t - 1][:, None] + log_trans
-        log_alpha[t] = np.logaddexp.reduce(step, axis=0) + log_obs[t]
-    return log_alpha
+def _band(log_trans):
+    """Log self and log advance probabilities, per state, of a (Q, Q)
+    transition matrix or of each one in an (N, Q, Q) stack."""
+    return np.diagonal(log_trans, 0, -2, -1), np.diagonal(log_trans, 1, -2, -1)
 
 
-def _log_backward_np(log_trans, log_obs):
-    T, Q = log_obs.shape
-    log_beta = np.zeros((T, Q))
-    for t in range(T - 2, -1, -1):
-        step = log_trans + (log_obs[t + 1] + log_beta[t + 1])[None, :]
-        log_beta[t] = np.logaddexp.reduce(step, axis=1)
-    return log_beta
+def _padded(rows, lengths):
+    """Frame-major ``rows`` as a zero-padded (T_max, N, Q) array, plus the
+    (time, sequence) index of every row, which maps the padding back."""
+    lengths = np.asarray(lengths)
+    starts = np.cumsum(lengths) - lengths
+    seq = np.repeat(np.arange(len(lengths)), lengths)
+    time = np.arange(len(rows)) - starts[seq]
+    out = np.zeros((lengths.max(), len(lengths), rows.shape[1]))
+    out[time, seq] = rows
+    return out, (time, seq)
 
 
-def _transition_xi_sum_np(log_trans, log_obs, log_alpha, log_beta, loglik):
-    arrival = (log_obs[1:] + log_beta[1:])[:, None, :]
-    lx = log_alpha[:-1][:, :, None] + log_trans[None, :, :] + arrival - loglik
-    return np.exp(lx).sum(axis=0)
+def log_forward(log_trans, log_obs, lengths):
+    """Log alpha, frame-major.  ``log_trans`` is (Q, Q), or (N, Q, Q) to
+    give each sequence its own transitions."""
+    stay, advance = _band(log_trans)
+    log_b, index = _padded(log_obs, lengths)
+    log_alpha = np.full_like(log_b, -np.inf)
+    log_alpha[0, :, 0] = log_b[0, :, 0]
+    for t in range(1, len(log_b)):
+        cur = np.add(log_alpha[t - 1], stay, out=log_alpha[t])
+        np.logaddexp(cur[:, 1:], log_alpha[t - 1, :, :-1] + advance, out=cur[:, 1:])
+        cur += log_b[t]
+    return log_alpha[index]
 
 
-# ---------------------------------------------------------------------------
-# numba backend (same semantics, explicit loops)
-
-def _gmm_obs_logprob_loops(frames, log_weights, means, variances):
-    T, D = frames.shape
-    Q, M = log_weights.shape
-    log_wcomp = np.empty((T, Q, M))
-    log_b = np.empty((T, Q))
-    for t in range(T):
-        for q in range(Q):
-            peak = -np.inf
-            for m in range(M):
-                acc = 0.0
-                for d in range(D):
-                    diff = frames[t, d] - means[q, m, d]
-                    acc += diff * diff / variances[q, m, d] + np.log(variances[q, m, d])
-                value = log_weights[q, m] - 0.5 * (acc + D * _LOG_2PI)
-                log_wcomp[t, q, m] = value
-                if value > peak:
-                    peak = value
-            if peak == -np.inf:
-                log_b[t, q] = -np.inf
-            else:
-                total = 0.0
-                for m in range(M):
-                    total += np.exp(log_wcomp[t, q, m] - peak)
-                log_b[t, q] = peak + np.log(total)
-    return log_wcomp, log_b
+def log_backward(log_trans, log_obs, lengths):
+    """Log beta, frame-major; zero on each sequence's last frame."""
+    stay, advance = _band(log_trans)
+    log_b, index = _padded(log_obs, lengths)
+    at_end = np.arange(len(log_b))[:, None, None] >= np.asarray(lengths)[None, :, None] - 1
+    log_beta = np.zeros_like(log_b)
+    for t in range(len(log_b) - 2, -1, -1):
+        ahead = log_b[t + 1] + log_beta[t + 1]
+        cur = ahead + stay
+        np.logaddexp(cur[:, :-1], ahead[:, 1:] + advance, out=cur[:, :-1])
+        log_beta[t] = np.where(at_end[t], 0.0, cur)
+    return log_beta[index]
 
 
-def _log_forward_loops(log_trans, log_obs):
-    T, Q = log_obs.shape
-    log_alpha = np.full((T, Q), -np.inf)
-    log_alpha[0, 0] = log_obs[0, 0]
-    for t in range(1, T):
-        for j in range(Q):
-            peak = -np.inf
-            for i in range(Q):
-                v = log_alpha[t - 1, i] + log_trans[i, j]
-                if v > peak:
-                    peak = v
-            if peak == -np.inf:
-                log_alpha[t, j] = -np.inf
-            else:
-                total = 0.0
-                for i in range(Q):
-                    total += np.exp(log_alpha[t - 1, i] + log_trans[i, j] - peak)
-                log_alpha[t, j] = peak + np.log(total) + log_obs[t, j]
-    return log_alpha
-
-
-def _log_backward_loops(log_trans, log_obs):
-    T, Q = log_obs.shape
-    log_beta = np.zeros((T, Q))
-    for t in range(T - 2, -1, -1):
-        for i in range(Q):
-            peak = -np.inf
-            for j in range(Q):
-                v = log_trans[i, j] + log_obs[t + 1, j] + log_beta[t + 1, j]
-                if v > peak:
-                    peak = v
-            if peak == -np.inf:
-                log_beta[t, i] = -np.inf
-            else:
-                total = 0.0
-                for j in range(Q):
-                    total += np.exp(
-                        log_trans[i, j] + log_obs[t + 1, j] + log_beta[t + 1, j] - peak
-                    )
-                log_beta[t, i] = peak + np.log(total)
-    return log_beta
-
-
-def _transition_xi_sum_loops(log_trans, log_obs, log_alpha, log_beta, loglik):
-    T, Q = log_obs.shape
-    xi = np.zeros((Q, Q))
-    for t in range(T - 1):
-        for i in range(Q):
-            for j in range(Q):
-                v = (
-                    log_alpha[t, i]
-                    + log_trans[i, j]
-                    + log_obs[t + 1, j]
-                    + log_beta[t + 1, j]
-                    - loglik
-                )
-                if v > -np.inf:
-                    xi[i, j] += np.exp(v)
+def transition_xi_sum(log_trans, log_obs, log_alpha, log_beta, logliks, lengths):
+    """(Q, Q) sum of xi_t(i, j) over every frame pair within each sequence;
+    ``logliks`` holds each sequence's finite log-likelihood."""
+    stay, advance = _band(log_trans)
+    here = log_alpha[:-1] - np.repeat(logliks, lengths)[:-1, None]
+    ahead = log_obs[1:] + log_beta[1:]
+    ahead[np.cumsum(lengths)[:-1] - 1] = -np.inf  # pairs across two sequences
+    states = np.arange(len(stay))
+    xi = np.zeros((len(stay), len(stay)))
+    xi[states, states] = np.exp(here + stay + ahead).sum(axis=0)
+    xi[states[:-1], states[1:]] = np.exp(here[:, :-1] + advance + ahead[:, 1:]).sum(axis=0)
     return xi
-
-
-_BACKEND = "numpy"
-gmm_obs_logprob = _gmm_obs_logprob_np
-log_forward = _log_forward_np
-log_backward = _log_backward_np
-transition_xi_sum = _transition_xi_sum_np
-
-if not _numba_disabled():
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
-    if njit is not None:
-        gmm_obs_logprob = njit(cache=True)(_gmm_obs_logprob_loops)
-        log_forward = njit(cache=True)(_log_forward_loops)
-        log_backward = njit(cache=True)(_log_backward_loops)
-        transition_xi_sum = njit(cache=True)(_transition_xi_sum_loops)
-        _BACKEND = "numba"
-
-
-def backend() -> str:
-    """Name of the active backend, ``"numba"`` or ``"numpy"``."""
-    return _BACKEND

@@ -127,32 +127,49 @@ def random_left_right_model(
     )
 
 
-def brute_force_loglik(model: HmmModel, frames: np.ndarray) -> float:
-    """Sum over every state path in the linear domain (tests only)."""
-    n_states, n_mix, _ = model.means.shape
+def _emission_density(model: HmmModel, q: int, x: np.ndarray) -> float:
+    dens = 0.0
+    for m in range(model.n_mixtures):
+        var = model.variances[q, m]
+        diff = x - model.means[q, m]
+        dens += (
+            model.weights[q, m]
+            * math.exp(-0.5 * float(np.sum(diff * diff / var)))
+            / math.sqrt(float(np.prod(2.0 * np.pi * var)))
+        )
+    return dens
+
+
+def _path_probabilities(model: HmmModel, frames: np.ndarray):
+    """Every state path starting in state 0 with its joint probability."""
     trans = np.exp(model.log_trans)
-
-    def emit(q, x):
-        dens = 0.0
-        for m in range(n_mix):
-            var = model.variances[q, m]
-            diff = x - model.means[q, m]
-            dens += (
-                model.weights[q, m]
-                * math.exp(-0.5 * float(np.sum(diff * diff / var)))
-                / math.sqrt(float(np.prod(2.0 * np.pi * var)))
-            )
-        return dens
-
-    total = 0.0
-    for path in itertools.product(range(n_states), repeat=len(frames)):
+    for path in itertools.product(range(model.n_states), repeat=len(frames)):
         if path[0] != 0:
             continue
-        p = emit(0, frames[0])
+        p = _emission_density(model, 0, frames[0])
         for t in range(1, len(frames)):
             p *= trans[path[t - 1], path[t]]
             if p == 0.0:
                 break
-            p *= emit(path[t], frames[t])
+            p *= _emission_density(model, path[t], frames[t])
+        yield path, p
+
+
+def brute_force_loglik(model: HmmModel, frames: np.ndarray) -> float:
+    """Sum over every state path in the linear domain (tests only)."""
+    return math.log(sum(p for _, p in _path_probabilities(model, frames)))
+
+
+def brute_force_posteriors(model: HmmModel, frames: np.ndarray):
+    """State posteriors (T, Q) and summed transition posteriors (Q, Q) by
+    enumerating every state path (tests only)."""
+    q = model.n_states
+    gamma = np.zeros((len(frames), q))
+    xi = np.zeros((q, q))
+    total = 0.0
+    for path, p in _path_probabilities(model, frames):
         total += p
-    return math.log(total)
+        gamma[np.arange(len(frames)), path] += p
+        for a, b in zip(path[:-1], path[1:]):
+            xi[a, b] += p
+    return gamma / total, xi / total

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from afftalk import hmm, serialize
 from afftalk.cli import main
 
 
@@ -169,6 +170,59 @@ def test_anticipate_csv(pipeline_dir):
     assert header[0] == "t"
     assert "post_tap" in header and "ObjVel=fast" in header
     assert len(lines) - 1 >= 20  # one row per frame
+
+
+def test_bank_with_other_actions_than_the_schema_exit_code(pipeline_dir, tmp_path, capsys):
+    bank = serialize.load_gesture_bank(pipeline_dir / "models/hmm.txt")
+    push = hmm.HmmModel(
+        "push",
+        bank.models[0].log_trans,
+        bank.models[0].weights,
+        bank.models[0].means,
+        bank.models[0].variances,
+    )
+    serialize.save_gesture_bank(
+        tmp_path / "hmm4.txt", hmm.GestureBank(models=bank.models + (push,))
+    )
+    common = [
+        "--bn",
+        str(pipeline_dir / "models/bn.txt"),
+        "--bank",
+        str(tmp_path / "hmm4.txt"),
+        "--traj",
+        _somewhere_with_traj(pipeline_dir),
+    ]
+    code = main(["anticipate", *common, "--out", str(tmp_path / "anticipate.csv")])
+    assert code == 4
+    assert "push" in capsys.readouterr().err
+    assert not (tmp_path / "anticipate.csv").exists()
+    assert main(["infer", *common, "--infer", "ObjVel"]) == 4
+
+
+def test_train_hmm_reports_em_iterations_and_caps(pipeline_dir, tmp_path, capsys, monkeypatch):
+    argv = [
+        "train-hmm",
+        "--dataset",
+        str(pipeline_dir / "dataset"),
+        "--out",
+        str(tmp_path / "hmm.txt"),
+        "--per-action",
+        "12",
+        "--seed",
+        "7",
+    ]
+    monkeypatch.setattr(hmm, "MAX_EM_ITERATIONS", 2)
+    assert main(argv) == 0
+    report = capsys.readouterr().out.splitlines()[1:]
+    assert report == [
+        f"  {a}: 2 EM iterations (capped: stopped before converging)"
+        for a in ("grasp", "tap", "touch")
+    ]
+    monkeypatch.setattr(hmm, "MAX_EM_ITERATIONS", 1000)
+    assert main(argv) == 0
+    report = capsys.readouterr().out.splitlines()[1:]
+    assert len(report) == 3
+    assert all(line.endswith(" EM iterations") for line in report)
 
 
 def test_sweep_csv(pipeline_dir):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from afftalk import hmm
 from afftalk.hmm import (
     GestureBank,
     HmmError,
@@ -119,6 +120,20 @@ def test_em_loglik_is_monotone():
     assert (diffs >= -1e-9).all()
 
 
+def test_em_cap_is_recorded_only_when_it_ends_training(monkeypatch):
+    seqs = _noisy_sequences(np.random.default_rng(3), 6, 20)
+    free = train_hmm(seqs, 3, 1, seed=0)
+    n = len(free.history)
+    assert not free.capped and n < hmm.MAX_EM_ITERATIONS
+    # the gain test passing on the last allowed iteration is convergence
+    monkeypatch.setattr(hmm, "MAX_EM_ITERATIONS", n)
+    at_limit = train_hmm(seqs, 3, 1, seed=0)
+    assert not at_limit.capped and at_limit.history == free.history
+    monkeypatch.setattr(hmm, "MAX_EM_ITERATIONS", n - 1)
+    cut = train_hmm(seqs, 3, 1, seed=0)
+    assert cut.capped and cut.history == free.history[:-1]
+
+
 def test_training_is_seed_deterministic():
     rng = np.random.default_rng(4)
     seqs = _noisy_sequences(rng, 5, 25)
@@ -221,6 +236,19 @@ def test_posterior_invariant_to_constant_loglik_shift():
         w = np.exp((lls + shift) - (lls + shift).max())
         base = np.exp(lls - lls.max())
         assert np.allclose(w / w.sum(), base / base.sum(), atol=1e-12)
+
+
+def test_bank_scoring_pads_models_with_fewer_states_exactly():
+    rng = np.random.default_rng(10)
+    models = tuple(
+        random_left_right_model(rng, q, 2, 2, label=f"m{q}") for q in (2, 1, 3)
+    )
+    t = traj(rng.normal(0, 1, (5, 2)))
+    curve = prefix_curve(GestureBank(models=models), t)
+    for k, model in enumerate(models):
+        want = brute_force_loglik(model, t.frames)
+        assert abs(curve.log_liks[-1, k] - want) <= 1e-9 * abs(want)
+        assert curve.log_liks[-1, k] == forward_loglik(model, t)
 
 
 def test_prefix_argmax_on_tap_trajectories(world_config, trained_bank):

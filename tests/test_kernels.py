@@ -1,66 +1,87 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
+import pytest
 
 from afftalk import kernels
+from afftalk.hmm import HmmError, _em_statistics
+
+from conftest import brute_force_posteriors, random_left_right_model
 
 
-def _random_inputs(seed, T=15, Q=4, M=2, D=3):
-    rng = np.random.default_rng(seed)
-    trans = np.zeros((Q, Q))
-    for i in range(Q - 1):
-        p = rng.uniform(0.3, 0.9)
-        trans[i, i] = p
-        trans[i, i + 1] = 1 - p
-    trans[Q - 1, Q - 1] = 1.0
-    with np.errstate(divide="ignore"):
-        log_trans = np.log(trans)
-    frames = rng.normal(0, 1, (T, D))
-    weights = rng.dirichlet(np.ones(M), size=Q)
-    means = rng.normal(0, 1, (Q, M, D))
-    variances = rng.uniform(0.5, 2.0, (Q, M, D))
-    return log_trans, frames, np.log(weights), means, variances
+def _batch_statistics(model, seqs):
+    """Per-sequence (log-likelihood, gamma) and the summed xi for one batch."""
+    frames = np.concatenate(seqs)
+    lengths = np.array([len(s) for s in seqs])
+    logliks, gamma, _, xi = _em_statistics(model, frames, lengths)
+    return logliks, np.split(gamma, np.cumsum(lengths)[:-1]), xi
 
 
-def test_backends_agree_including_minus_inf_entries():
-    for seed in range(5):
-        log_trans, frames, log_w, means, variances = _random_inputs(seed)
-        lw_a, lb_a = kernels.gmm_obs_logprob(frames, log_w, means, variances)
-        lw_b, lb_b = kernels._gmm_obs_logprob_np(frames, log_w, means, variances)
-        assert np.allclose(lw_a, lw_b, atol=1e-10)
-        assert np.allclose(lb_a, lb_b, atol=1e-10)
-        la_a = kernels.log_forward(log_trans, lb_a)
-        la_b = kernels._log_forward_np(log_trans, lb_b)
-        # early cells are unreachable in a left-to-right model: both -inf
-        assert np.array_equal(np.isneginf(la_a), np.isneginf(la_b))
-        finite = np.isfinite(la_a)
-        assert np.allclose(la_a[finite], la_b[finite], atol=1e-10)
-        lbeta_a = kernels.log_backward(log_trans, lb_a)
-        lbeta_b = kernels._log_backward_np(log_trans, lb_b)
-        assert np.allclose(lbeta_a, lbeta_b, atol=1e-10)
-        ll = float(np.logaddexp.reduce(la_b[-1]))
-        xi_a = kernels.transition_xi_sum(log_trans, lb_a, la_a, lbeta_a, ll)
-        xi_b = kernels._transition_xi_sum_np(log_trans, lb_b, la_b, lbeta_b, ll)
-        assert np.allclose(xi_a, xi_b, atol=1e-10)
+def test_gamma_and_xi_match_path_enumeration():
+    rng = np.random.default_rng(11)
+    for _ in range(15):
+        q = int(rng.integers(1, 4))
+        model = random_left_right_model(rng, q, int(rng.integers(1, 3)), int(rng.integers(1, 4)))
+        seqs = [
+            rng.normal(0.0, 1.0, (int(rng.integers(1, 6)), model.dim))
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        _, gammas, xi = _batch_statistics(model, seqs)
+        want_xi = np.zeros((q, q))
+        for seq, gamma in zip(seqs, gammas):
+            want_gamma, seq_xi = brute_force_posteriors(model, seq)
+            assert np.abs(gamma - want_gamma).max() <= 1e-9
+            want_xi += seq_xi
+        assert np.abs(xi - want_xi).max() <= 1e-9
+
+
+def test_sequence_statistics_ignore_batch_companions():
+    rng = np.random.default_rng(12)
+    model = random_left_right_model(rng, 4, 2, 3)
+    seqs = [rng.normal(0.0, 1.0, (n, 3)) for n in (9, 4, 13, 1, 7)]
+    batch = _batch_statistics(model, seqs)
+    order = [3, 0, 4, 2, 1]
+    shuffled = _batch_statistics(model, [seqs[k] for k in order])
+    singles = [_batch_statistics(model, [s]) for s in seqs]
+    for k, single in enumerate(singles):
+        assert np.array_equal(batch[0][k], single[0][0])
+        assert np.array_equal(batch[1][k], single[1][0])
+        at = order.index(k)
+        assert np.array_equal(shuffled[0][at], single[0][0])
+        assert np.array_equal(shuffled[1][at], single[1][0])
+    assert np.allclose(batch[2], sum(s[2] for s in singles), rtol=1e-12, atol=0.0)
+    assert np.allclose(shuffled[2], batch[2], rtol=1e-12, atol=0.0)
+
+
+def test_forward_keeps_wide_emission_ranges_exact():
+    # states emit thousands of nats apart, as tight variances can make
+    # them; the oracle is the unbanded log-domain recursion, one sequence
+    # at a time
+    rng = np.random.default_rng(14)
+    model = random_left_right_model(rng, 4, 1, 1)
+    seqs = [rng.uniform(-3000.0, 0.0, (n, 4)) for n in (30, 12)]
+    log_alpha = kernels.log_forward(model.log_trans, np.concatenate(seqs), [30, 12])
+    for seq, got in zip(seqs, np.split(log_alpha, [30])):
+        want = np.full(seq.shape, -np.inf)
+        want[0, 0] = seq[0, 0]
+        for t in range(1, len(seq)):
+            step = want[t - 1][:, None] + model.log_trans
+            want[t] = np.logaddexp.reduce(step, axis=0) + seq[t]
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        finite = np.isfinite(want)
+        assert np.allclose(got[finite], want[finite], rtol=1e-12, atol=0.0)
 
 
 def test_forward_handles_all_minus_inf_rows_without_nan():
-    log_trans = np.array([[0.0, -np.inf], [-np.inf, 0.0]])
-    log_obs = np.array([[0.0, 0.0], [-np.inf, -np.inf], [0.0, 0.0]])
-    la = kernels._log_forward_np(log_trans, log_obs)
-    assert not np.isnan(la).any()
-    assert np.isneginf(la[1]).all() and np.isneginf(la[2]).all()
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, AFFTALK_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import afftalk.kernels as k; print(k.backend())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+    model = random_left_right_model(np.random.default_rng(13), 2, 1, 2)
+    lengths = np.array([3, 2])  # the second sequence is possible throughout
+    with np.errstate(divide="ignore"):
+        log_obs = np.log(np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5], [0.2, 0.7], [0.6, 0.1]]))
+    log_alpha = kernels.log_forward(model.log_trans, log_obs, lengths)
+    assert not np.isnan(log_alpha).any()
+    prefix = np.logaddexp.reduce(log_alpha, axis=1)
+    assert np.isfinite(prefix[0]) and np.isneginf(prefix[1:3]).all()
+    assert np.isfinite(prefix[3:]).all()
+    # a frame no state can emit: its squared distance overflows to inf
+    frames = np.zeros((6, 2))
+    frames[2] = 1e200
+    with np.errstate(over="ignore"), pytest.raises(HmmError, match="zero likelihood"):
+        _em_statistics(model, frames, np.array([4, 2]))
