@@ -89,15 +89,21 @@ BOOL_LABELS = ("false", "true")
 
 @dataclass(frozen=True)
 class WorldSchema:
-    """Ordered variable declarations shared by datasets and networks."""
+    """Ordered variable declarations shared by datasets and networks.
+
+    ``names`` and ``arities`` are tuples in schema order, built once at
+    construction because loading and inference read them in every loop.
+    """
 
     variables: tuple[Variable, ...]
 
     def __post_init__(self):
-        names = [v.name for v in self.variables]
+        names = tuple(v.name for v in self.variables)
         if len(set(names)) != len(names):
             raise BnError("variable names must be unique")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "arities", tuple(v.arity for v in self.variables))
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[str, Sequence[str]]]) -> "WorldSchema":
@@ -105,14 +111,6 @@ class WorldSchema:
 
     def __len__(self):
         return len(self.variables)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
-
-    @property
-    def arities(self) -> tuple[int, ...]:
-        return tuple(v.arity for v in self.variables)
 
     def index(self, name: str) -> int:
         try:
@@ -198,7 +196,9 @@ class BayesNet:
 
     ``cpts[i]`` has one axis per parent (ascending schema order) plus a last
     axis over the variable's own values; every row along that last axis is a
-    distribution.
+    distribution.  Each instance keeps the last answer ``query`` computed
+    from it, so a new network, even one read from the same file, starts
+    with none.
     """
 
     schema: WorldSchema
@@ -208,6 +208,8 @@ class BayesNet:
     def __post_init__(self):
         object.__setattr__(self, "cpts", tuple(_readonly(c) for c in self.cpts))
         self._validate()
+        # (query key, answer) of the last successful ``query``, or None
+        object.__setattr__(self, "_last_answer", None)
 
     def _validate(self) -> None:
         n = len(self.schema)
@@ -228,7 +230,8 @@ class BayesNet:
                 )
             if (cpt < 0).any():
                 raise BnError(f"negative probability in cpt of {self.schema.names[i]!r}")
-            if not np.allclose(cpt.sum(axis=-1), 1.0, rtol=0.0, atol=ROW_SUM_TOL):
+            # written so that a NaN row sum fails too
+            if not (np.abs(cpt.sum(axis=-1) - 1.0) <= ROW_SUM_TOL).all():
                 raise BnError(f"cpt rows of {self.schema.names[i]!r} must sum to 1")
         _toposort(self.parents)
 
@@ -420,29 +423,56 @@ def _finish(table: np.ndarray, order_idx, caller_idx, schema) -> JointTable:
     )
 
 
+def _elimination_order(
+    net: BayesNet, infer_idx: Sequence[int], obs_idx: Mapping[int, int]
+) -> list[int]:
+    """Latent variables in greedy min-degree order, ties to schema position.
+
+    Works on the interaction graph of the evidence-reduced factors: two
+    unobserved variables are neighbours when some factor holds both, and
+    eliminating a variable joins its neighbours into a clique, just as
+    summing it out joins the factors that hold it.
+    """
+    nbrs: dict[int, set[int]] = {
+        v: set() for v in range(len(net.schema)) if v not in obs_idx
+    }
+    for i, ps in enumerate(net.parents):
+        scope = [v for v in (*ps, i) if v not in obs_idx]
+        for v in scope:
+            nbrs[v].update(scope)
+    for v, adjacent in nbrs.items():
+        adjacent.discard(v)
+    latents = set(nbrs) - set(infer_idx)
+    order = []
+    while latents:
+        target = min(latents, key=lambda v: (len(nbrs[v]), v))
+        clique = nbrs.pop(target)
+        for v in clique:
+            nbrs[v] |= clique
+            nbrs[v] -= {v, target}
+        latents.remove(target)
+        order.append(target)
+    return order
+
+
 def query(net: BayesNet, infer_vars: Sequence[str], obs: Evidence) -> JointTable:
     """Exact conditional P(infer_vars | obs) by variable elimination.
 
     Latent variables are eliminated in min-degree order with ties broken by
     schema position, so results are deterministic.  Evidence with zero
     probability raises ``ImpossibleEvidenceError`` rather than returning a
-    silent uniform.
+    silent uniform.  The answer is read-only, and ``net`` keeps the last
+    one, so asking the same (query variables, evidence) again in a row,
+    as every frame or grid point of a fused query does, costs a lookup.
     """
     infer_idx, obs_idx = _validated_query(net, infer_vars, obs)
+    key = (tuple(infer_idx), tuple(sorted(obs_idx.items())))
+    last = net._last_answer
+    if last is not None and last[0] == key:
+        return last[1]
     arities = net.schema.arities
     factors = _reduced_factors(net, obs_idx)
-    latents = {
-        v for v in range(len(net.schema)) if v not in infer_idx and v not in obs_idx
-    }
-    while latents:
-        degree = {}
-        for v in latents:
-            scope: set[int] = set()
-            for f in factors:
-                if v in f.vars:
-                    scope.update(f.vars)
-            degree[v] = len(scope) - 1
-        target = min(latents, key=lambda v: (degree[v], v))
+    for target in _elimination_order(net, infer_idx, obs_idx):
         involved = [f for f in factors if target in f.vars]
         rest = [f for f in factors if target not in f.vars]
         prod = _product(involved, arities)
@@ -454,9 +484,12 @@ def query(net: BayesNet, infer_vars: Sequence[str], obs: Evidence) -> JointTable
         # so dividing by the peak costs nothing and avoids underflow
         rest.append(_Factor(tuple(v for v in prod.vars if v != target), summed / peak))
         factors = rest
-        latents.remove(target)
     result = _product(factors, arities)
-    return _finish(result.table, list(result.vars), infer_idx, net.schema)
+    table = _finish(result.table, list(result.vars), infer_idx, net.schema)
+    # one attribute swap, so threads sharing ``net`` at worst repeat an
+    # elimination
+    object.__setattr__(net, "_last_answer", (key, table))
+    return table
 
 
 def joint_enumerate(

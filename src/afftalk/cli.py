@@ -270,18 +270,15 @@ def cmd_describe(args, config: RunConfig) -> int:
     obs = _parse_evidence(net.schema, args.ev)
     soft = _load_soft(args, net.schema)
     observed = dict(obs.items())
+    unobserved = [w for w in net.schema.word_variables() if w not in observed]
+    inferred = fusion.word_probabilities(net, obs, unobserved, soft)
     word_probs: dict[str, float] = {}
     for word in net.schema.word_variables():
-        true_idx = net.schema.value_index(word, "true")
         if word in observed:
+            true_idx = net.schema.value_index(word, "true")
             word_probs[word] = 1.0 if observed[word] == true_idx else 0.0
-        elif soft is None:
-            word_probs[word] = float(query(net, (word,), obs).probs[true_idx])
         else:
-            spec = QuerySpec(infer_vars=(word,), obs=obs)
-            word_probs[word] = float(
-                fusion.fuse_query(net, soft, spec).table.probs[true_idx]
-            )
+            word_probs[word] = float(inferred[unobserved.index(word)])
     gram = grammar_mod.default_grammar()
     n = args.n if args.n is not None else config.n_candidates
     k = args.k if args.k is not None else config.keep

@@ -37,6 +37,7 @@ __all__ = [
     "WordDeltaResult",
     "fuse_query",
     "confidence_sweep",
+    "word_probabilities",
     "word_delta",
     "write_sweep_csv",
     "write_word_delta_csv",
@@ -189,6 +190,8 @@ def confidence_sweep(
         raise EvidenceError(f"unknown action value {target_action!r}")
     lo = 1.0 / k
     grid = tuple(float(p) for p in grid)
+    if not grid:
+        raise BnError("confidence grid must hold at least one point")
     for p in grid:
         if p < lo - 1e-9 or p > 1.0 + 1e-9:
             raise BnError(f"grid value {p} outside [{lo}, 1]")
@@ -199,16 +202,12 @@ def confidence_sweep(
         weights = np.full(k, (1.0 - p) / (k - 1))
         weights[target_idx] = p
         weights /= weights.sum()
-        result = fuse_query(net, SoftActionEvidence(weights, labels), spec)
-        tables.append(result.table.probs)
-    first = fuse_query(
-        net, SoftActionEvidence.uniform(k, labels), spec
-    ).table
+        tables.append(fuse_query(net, SoftActionEvidence(weights, labels), spec).table)
     return SweepResult(
         grid=grid,
-        variables=first.variables,
-        labels=first.labels,
-        posteriors=np.stack(tables, axis=0),
+        variables=tables[0].variables,
+        labels=tables[0].labels,
+        posteriors=np.stack([t.probs for t in tables], axis=0),
         target_action=target_action,
     )
 
@@ -224,6 +223,28 @@ class WordDeltaResult:
     @property
     def delta(self) -> np.ndarray:
         return self.combined - self.baseline
+
+
+def word_probabilities(
+    net: BayesNet,
+    obs: Evidence,
+    words: Sequence[str],
+    soft: SoftActionEvidence | None = None,
+    action_var: str = DEFAULT_ACTION_VAR,
+) -> np.ndarray:
+    """P(word present | obs[, soft]) for each of ``words``, in order.
+
+    Without ``soft`` this is the plain network query.
+    """
+    probs = np.empty(len(words))
+    for i, word in enumerate(words):
+        if soft is None:
+            table = query(net, (word,), obs)
+        else:
+            spec = QuerySpec(infer_vars=(word,), obs=obs, action_var=action_var)
+            table = fuse_query(net, soft, spec).table
+        probs[i] = table.probs[net.schema.value_index(word, "true")]
+    return probs
 
 
 def word_delta(
@@ -246,14 +267,11 @@ def word_delta(
             raise EvidenceError(
                 f"cannot delta observed words: {', '.join(sorted(clash))}"
             )
-    baseline = np.empty(len(words))
-    combined = np.empty(len(words))
-    for i, word in enumerate(words):
-        true_idx = net.schema.value_index(word, "true")
-        baseline[i] = query(net, (word,), obs).probs[true_idx]
-        spec = QuerySpec(infer_vars=(word,), obs=obs, action_var=action_var)
-        combined[i] = fuse_query(net, soft, spec).table.probs[true_idx]
-    return WordDeltaResult(words=tuple(words), baseline=baseline, combined=combined)
+    return WordDeltaResult(
+        words=tuple(words),
+        baseline=word_probabilities(net, obs, words, None, action_var),
+        combined=word_probabilities(net, obs, words, soft, action_var),
+    )
 
 
 def _fmt(x: float) -> str:

@@ -277,7 +277,7 @@ def generate_sentences(grammar: Grammar, n: int, seed: int) -> list[Sentence]:
     list.  Duplicates are possible; ``nbest`` deduplicates.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise GrammarError("n must be >= 1")
     rng = random.Random(seed)
     sentences = []
     for _ in range(n):
@@ -314,7 +314,7 @@ def nbest(
     Ties are broken lexicographically on the word sequence.
     """
     if not n >= k >= 1:
-        raise ValueError("need n >= k >= 1")
+        raise GrammarError("need n >= k >= 1")
     unique: dict[tuple[str, ...], Sentence] = {}
     for sentence in generate_sentences(grammar, n, seed):
         unique.setdefault(sentence.words, sentence)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from afftalk import bn
 from afftalk.bn import (
     BayesNet,
     WorldSchema,
@@ -57,6 +58,17 @@ def trained_bank(world_config):
     return train_bank(trajs, seed=0)
 
 
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts the variable eliminations ``bn.query`` runs."""
+    calls = []
+    reduced_factors = bn._reduced_factors
+    monkeypatch.setattr(
+        bn, "_reduced_factors", lambda *a: calls.append(a) or reduced_factors(*a)
+    )
+    return calls
+
+
 def random_binary_net(rng: np.random.Generator, n_vars: int) -> BayesNet:
     """Random DAG over binary variables with Dirichlet CPT rows."""
     order = rng.permutation(n_vars)
@@ -88,6 +100,33 @@ def random_split(rng: np.random.Generator, net: BayesNet, n_obs=3, n_inf=3):
     inf_vars = rng.choice(rest, size=k_inf, replace=False).tolist()
     obs = {names[v]: int(rng.integers(net.schema.arities[v])) for v in obs_vars}
     return [names[v] for v in inf_vars], obs
+
+
+def rescan_elimination_order(net: BayesNet, infer_idx, obs_idx) -> list[int]:
+    """Min-degree elimination order found by rescanning every factor scope
+    for every latent at every step (the reference for the interaction-graph
+    search in ``bn._elimination_order``)."""
+    scopes = [
+        {v for v in (*ps, i) if v not in obs_idx} for i, ps in enumerate(net.parents)
+    ]
+    latents = {
+        v for v in range(len(net.schema)) if v not in infer_idx and v not in obs_idx
+    }
+    order = []
+    while latents:
+        degree = {}
+        for v in latents:
+            scope = set()
+            for f in scopes:
+                if v in f:
+                    scope.update(f)
+            degree[v] = len(scope) - 1
+        target = min(latents, key=lambda v: (degree[v], v))
+        merged = set().union(*(f for f in scopes if target in f)) - {target}
+        scopes = [f for f in scopes if target not in f] + [merged]
+        latents.remove(target)
+        order.append(target)
+    return order
 
 
 def permute_net(net: BayesNet, perm) -> BayesNet:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from afftalk import bn, serialize
 from afftalk.bn import (
     BayesNet,
     BnError,
@@ -20,7 +21,12 @@ from afftalk.bn import (
 )
 from afftalk.schema import default_schema, layered_candidates
 
-from conftest import permute_net, random_binary_net, random_split
+from conftest import (
+    permute_net,
+    random_binary_net,
+    random_split,
+    rescan_elimination_order,
+)
 
 
 def small_schema():
@@ -84,6 +90,17 @@ def test_build_full_layered_structure_on_default_schema():
     net = build_network(schema, parents)
     assert net.parent_names("ObjVel") == ("Action", "Color", "Size", "Shape")
     assert len(net.parents[schema.index("tapped")]) == 8
+
+
+def test_cpt_with_a_nan_cell_is_rejected():
+    schema = small_schema()
+    skeleton = build_network(schema, [(), (0,)])
+    with pytest.raises(BnError, match="sum to 1"):
+        BayesNet(
+            schema,
+            skeleton.parents,
+            (np.array([0.5, 0.5]), np.array([[0.8, 0.2], [np.nan, 0.9]])),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +263,77 @@ def test_marginal_consistency_of_joint_tables():
     joint = query(net, ["X1", "X2"], Evidence.empty())
     single = query(net, ["X2"], Evidence.empty())
     assert np.allclose(joint.marginal(["X2"]).probs, single.probs)
+
+
+def _index_split(net, infer, obs):
+    return [net.schema.index(v) for v in infer], {
+        net.schema.index(n): v for n, v in obs.items()
+    }
+
+
+def test_elimination_order_matches_factor_rescan_on_random_nets():
+    rng = np.random.default_rng(404)
+    for _ in range(60):
+        net = random_binary_net(rng, int(rng.integers(2, 16)))
+        infer_idx, obs_idx = _index_split(net, *random_split(rng, net, n_obs=5))
+        assert bn._elimination_order(net, infer_idx, obs_idx) == rescan_elimination_order(
+            net, infer_idx, obs_idx
+        )
+
+
+def test_elimination_order_matches_factor_rescan_on_default_schema(trained_net):
+    rng = np.random.default_rng(405)
+    for _ in range(25):
+        infer, obs = random_split(rng, trained_net, n_obs=6)
+        infer_idx, obs_idx = _index_split(trained_net, infer, obs)
+        order = bn._elimination_order(trained_net, infer_idx, obs_idx)
+        assert order == rescan_elimination_order(trained_net, infer_idx, obs_idx)
+        assert sorted(order + infer_idx + list(obs_idx)) == list(range(57))
+
+
+def test_repeated_query_is_answered_from_the_memo(eliminations):
+    net = random_binary_net(np.random.default_rng(11), 8)
+    first = query(net, ["X3", "X1"], Evidence({"X0": 1}))
+    again = query(net, ["X3", "X1"], Evidence({"X0": 1}))
+    assert np.array_equal(again.probs, first.probs) and len(eliminations) == 1
+    assert not again.probs.flags.writeable
+
+
+def test_impossible_evidence_raises_on_every_call():
+    schema = small_schema()
+    skeleton = build_network(schema, [(), (0,)])
+    net = BayesNet(
+        schema,
+        skeleton.parents,
+        (np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.5, 0.5]])),
+    )
+    for _ in range(2):
+        with pytest.raises(ImpossibleEvidenceError):
+            query(net, ["A"], Evidence({"E": 1}))
+    assert net._last_answer is None
+
+
+def test_memo_belongs_to_one_network_instance(tmp_path):
+    net = two_node_net()
+    serialize.save_bayesnet(tmp_path / "bn.txt", net)
+    a = serialize.load_bayesnet(tmp_path / "bn.txt")
+    b = serialize.load_bayesnet(tmp_path / "bn.txt")
+    query(a, ["A"], Evidence({"E": 0}))
+    assert a._last_answer is not None and b._last_answer is None
+    rows = Dataset(np.array([[0, 0], [1, 1]]))
+    query(net, ["E"], Evidence.empty())
+    assert fit_parameters(net, rows)._last_answer is None
+    assert prune_barren(net, ["A"])._last_answer is None
+
+
+def test_memo_keeps_only_the_last_answer(eliminations):
+    net = random_binary_net(np.random.default_rng(12), 8)
+    first = (["X1"], Evidence({"X0": 0}))
+    second = (["X1"], Evidence({"X0": 1}))
+    for pattern in (first, first, second, second, first):
+        query(net, *pattern)
+    assert len(eliminations) == 3
+    assert net._last_answer[0] == ((1,), ((0, 0),))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from afftalk import hmm, serialize
+from afftalk import hmm, serialize, world
 from afftalk.cli import main
 
 
@@ -172,6 +173,32 @@ def test_anticipate_csv(pipeline_dir):
     assert len(lines) - 1 >= 20  # one row per frame
 
 
+def test_anticipate_runs_one_elimination_for_all_frames(pipeline_dir, tmp_path, eliminations):
+    config = replace(world.default_config(), t_min=60, t_max=60)
+    serialize.save_trajectory(
+        tmp_path / "traj.csv", world.sample_trajectory("tap", config, seed=3)
+    )
+    out = tmp_path / "anticipate.csv"
+    code = main(
+        [
+            "anticipate",
+            "--bn",
+            str(pipeline_dir / "models/bn.txt"),
+            "--bank",
+            str(pipeline_dir / "models/hmm.txt"),
+            "--traj",
+            str(tmp_path / "traj.csv"),
+            "--ev",
+            "Shape=sphere",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 61
+    assert len(eliminations) == 1
+
+
 def test_bank_with_other_actions_than_the_schema_exit_code(pipeline_dir, tmp_path, capsys):
     bank = serialize.load_gesture_bank(pipeline_dir / "models/hmm.txt")
     push = hmm.HmmModel(
@@ -246,6 +273,30 @@ def test_sweep_csv(pipeline_dir):
     lines = out.read_text().splitlines()
     assert lines[0] == "confidence,Action=grasp,Action=tap,Action=touch"
     assert len(lines) == 26
+
+
+def test_sweep_runs_one_elimination_for_all_points(pipeline_dir, tmp_path, eliminations):
+    out = tmp_path / "sweep.csv"
+    common = ["sweep", "--bn", str(pipeline_dir / "models/bn.txt"), "--target", "tap"]
+    assert main([*common, "--points", "100", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 101
+    assert len(eliminations) == 1
+
+
+def test_sweep_without_points_exit_code(pipeline_dir, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    common = ["sweep", "--bn", str(pipeline_dir / "models/bn.txt"), "--target", "tap"]
+    assert main([*common, "--points", "0", "--out", str(out)]) == 4
+    assert "at least one point" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_describe_keeping_more_than_it_samples_exit_code(pipeline_dir, capsys):
+    code = main(
+        ["describe", "--bn", str(pipeline_dir / "models/bn.txt"), "--n", "5", "--k", "10"]
+    )
+    assert code == 4
+    assert "n >= k" in capsys.readouterr().err
 
 
 def test_missing_model_file_exit_code(pipeline_dir, capsys):

@@ -196,3 +196,16 @@ def test_word_delta_rejects_observed_words(action_net):
     # by default observed words are simply excluded
     result = word_delta(net, obs, SoftActionEvidence.uniform(3))
     assert "tapped" not in result.words
+
+
+def test_word_delta_keeps_one_entry_per_requested_word():
+    from afftalk.bn import build_network
+    from afftalk.schema import default_schema
+
+    schema = default_schema()
+    net = build_network(schema, [()] * len(schema))
+    words = ("rolls", "tapped", "rolls")
+    result = word_delta(net, Evidence.empty(), SoftActionEvidence.uniform(3), words=words)
+    assert result.words == words
+    assert result.baseline.shape == result.combined.shape == (3,)
+    assert result.baseline[0] == result.baseline[2]
