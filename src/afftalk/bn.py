@@ -347,13 +347,6 @@ class JointTable:
             probs=np.ascontiguousarray(np.transpose(summed, perm)),
         )
 
-    def prob(self, assignment: Mapping[str, str]) -> float:
-        """Probability of a full labeled assignment of this table's variables."""
-        idx = []
-        for name, labs in zip(self.variables, self.labels):
-            idx.append(labs.index(assignment[name]))
-        return float(self.probs[tuple(idx)])
-
     def iter_cells(self):
         """Yield (label tuple, probability) in row-major order."""
         for idx in np.ndindex(*self.probs.shape):

@@ -10,8 +10,8 @@ else.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -38,6 +38,24 @@ from .world import WorldError
 
 CONFIG_VERSION = 1
 
+# Smallest value of each numeric config field, and how an error states it.
+_LIMITS = {
+    "seed": (0, "a nonnegative integer"),
+    "trials": (1, "a count of at least one trial"),
+    "trajectories_per_action": (0, "a nonnegative integer"),
+    "alpha": (0.0, "a finite number >= 0"),
+    "max_parents": (0, "a nonnegative integer"),
+    "states": (1, "a count of at least one state"),
+    "mixtures": (1, "a count of at least one component"),
+    "train_per_action": (1, "a count of at least one trajectory"),
+    "n_candidates": (1, "a count of at least one sentence"),
+    "keep": (1, "a count of at least one sentence"),
+    "grid_points": (1, "a count of at least one point"),
+    "noise_std": (0.0, "a finite number >= 0"),
+    "t_min": (1, "a count of at least one frame"),
+    "t_max": (1, "a count of at least one frame"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -61,21 +79,32 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        """The keys of a JSON object file; ``validate`` checks their values."""
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise BnError(f"{path}: not a JSON config file: {exc}") from None
+        if not isinstance(raw, dict):
+            raise BnError(f"{path}: the config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise BnError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        config = cls(**raw)
-        if config.version != CONFIG_VERSION:
-            raise BnError(f"unsupported config version {config.version}")
-        if config.seed < 0:
-            raise BnError("seed must be a nonnegative integer")
-        return config
+        return cls(**raw)
 
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+    def validate(self) -> None:
+        """Check the type and range of every field."""
+        if isinstance(self.version, bool) or self.version != CONFIG_VERSION:
+            raise BnError(f"unsupported config version {self.version!r}")
+        for name, (least, rule) in _LIMITS.items():
+            value = getattr(self, name)
+            kind = int if isinstance(least, int) else (int, float)
+            typed = isinstance(value, kind) and not isinstance(value, bool)
+            # the chained comparison also turns away NaN and infinity
+            if not (typed and least <= value < math.inf):
+                raise BnError(f"{name} must be {rule}, got {value!r}")
+        if self.t_min > self.t_max:
+            raise BnError(f"t_min {self.t_min} exceeds t_max {self.t_max}")
 
 
 def _parse_evidence(schema, pairs) -> Evidence:
@@ -90,16 +119,6 @@ def _parse_evidence(schema, pairs) -> Evidence:
             name, label = token.split("=", 1)
             labeled[name.strip()] = label.strip()
     return Evidence.from_labels(schema, labeled)
-
-
-def _write_table_csv(path, table: JointTable) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(table.variables) + ["p"])
-        for labels, p in table.iter_cells():
-            writer.writerow(list(labels) + [_fmt(p)])
 
 
 def _print_table(table: JointTable) -> None:
@@ -146,17 +165,12 @@ def cmd_simulate(args, config: RunConfig) -> int:
     wc = _world_config(config)
     trials = world.generate_trials(
         wc,
-        n=args.trials if args.trials is not None else config.trials,
-        seed=args.seed if args.seed is not None else config.seed,
-        trajectories_per_action=(
-            args.trajectories_per_action
-            if args.trajectories_per_action is not None
-            else config.trajectories_per_action
-        ),
+        n=config.trials,
+        seed=config.seed,
+        trajectories_per_action=config.trajectories_per_action,
     )
-    seed = args.seed if args.seed is not None else config.seed
     serialize.write_dataset(
-        args.out, trials, wc.schema, provenance=f"synthetic world seed={seed}"
+        args.out, trials, wc.schema, provenance=f"synthetic world seed={config.seed}"
     )
     n_traj = sum(1 for t in trials if t.trajectory is not None)
     print(f"wrote {len(trials)} trials ({n_traj} with trajectories) to {args.out}")
@@ -167,14 +181,11 @@ def cmd_train_bn(args, config: RunConfig) -> int:
     schema = default_schema()
     data, _ = serialize.read_dataset(args.dataset, schema)
     candidates = layered_candidates(schema)
-    max_parents = args.max_parents if args.max_parents is not None else config.max_parents
-    alpha = args.alpha if args.alpha is not None else config.alpha
-    parents = greedy_structure_fit(data, schema, max_parents, candidates)
-    net = fit_parameters(build_network(schema, parents), data, alpha=alpha)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    parents = greedy_structure_fit(data, schema, config.max_parents, candidates)
+    net = fit_parameters(build_network(schema, parents), data, alpha=config.alpha)
     serialize.save_bayesnet(args.out, net)
     n_edges = sum(len(p) for p in parents)
-    print(f"trained network on {len(data)} rows: {n_edges} edges, alpha={alpha}")
+    print(f"trained network on {len(data)} rows: {n_edges} edges, alpha={config.alpha}")
     return 0
 
 
@@ -183,26 +194,20 @@ def cmd_train_hmm(args, config: RunConfig) -> int:
     data, traj_paths = serialize.read_dataset(args.dataset, schema)
     action_idx = schema.index(ACTION_VAR)
     labels = schema.variable(ACTION_VAR).labels
-    per_action = args.per_action if args.per_action is not None else config.train_per_action
     by_action: dict[str, list] = {label: [] for label in labels}
     for row, path in sorted(traj_paths.items()):
         label = labels[data.rows[row, action_idx]]
-        if len(by_action[label]) < per_action:
+        if len(by_action[label]) < config.train_per_action:
             by_action[label].append(serialize.load_trajectory(path))
     for label, trajs in by_action.items():
         if not trajs:
             raise HmmError(f"dataset has no trajectories for action {label!r}")
-    seed = args.seed if args.seed is not None else config.seed
     bank = hmm.train_bank(
-        by_action,
-        n_states=args.states if args.states is not None else config.states,
-        n_mix=args.mixtures if args.mixtures is not None else config.mixtures,
-        seed=seed,
+        by_action, n_states=config.states, n_mix=config.mixtures, seed=config.seed
     )
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     serialize.save_gesture_bank(args.out, bank)
     counts = ", ".join(f"{label}:{len(trajs)}" for label, trajs in by_action.items())
-    print(f"trained gesture bank ({counts}) with seed {seed}")
+    print(f"trained gesture bank ({counts}) with seed {config.seed}")
     for model in bank.models:
         capped = " (capped: stopped before converging)" if model.capped else ""
         print(f"  {model.action_label}: {len(model.history)} EM iterations{capped}")
@@ -227,7 +232,7 @@ def cmd_infer(args, config: RunConfig) -> int:
         )
     _print_table(table)
     if args.out:
-        _write_table_csv(args.out, table)
+        serialize.write_table_csv(args.out, table)
         print(f"wrote {args.out}")
     return 0
 
@@ -238,27 +243,12 @@ def cmd_anticipate(args, config: RunConfig) -> int:
     obs = _parse_evidence(net.schema, args.ev)
     traj = serialize.load_trajectory(args.traj)
     curve = hmm.prefix_curve(bank, traj)
-    effect_var = args.effect_var
-    effect_labels = net.schema.variable(effect_var).labels
-    spec = QuerySpec(infer_vars=(effect_var,), obs=obs)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["t"]
-        header += [f"score_{a}" for a in curve.actions]
-        header += [f"post_{a}" for a in curve.actions]
-        header += [f"{effect_var}={lab}" for lab in effect_labels]
-        writer.writerow(header)
-        for t in range(1, len(curve) + 1):
-            scores, posterior = curve.at(t)
-            soft = SoftActionEvidence(posterior, curve.actions)
-            predicted = fusion.fuse_query(net, soft, spec).table.vector()
-            row = [str(t)]
-            row += [_fmt(v) for v in scores]
-            row += [_fmt(v) for v in posterior]
-            row += [_fmt(v) for v in predicted]
-            writer.writerow(row)
+    spec = QuerySpec(infer_vars=(args.effect_var,), obs=obs)
+    predictions = [
+        fusion.fuse_query(net, SoftActionEvidence(posterior, curve.actions), spec).table
+        for posterior in curve.posteriors
+    ]
+    serialize.write_anticipation_csv(args.out, curve, predictions)
     final = curve.posteriors[-1]
     best = curve.actions[int(final.argmax())]
     print(f"final action posterior: {best} ({final.max():.4f}); wrote {args.out}")
@@ -279,16 +269,17 @@ def cmd_describe(args, config: RunConfig) -> int:
             word_probs[word] = 1.0 if observed[word] == true_idx else 0.0
         else:
             word_probs[word] = float(inferred[unobserved.index(word)])
-    gram = grammar_mod.default_grammar()
-    n = args.n if args.n is not None else config.n_candidates
-    k = args.k if args.k is not None else config.keep
-    seed = args.seed if args.seed is not None else config.seed
-    result = grammar_mod.nbest(gram, word_probs, n=n, k=k, seed=seed)
+    result = grammar_mod.nbest(
+        grammar_mod.default_grammar(),
+        word_probs,
+        n=config.n_candidates,
+        k=config.keep,
+        seed=config.seed,
+    )
     for rank, (sentence, score) in enumerate(result.entries, 1):
         print(f"{rank:2d}  {score: .5f}  {sentence.text}")
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        grammar_mod.write_nbest_csv(args.out, result)
+        serialize.write_nbest_csv(args.out, result)
         print(f"wrote {args.out}")
     return 0
 
@@ -296,16 +287,14 @@ def cmd_describe(args, config: RunConfig) -> int:
 def cmd_sweep(args, config: RunConfig) -> int:
     net = serialize.load_bayesnet(args.bn)
     obs = _parse_evidence(net.schema, args.ev)
-    points = args.points if args.points is not None else config.grid_points
     arity = net.schema.variable(ACTION_VAR).arity
-    grid = np.linspace(1.0 / arity, 1.0, points)
+    grid = np.linspace(1.0 / arity, 1.0, config.grid_points)
     infer_vars = None
     if args.infer:
         infer_vars = tuple(v.strip() for v in args.infer.split(",") if v.strip())
     sweep = fusion.confidence_sweep(net, obs, args.target, grid, infer_vars=infer_vars)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    fusion.write_sweep_csv(args.out, sweep)
-    print(f"swept {points} confidence points for {args.target!r}; wrote {args.out}")
+    serialize.write_sweep_csv(args.out, sweep)
+    print(f"swept {config.grid_points} confidence points for {args.target!r}; wrote {args.out}")
     return 0
 
 
@@ -339,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="bank file")
     p.add_argument("--states", type=int)
     p.add_argument("--mixtures", type=int)
-    p.add_argument("--per-action", type=int, dest="per_action")
+    p.add_argument("--per-action", type=int, dest="train_per_action")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train_hmm)
 
@@ -366,8 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ev", action="append")
     p.add_argument("--bank")
     p.add_argument("--traj")
-    p.add_argument("--n", type=int, help="candidate sentences to sample")
-    p.add_argument("--k", type=int, help="list size to keep")
+    p.add_argument("--n", type=int, dest="n_candidates", help="candidate sentences to sample")
+    p.add_argument("--k", type=int, dest="keep", help="list size to keep")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_describe)
@@ -376,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bn", required=True)
     p.add_argument("--target", required=True, help="action value to ramp")
     p.add_argument("--ev", action="append")
-    p.add_argument("--points", type=int)
+    p.add_argument("--points", type=int, dest="grid_points")
     p.add_argument("--infer", help="comma-separated variables (default: the action)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
@@ -385,17 +374,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _EXIT_CODES = (
     (ImpossibleEvidenceError, 5),
-    (FileNotFoundError, 3),
+    # a directory where a file should be is a missing file too
+    ((FileNotFoundError, IsADirectoryError, NotADirectoryError), 3),
     ((BnError, HmmError, GrammarError, WorldError, SerializeError), 4),
 )
+
+
+def _run_config(args) -> RunConfig:
+    """The config file (or the defaults) overridden by every flag given.
+
+    It is validated here, once, before any command starts its work.
+    """
+    config = RunConfig.from_file(args.config) if args.config else RunConfig()
+    given = {
+        f.name: getattr(args, f.name)
+        for f in fields(RunConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    config = replace(config, **given)
+    config.validate()
+    return config
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig.from_file(args.config) if args.config else RunConfig()
-        return args.func(args, config)
+        return args.func(args, _run_config(args))
     except Exception as exc:  # noqa: BLE001 - single funnel for exit codes
         for types, code in _EXIT_CODES:
             if isinstance(exc, types):

@@ -10,7 +10,6 @@ and a uniform vector degenerates to the plain network query.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,8 +38,6 @@ __all__ = [
     "confidence_sweep",
     "word_probabilities",
     "word_delta",
-    "write_sweep_csv",
-    "write_word_delta_csv",
 ]
 
 
@@ -127,33 +124,23 @@ def fuse_query(net: BayesNet, soft: SoftActionEvidence, spec: QuerySpec) -> Fusi
     """Combined inference over ``spec.infer_vars`` given hard and soft evidence."""
     spec.validate(net)
     action = spec.action_var
-    labels = net.schema.variable(action).labels
-    weights = soft.aligned_to(labels)
-    if action in spec.infer_vars:
-        base = query(net, spec.infer_vars, spec.obs)
-        axis = base.axis(action)
-        shape = [1] * base.probs.ndim
-        shape[axis] = len(weights)
-        combined = base.probs * weights.reshape(shape)
-        mass = float(combined.sum())
-        if mass <= 0.0:
-            raise ImpossibleEvidenceError(
-                "soft action evidence is inconsistent with the network"
-            )
-        return FusionResult(
-            table=JointTable(base.variables, base.labels, combined / mass),
-            consistency=mass,
-        )
-    base = query(net, tuple(spec.infer_vars) + (action,), spec.obs)
-    combined = base.probs * weights  # action is the last axis
+    weights = soft.aligned_to(net.schema.variable(action).labels)
+    asked = action in spec.infer_vars
+    # a latent action is queried as the last axis, then summed out
+    base = query(net, tuple(spec.infer_vars) + (() if asked else (action,)), spec.obs)
+    shape = [1] * base.probs.ndim
+    shape[base.axis(action)] = len(weights)
+    combined = base.probs * weights.reshape(shape)
     mass = float(combined.sum())
     if mass <= 0.0:
         raise ImpossibleEvidenceError(
             "soft action evidence is inconsistent with the network"
         )
-    marginal = combined.sum(axis=-1) / mass
+    if not asked:
+        combined = combined.sum(axis=-1)
+    n = len(spec.infer_vars)
     return FusionResult(
-        table=JointTable(base.variables[:-1], base.labels[:-1], marginal),
+        table=JointTable(base.variables[:n], base.labels[:n], combined / mass),
         consistency=mass,
     )
 
@@ -272,40 +259,3 @@ def word_delta(
         baseline=word_probabilities(net, obs, words, None, action_var),
         combined=word_probabilities(net, obs, words, soft, action_var),
     )
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def write_sweep_csv(path, sweep: SweepResult) -> None:
-    """One row per grid point; probability columns carry value labels."""
-    columns = ["confidence"]
-    cells = list(np.ndindex(*sweep.posteriors.shape[1:]))
-    for idx in cells:
-        name = "_".join(
-            f"{var}={sweep.labels[a][i]}" for a, (var, i) in enumerate(zip(sweep.variables, idx))
-        )
-        columns.append(name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for g, p in enumerate(sweep.grid):
-            row = [_fmt(p)] + [_fmt(float(sweep.posteriors[g][idx])) for idx in cells]
-            writer.writerow(row)
-
-
-def write_word_delta_csv(path, result: WordDeltaResult) -> None:
-    """One row per word: baseline, combined and delta presence probability."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["word", "p_baseline", "p_combined", "delta"])
-        for i, word in enumerate(result.words):
-            writer.writerow(
-                [
-                    word,
-                    _fmt(float(result.baseline[i])),
-                    _fmt(float(result.combined[i])),
-                    _fmt(float(result.delta[i])),
-                ]
-            )

@@ -14,7 +14,6 @@ membership checker and the exhaustive tests rely on.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 import re
@@ -34,7 +33,6 @@ __all__ = [
     "score_sentence",
     "nbest",
     "derivable",
-    "write_nbest_csv",
 ]
 
 
@@ -239,11 +237,6 @@ def load_grammar(text: str) -> Grammar:
     return Grammar(rules=rules, start=start, vocabulary=tuple(vocab))
 
 
-def load_grammar_file(path) -> Grammar:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_grammar(fh.read())
-
-
 _default_cache: Grammar | None = None
 
 
@@ -366,12 +359,3 @@ def derivable(grammar: Grammar, sentence) -> bool:
         return current
 
     return len(words) in rule_ends(grammar.start, 0)
-
-
-def write_nbest_csv(path, nbest_list: NBestList) -> None:
-    """CSV rows of (rank, score, sentence)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "score", "sentence"])
-        for rank, (sentence, score) in enumerate(nbest_list.entries, 1):
-            writer.writerow([rank, format(score, ".17g"), sentence.text])

@@ -15,10 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
+from .bn import ROW_SUM_TOL
 from .fusion import SoftActionEvidence
 
 VAR_FLOOR = 1e-6
-ROW_SUM_TOL = 1e-12
 DEFAULT_STATES = 4
 DEFAULT_MIXTURES = 2
 MAX_EM_ITERATIONS = 100
@@ -124,13 +124,14 @@ class HmmModel:
         off_mask = ~(np.eye(q, dtype=bool) | np.eye(q, k=1, dtype=bool))
         if (trans[off_mask] != 0.0).any():
             raise HmmError("transitions outside self/next must be exactly zero")
-        if not np.allclose(trans.sum(axis=1), 1.0, rtol=0.0, atol=ROW_SUM_TOL):
+        # written so that a NaN row sum fails too
+        if not (np.abs(trans.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
             raise HmmError("transition rows must sum to 1")
         if self.weights.shape != self.means.shape[:2] or self.means.shape != self.variances.shape:
             raise HmmError("mixture arrays must share (Q, M, D) shapes")
         if self.weights.shape[0] != q:
             raise HmmError("mixture arrays must have one row per state")
-        if not np.allclose(self.weights.sum(axis=1), 1.0, rtol=0.0, atol=ROW_SUM_TOL):
+        if not (np.abs(self.weights.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
             raise HmmError("mixture weights must sum to 1 per state")
         if (self.weights < 0).any():
             raise HmmError("mixture weights must be nonnegative")
@@ -414,9 +415,6 @@ class PrefixCurve:
         if t < 1 or t > len(self):
             raise HmmError(f"prefix length {t} outside 1..{len(self)}")
         return self.scores[t - 1], self.posteriors[t - 1]
-
-    def posterior_at(self, t: int) -> SoftActionEvidence:
-        return SoftActionEvidence(weights=self.at(t)[1], actions=self.actions)
 
 
 def prefix_curve(bank: GestureBank, traj: Trajectory) -> PrefixCurve:

@@ -1,21 +1,27 @@
-"""Versioned text formats for models, datasets and trajectories.
+"""Versioned text formats for models, datasets, trajectories and results.
 
 Models are stored as line-oriented documents with a magic header and 17
 significant digits per float, which round-trips IEEE doubles exactly.
 Datasets use one record per line with ``name=label`` fields so they stay
 greppable; trajectories are small CSV files with a ``t,x,y,z`` header.
+Results are CSV files with labeled header columns.  Every reader reports a
+malformed file as a ``SerializeError`` that names ``path:line``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .bn import BayesNet, Dataset, Variable, WorldSchema
-from .hmm import GestureBank, HmmModel, Trajectory
+from .bn import BayesNet, Dataset, JointTable, Variable, WorldSchema
+from .fusion import SweepResult
+from .grammar import NBestList
+from .hmm import GestureBank, HmmModel, PrefixCurve, Trajectory
 from .world import Trial
 
 MODEL_MAGIC = "afftalk-model"
@@ -32,6 +38,10 @@ __all__ = [
     "load_trajectory",
     "write_dataset",
     "read_dataset",
+    "write_table_csv",
+    "write_anticipation_csv",
+    "write_sweep_csv",
+    "write_nbest_csv",
 ]
 
 
@@ -43,12 +53,89 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _check_header(line: str, kind: str, path) -> None:
-    parts = line.split()
+class _Lines:
+    """A text file read one line at a time; every failure names ``path:line``.
+
+    Use it as a context manager: a ``ValueError`` raised inside the block,
+    by a number conversion or by a model constructor, leaves it as a
+    ``SerializeError`` that points at the line read last.
+    """
+
+    def __init__(self, path, sep: str | None = None):
+        self.path = path
+        self.sep = sep
+        try:
+            self.lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise SerializeError(f"{path}: not UTF-8 text: {exc}") from None
+        self.lineno = 0
+
+    def __enter__(self) -> "_Lines":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, ValueError) and not isinstance(exc, SerializeError):
+            raise self.error(str(exc)) from exc
+
+    def error(self, message: str, lineno: int | None = None) -> SerializeError:
+        """An error at ``lineno``, by default the line read last."""
+        return SerializeError(f"{self.path}:{lineno or self.lineno}: {message}")
+
+    def fields(self, *lead: str, count: int | None = None) -> list[str]:
+        """The next line's fields, which must begin with ``lead``.
+
+        ``count``, when given, is the exact number of fields, ``lead``
+        included.
+        """
+        self.lineno += 1
+        if self.lineno > len(self.lines):
+            raise self.error("truncated file")
+        parts = self.lines[self.lineno - 1].split(self.sep)
+        if parts[: len(lead)] != list(lead):
+            raise self.error(f"expected a line starting {' '.join(lead)!r}")
+        if count is not None and len(parts) != count:
+            raise self.error(f"expected {count} fields, found {len(parts)}")
+        return parts
+
+    def floats(self, *lead: str, count: int) -> list[float]:
+        """The ``count`` numbers that follow ``lead`` on the next line."""
+        return list(map(float, self.fields(*lead, count=len(lead) + count)[len(lead):]))
+
+    def size(self, text: str) -> int:
+        """A count read from the current line, which must be positive."""
+        n = int(text)
+        if n < 1:
+            raise self.error(f"expected a positive count, found {n}")
+        return n
+
+    def rest(self):
+        """The fields of every remaining line."""
+        while self.lineno < len(self.lines):
+            yield self.fields()
+
+
+def _write_text(path, text: str) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8", newline="")
+
+
+def _write_lines(path, lines: Sequence[str]) -> None:
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    _write_text(path, text.getvalue())
+
+
+def _check_header(lines: _Lines, kind: str) -> None:
+    parts = lines.fields()
     if len(parts) != 3 or parts[0] != MODEL_MAGIC or parts[2] != kind:
-        raise SerializeError(f"{path}: expected '{MODEL_MAGIC} <version> {kind}' header")
-    if int(parts[1]) != FORMAT_VERSION:
-        raise SerializeError(f"{path}: unsupported format version {parts[1]}")
+        raise lines.error(f"expected '{MODEL_MAGIC} <version> {kind}' header")
+    if parts[1] != str(FORMAT_VERSION):
+        raise lines.error(f"unsupported format version {parts[1]}")
 
 
 def save_bayesnet(path, net: BayesNet) -> None:
@@ -65,58 +152,30 @@ def save_bayesnet(path, net: BayesNet) -> None:
         for row in rows:
             lines.append(" ".join(_fmt(v) for v in row))
     lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def load_bayesnet(path) -> BayesNet:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise SerializeError(f"{path}: empty file")
-    _check_header(lines[0], "bayesnet", path)
-    pos = 1
-
-    def next_line() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise SerializeError(f"{path}: truncated file")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    head = next_line().split()
-    if head[0] != "variables":
-        raise SerializeError(f"{path}: expected 'variables' line")
-    n = int(head[1])
-    variables = []
-    for _ in range(n):
-        parts = next_line().split()
-        if parts[0] != "var" or len(parts) < 4:
-            raise SerializeError(f"{path}: bad variable line")
-        variables.append(Variable(parts[1], tuple(parts[2:])))
-    schema = WorldSchema(tuple(variables))
-    parents = []
-    for i in range(n):
-        parts = next_line().split()
-        if parts[0] != "parents" or parts[1] != schema.names[i]:
-            raise SerializeError(f"{path}: bad parents line for {schema.names[i]!r}")
-        parents.append(tuple(schema.index(p) for p in parts[2:]))
-    cpts = []
-    arities = schema.arities
-    for i in range(n):
-        parts = next_line().split()
-        if parts[0] != "cpt" or parts[1] != schema.names[i]:
-            raise SerializeError(f"{path}: bad cpt line for {schema.names[i]!r}")
-        n_rows, arity = int(parts[2]), int(parts[3])
-        rows = [
-            np.array([float(v) for v in next_line().split()]) for _ in range(n_rows)
-        ]
-        table = np.stack(rows, axis=0)
-        if table.shape != (n_rows, arity):
-            raise SerializeError(f"{path}: cpt rows for {schema.names[i]!r} malformed")
-        shape = tuple(arities[p] for p in parents[i]) + (arities[i],)
-        cpts.append(table.reshape(shape))
-    if next_line().strip() != "end":
-        raise SerializeError(f"{path}: missing 'end' marker")
+    with _Lines(path) as lines:
+        _check_header(lines, "bayesnet")
+        n = lines.size(lines.fields("variables", count=2)[1])
+        variables = []
+        for _ in range(n):
+            _, name, *labels = lines.fields("var")
+            variables.append(Variable(name, tuple(labels)))
+        schema = WorldSchema(tuple(variables))
+        names, arities = schema.names, schema.arities
+        parents = []
+        for i in range(n):
+            parts = lines.fields("parents", names[i])
+            parents.append(tuple(schema.index(p) for p in parts[2:]))
+        cpts = []
+        for i in range(n):
+            n_rows, arity = map(lines.size, lines.fields("cpt", names[i], count=4)[2:])
+            table = np.array([lines.floats(count=arity) for _ in range(n_rows)])
+            shape = tuple(arities[p] for p in parents[i]) + (arities[i],)
+            cpts.append(table.reshape(shape))
+        lines.fields("end", count=1)
     return BayesNet(schema=schema, parents=tuple(parents), cpts=tuple(cpts))
 
 
@@ -134,70 +193,39 @@ def save_gesture_bank(path, bank: GestureBank) -> None:
                 lines.append(f"mean {q} {c} " + " ".join(_fmt(v) for v in m.means[q, c]))
                 lines.append(f"var {q} {c} " + " ".join(_fmt(v) for v in m.variances[q, c]))
     lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def load_gesture_bank(path) -> GestureBank:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise SerializeError(f"{path}: empty file")
-    _check_header(lines[0], "gesturebank", path)
-    pos = 1
-
-    def next_line() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise SerializeError(f"{path}: truncated file")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    head = next_line().split()
-    if head[0] != "models":
-        raise SerializeError(f"{path}: expected 'models' line")
     models = []
-    for _ in range(int(head[1])):
-        parts = next_line().split()
-        if parts[0] != "model" or len(parts) != 5:
-            raise SerializeError(f"{path}: bad model line")
-        label = parts[1]
-        n_states, n_mix, dim = int(parts[2]), int(parts[3]), int(parts[4])
-        trans = np.zeros((n_states, n_states))
-        for q in range(n_states):
-            parts = next_line().split()
-            if parts[0] != "trans" or int(parts[1]) != q:
-                raise SerializeError(f"{path}: bad trans line in model {label!r}")
-            trans[q] = [float(v) for v in parts[2:]]
-        weights = np.zeros((n_states, n_mix))
-        means = np.zeros((n_states, n_mix, dim))
-        variances = np.zeros((n_states, n_mix, dim))
-        for q in range(n_states):
-            parts = next_line().split()
-            if parts[0] != "mix" or int(parts[1]) != q:
-                raise SerializeError(f"{path}: bad mix line in model {label!r}")
-            weights[q] = [float(v) for v in parts[2:]]
-            for c in range(n_mix):
-                parts = next_line().split()
-                if parts[0] != "mean":
-                    raise SerializeError(f"{path}: bad mean line in model {label!r}")
-                means[q, c] = [float(v) for v in parts[3:]]
-                parts = next_line().split()
-                if parts[0] != "var":
-                    raise SerializeError(f"{path}: bad var line in model {label!r}")
-                variances[q, c] = [float(v) for v in parts[3:]]
-        with np.errstate(divide="ignore"):
-            log_trans = np.log(trans)
-        models.append(
-            HmmModel(
-                action_label=label,
-                log_trans=log_trans,
-                weights=weights,
-                means=means,
-                variances=variances,
+    with _Lines(path) as lines:
+        _check_header(lines, "gesturebank")
+        for _ in range(lines.size(lines.fields("models", count=2)[1])):
+            _, label, *dims = lines.fields("model", count=5)
+            n_states, n_mix, dim = map(lines.size, dims)
+            trans = np.array(
+                [lines.floats("trans", str(q), count=n_states) for q in range(n_states)]
             )
-        )
-    if next_line().strip() != "end":
-        raise SerializeError(f"{path}: missing 'end' marker")
+            weights = np.zeros((n_states, n_mix))
+            means = np.zeros((n_states, n_mix, dim))
+            variances = np.zeros((n_states, n_mix, dim))
+            for q in range(n_states):
+                weights[q] = lines.floats("mix", str(q), count=n_mix)
+                for c in range(n_mix):
+                    means[q, c] = lines.floats("mean", str(q), str(c), count=dim)
+                    variances[q, c] = lines.floats("var", str(q), str(c), count=dim)
+            with np.errstate(divide="ignore"):
+                log_trans = np.log(trans)
+            models.append(
+                HmmModel(
+                    action_label=label,
+                    log_trans=log_trans,
+                    weights=weights,
+                    means=means,
+                    variances=variances,
+                )
+            )
+        lines.fields("end", count=1)
     return GestureBank(models=tuple(models))
 
 
@@ -207,31 +235,29 @@ def save_trajectory(path, traj: Trajectory) -> None:
     for i, frame in enumerate(traj.frames):
         t = i * traj.frame_period
         lines.append(",".join([_fmt(t)] + [_fmt(v) for v in frame]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def load_trajectory(path) -> Trajectory:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if len(lines) < 2:
-        raise SerializeError(f"{path}: trajectory needs a header and one frame")
-    rows = []
-    times = []
-    for line in lines[1:]:
-        values = [float(v) for v in line.split(",")]
-        times.append(values[0])
-        rows.append(values[1:])
-    frames = np.asarray(rows)
-    period = times[1] - times[0] if len(times) > 1 else 1.0 / 30.0
-    if period <= 0:
-        raise SerializeError(f"{path}: non-increasing time column")
-    return Trajectory(frames=frames, frame_period=period)
+    with _Lines(path, sep=",") as lines:
+        width = len(lines.fields("t"))
+        if width < 2:
+            raise lines.error("expected a coordinate column after 't'")
+        table = np.array([lines.floats(count=width) for _ in lines.lines[1:]])
+        if len(table) == 0:
+            raise lines.error("trajectory needs a header and one frame")
+        steps = np.diff(table[:, 0])
+        # written so that a NaN time fails too; frame k sits on line k + 2
+        stalled = np.flatnonzero(~(steps > 0))
+        if stalled.size:
+            raise lines.error("time column must increase", lineno=int(stalled[0]) + 3)
+        period = float(steps[0]) if len(steps) else 1.0 / 30.0
+        return Trajectory(frames=table[:, 1:].copy(), frame_period=period)
 
 
 def write_dataset(directory, trials: Sequence[Trial], schema: WorldSchema, provenance: str = "") -> None:
     """Write ``trials.txt`` plus one trajectory CSV per trial that has one."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    traj_dir = directory / "traj"
     records = [f"# {DATASET_MAGIC} {FORMAT_VERSION}"]
     if provenance:
         records.append(f"# provenance: {provenance}")
@@ -242,50 +268,92 @@ def write_dataset(directory, trials: Sequence[Trial], schema: WorldSchema, prove
             fields.append(f"{var.name}={var.labels[row[j]]}")
         if trial.trajectory is not None:
             rel = f"traj/{i:05d}.csv"
-            traj_dir.mkdir(parents=True, exist_ok=True)
             save_trajectory(directory / rel, trial.trajectory)
             fields.append(f"traj={rel}")
         records.append(" ".join(fields))
-    (directory / "trials.txt").write_text("\n".join(records) + "\n", encoding="utf-8")
+    _write_lines(directory / "trials.txt", records)
 
 
 def read_dataset(directory, schema: WorldSchema) -> tuple[Dataset, dict[int, str]]:
     """Rows as value indices plus the trajectory paths keyed by row number."""
-    directory = Path(directory)
-    path = directory / "trials.txt"
-    if not path.exists():
-        raise FileNotFoundError(f"no trials.txt under {directory}")
+    codes = [{label: k for k, label in enumerate(v.labels)} for v in schema.variables]
+    names = schema.names
     rows = []
     traj_paths: dict[int, str] = {}
     provenance = ""
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if "provenance:" in line:
-                provenance = line.split("provenance:", 1)[1].strip()
-            continue
-        values = {}
-        traj = None
-        for token in line.split():
-            if "=" not in token:
-                raise SerializeError(f"{path}: malformed field {token!r}")
-            key, value = token.split("=", 1)
-            if key == "trial":
+    with _Lines(Path(directory) / "trials.txt") as lines:
+        for parts in lines.rest():
+            if not parts:
                 continue
-            if key == "traj":
-                traj = value
+            if parts[0].startswith("#"):
+                _, found, text = lines.lines[lines.lineno - 1].partition("provenance:")
+                if found:
+                    provenance = text.strip()
                 continue
-            values[key] = value
-        row = []
-        for var in schema.variables:
-            if var.name not in values:
-                raise SerializeError(f"{path}: record is missing variable {var.name!r}")
-            row.append(schema.value_index(var.name, values[var.name]))
-        if traj is not None:
-            traj_paths[len(rows)] = os.path.join(str(directory), traj)
-        rows.append(row)
+            try:
+                record = dict(field.split("=", 1) for field in parts)
+            except ValueError:
+                raise lines.error("fields must look like name=label") from None
+            row = [code.get(record.get(name)) for name, code in zip(names, codes)]
+            if None in row:
+                name = names[row.index(None)]
+                raise lines.error(
+                    f"unknown label {record[name]!r} for variable {name!r}"
+                    if name in record
+                    else f"record is missing variable {name!r}"
+                )
+            if "traj" in record:
+                traj_paths[len(rows)] = os.path.join(str(directory), record["traj"])
+            rows.append(row)
     dataset = Dataset(rows=np.asarray(rows, dtype=np.int64), provenance=provenance)
     dataset.validate(schema)
     return dataset, traj_paths
+
+
+def write_table_csv(path, table: JointTable) -> None:
+    """One row per cell: the variables' labels, then the probability."""
+    cells = ([*labels, _fmt(p)] for labels, p in table.iter_cells())
+    _write_csv(path, [*table.variables, "p"], cells)
+
+
+def write_anticipation_csv(path, curve: PrefixCurve, predictions: Sequence[JointTable]) -> None:
+    """One row per prefix length: action scores, action posterior, effect prediction.
+
+    ``predictions[t - 1]`` is the fused distribution of one effect variable
+    after the first ``t`` frames.
+    """
+    effect = predictions[0]
+    header = ["t"]
+    header += [f"score_{a}" for a in curve.actions]
+    header += [f"post_{a}" for a in curve.actions]
+    header += [f"{effect.variables[0]}={lab}" for lab in effect.labels[0]]
+    rows = (
+        [str(t)] + [_fmt(v) for v in (*scores, *posterior, *table.vector())]
+        for t, (scores, posterior, table) in enumerate(
+            zip(curve.scores, curve.posteriors, predictions), 1
+        )
+    )
+    _write_csv(path, header, rows)
+
+
+def write_sweep_csv(path, sweep: SweepResult) -> None:
+    """One row per grid point; probability columns carry value labels."""
+    cells = list(np.ndindex(*sweep.posteriors.shape[1:]))
+    columns = ["confidence"]
+    for idx in cells:
+        pairs = zip(sweep.variables, sweep.labels, idx)
+        columns.append("_".join(f"{var}={labels[i]}" for var, labels, i in pairs))
+    rows = (
+        [_fmt(p)] + [_fmt(float(sweep.posteriors[g][idx])) for idx in cells]
+        for g, p in enumerate(sweep.grid)
+    )
+    _write_csv(path, columns, rows)
+
+
+def write_nbest_csv(path, nbest_list: NBestList) -> None:
+    """CSV rows of (rank, score, sentence)."""
+    rows = (
+        [rank, _fmt(score), sentence.text]
+        for rank, (sentence, score) in enumerate(nbest_list.entries, 1)
+    )
+    _write_csv(path, ["rank", "score", "sentence"], rows)

@@ -1,0 +1,444 @@
+"""The input boundary: malformed files, configs and flags map to exit codes.
+
+The README's contract is 0 success, 3 missing file, 4 invalid input, 5
+impossible evidence.  A malformed input must never surface as 1 (an
+uncaught error) or 0 (silently accepted).
+"""
+
+import contextlib
+import io
+import json
+import math
+import re
+import string
+import tempfile
+from dataclasses import asdict, fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from afftalk.bn import BayesNet, Variable, WorldSchema
+from afftalk.cli import _LIMITS, RunConfig, main
+from afftalk.hmm import GestureBank, Trajectory
+from afftalk.serialize import (
+    load_bayesnet,
+    load_gesture_bank,
+    load_trajectory,
+    read_dataset,
+    save_bayesnet,
+    save_gesture_bank,
+    save_trajectory,
+    SerializeError,
+    write_dataset,
+)
+from afftalk.world import default_config, generate_trials, sample_trajectory
+
+from conftest import random_left_right_model
+
+PROPERTY = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+def _exit_code(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, trained_net, trained_bank, world_config):
+    """Valid model, bank and trajectory files plus a scratch directory."""
+    root = tmp_path_factory.mktemp("inputs")
+    save_bayesnet(root / "bn.txt", trained_net)
+    save_gesture_bank(root / "hmm.txt", trained_bank)
+    save_trajectory(root / "traj.csv", sample_trajectory("tap", world_config, seed=3))
+    (root / "bad").mkdir()
+    return root
+
+
+def _argv(kind: str, root: Path, path: Path) -> list:
+    """A command that reads ``path`` as its input of the given kind."""
+    bn, bank, traj = root / "bn.txt", root / "hmm.txt", root / "traj.csv"
+    if kind == "bn":
+        return ["infer", "--bn", path, "--infer", "Action"]
+    if kind == "bank":
+        return ["infer", "--bn", bn, "--bank", path, "--traj", traj, "--infer", "ObjVel"]
+    if kind == "traj":
+        return ["infer", "--bn", bn, "--bank", bank, "--traj", path, "--infer", "ObjVel"]
+    if kind == "config":
+        return ["--config", path, "infer", "--bn", bn, "--infer", "Action"]
+    raise AssertionError(kind)
+
+
+def _source(kind: str, root: Path) -> Path:
+    return root / {"bn": "bn.txt", "bank": "hmm.txt", "traj": "traj.csv"}[kind]
+
+
+def _first(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+def _cpt_cell(lines):
+    i = _first(lines, "cpt ") + 1
+    lines[i] = "x " + lines[i].split(" ", 1)[1]
+    return i
+
+
+def _blank_after_header(lines):
+    lines.insert(1, "")
+    return 1
+
+
+def _variables_word(lines):
+    lines[1] = "variables x"
+    return 1
+
+
+def _model_word(lines):
+    i = _first(lines, "model ")
+    lines[i] = "model grasp x 2 3"
+    return i
+
+
+def _ragged_row(lines):
+    lines[3] += ",1.0"
+    return 3
+
+
+def _traj_word(lines):
+    t, _, rest = lines[3].split(",", 2)
+    lines[3] = f"{t},x,{rest}"
+    return 3
+
+
+def _model_without_dimensions(lines):
+    i = _first(lines, "model ")
+    lines[i] = lines[i].rsplit(" ", 1)[0] + " 0"
+    return i
+
+
+def _time_standing_still(lines):
+    lines[4] = lines[3].split(",")[0] + "," + lines[4].split(",", 1)[1]
+    return 4
+
+
+def _no_coordinates(lines):
+    lines[:] = ["t"] + [line.split(",")[0] for line in lines[1:]]
+    return 0
+
+
+# (id, input kind, edit of the valid file's lines returning the 0-based
+# index of the line an error must name)
+FILE_CASES = [
+    ("non-numeric CPT cell", "bn", _cpt_cell),
+    ("blank line after the bayesnet header", "bn", _blank_after_header),
+    ("variables x", "bn", _variables_word),
+    ("bank line model grasp x 2 3", "bank", _model_word),
+    ("ragged trajectory row", "traj", _ragged_row),
+    ("non-numeric trajectory cell", "traj", _traj_word),
+    ("model with zero dimensions", "bank", _model_without_dimensions),
+    ("time column standing still", "traj", _time_standing_still),
+    ("trajectory without coordinates", "traj", _no_coordinates),
+]
+
+
+@pytest.mark.parametrize("kind,edit", [c[1:] for c in FILE_CASES], ids=[c[0] for c in FILE_CASES])
+def test_malformed_file_exits_4_naming_path_and_line(inputs, kind, edit):
+    lines = _source(kind, inputs).read_text().splitlines()
+    index = edit(lines)
+    path = inputs / "bad" / _source(kind, inputs).name
+    path.write_text("\n".join(lines) + "\n")
+    code, err = _exit_code(_argv(kind, inputs, path))
+    assert code == 4, err
+    assert f"error[SerializeError]: {path}:{index + 1}: " in err
+
+
+# (id, config file text or None, extra flags)
+CONFIG_CASES = [
+    ("sweep --points -1", None, ["--points", "-1"]),
+    ("seed x", '{"seed": "x"}', []),
+    ("config [1]", "[1]", []),
+    ("config not JSON", "{seed: 1", []),
+    ("config trials -5", '{"trials": -5}', []),
+    ("simulate --trials -5", None, ["--trials", "-5"]),
+    ("bool for an int", '{"states": true}', []),
+    ("NaN alpha", '{"alpha": NaN}', []),
+    ("infinite noise", '{"noise_std": Infinity}', []),
+    ("float seed", '{"seed": 1.5}', []),
+    ("t_min above t_max", '{"t_min": 30, "t_max": 20}', []),
+    ("unsupported version", '{"version": 2}', []),
+]
+
+
+@pytest.mark.parametrize(
+    "text,flags", [c[1:] for c in CONFIG_CASES], ids=[c[0] for c in CONFIG_CASES]
+)
+def test_bad_config_or_flag_exits_4_before_any_work(inputs, tmp_path, text, flags):
+    out = tmp_path / "out"
+    argv = []
+    if text is not None:
+        (tmp_path / "config.json").write_text(text)
+        argv = ["--config", tmp_path / "config.json"]
+    if "--points" in flags:
+        argv += ["sweep", "--bn", inputs / "bn.txt", "--target", "tap", "--out", out]
+    else:
+        argv += ["simulate", "--out", out]
+    code, err = _exit_code(argv + flags)
+    assert code == 4, err
+    assert "error[BnError]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["bn", "bank", "traj", "config"])
+@pytest.mark.parametrize("missing", ["absent", ".", "bn.txt/below"])
+def test_missing_input_file_exits_3(inputs, kind, missing):
+    code, err = _exit_code(_argv(kind, inputs, inputs / missing))
+    assert code == 3, err
+
+
+@pytest.mark.parametrize("kind", ["bn", "bank", "traj"])
+def test_file_that_is_not_text_exits_4(inputs, kind):
+    path = inputs / "bad" / f"binary-{kind}"
+    path.write_bytes(b"\xff\xfe\x00afftalk")
+    code, err = _exit_code(_argv(kind, inputs, path))
+    assert code == 4, err
+    assert f"error[SerializeError]: {path}: not UTF-8 text" in err
+
+
+def test_missing_dataset_exits_3(inputs, tmp_path):
+    code, err = _exit_code(["train-bn", "--dataset", tmp_path, "--out", tmp_path / "bn.txt"])
+    assert code == 3, err
+
+
+def test_flags_override_the_config_file(inputs, tmp_path):
+    (tmp_path / "config.json").write_text('{"trials": -5, "seed": 4}')
+    argv = ["--config", tmp_path / "config.json", "simulate", "--out", tmp_path / "ds"]
+    code, _ = _exit_code(argv + ["--trials", "7"])
+    assert code == 0
+    data, _ = read_dataset(tmp_path / "ds", default_config().schema)
+    assert len(data) == 7
+    assert data.provenance == "synthetic world seed=4"
+
+
+def test_every_config_field_but_the_version_has_a_range():
+    RunConfig().validate()
+    assert set(_LIMITS) == {f.name for f in fields(RunConfig)} - {"version"}
+
+
+def test_dataset_errors_name_the_line_and_variable(tmp_path):
+    schema = default_config().schema
+    write_dataset(tmp_path, generate_trials(default_config(), 3, seed=1), schema)
+    path = tmp_path / "trials.txt"
+    lines = path.read_text().splitlines()
+    for broken, message in [
+        (re.sub(r"Shape=\w+", "Shape=cone", lines[1]), "unknown label 'cone' for variable 'Shape'"),
+        (re.sub(r" Shape=\w+", "", lines[1]), "record is missing variable 'Shape'"),
+        (lines[1] + " junk", "fields must look like name=label"),
+    ]:
+        path.write_text("\n".join([lines[0], broken, *lines[2:]]) + "\n")
+        with pytest.raises(SerializeError, match=re.escape(f"{path}:2: {message}")):
+            read_dataset(tmp_path, schema)
+
+
+# ---------------------------------------------------------------------------
+# round trips
+
+_NAME = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=6)
+
+
+@st.composite
+def networks(draw) -> BayesNet:
+    n = draw(st.integers(1, 5))
+    variables = tuple(
+        Variable(f"V{i}", tuple(draw(st.lists(_NAME, min_size=2, max_size=3, unique=True))))
+        for i in range(n)
+    )
+    schema = WorldSchema(variables)
+    parents = tuple(
+        tuple(sorted(draw(st.sets(st.integers(0, i - 1), max_size=2)))) if i else ()
+        for i in range(n)
+    )
+    cpts = []
+    for i, ps in enumerate(parents):
+        shape = tuple(schema.arities[p] for p in ps) + (schema.arities[i],)
+        cells = draw(
+            st.lists(
+                st.floats(1e-300, 1.0),
+                min_size=int(np.prod(shape)),
+                max_size=int(np.prod(shape)),
+            )
+        )
+        table = np.array(cells).reshape(shape)
+        cpts.append(table / table.sum(axis=-1, keepdims=True))
+    return BayesNet(schema, parents, tuple(cpts))
+
+
+@PROPERTY
+@given(net=networks())
+def test_bayesnet_round_trip_property(tmp_path, net):
+    save_bayesnet(tmp_path / "net.txt", net)
+    loaded = load_bayesnet(tmp_path / "net.txt")
+    assert loaded.schema == net.schema
+    assert loaded.parents == net.parents
+    for a, b in zip(loaded.cpts, net.cpts):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_models=st.integers(1, 3),
+    n_states=st.integers(1, 4),
+    n_mix=st.integers(1, 3),
+    dim=st.integers(1, 3),
+)
+def test_gesture_bank_round_trip_property(tmp_path, seed, n_models, n_states, n_mix, dim):
+    """Exact, except that transitions are stored as probabilities and their
+    logs are taken again on loading, which can move them by an ulp."""
+    rng = np.random.default_rng(seed)
+    bank = GestureBank(
+        tuple(
+            random_left_right_model(rng, n_states, n_mix, dim, label=f"a{k}")
+            for k in range(n_models)
+        )
+    )
+    save_gesture_bank(tmp_path / "bank.txt", bank)
+    loaded = load_gesture_bank(tmp_path / "bank.txt")
+    assert loaded.actions == bank.actions
+    for a, b in zip(loaded.models, bank.models):
+        np.testing.assert_array_max_ulp(np.exp(a.log_trans), np.exp(b.log_trans), maxulp=2)
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.means, b.means)
+        assert np.array_equal(a.variances, b.variances)
+
+
+@PROPERTY
+@given(
+    frames=st.integers(1, 12).flatmap(
+        lambda t: st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d),
+                min_size=t,
+                max_size=t,
+            )
+        )
+    ),
+    period=st.floats(1e-6, 10.0),
+)
+def test_trajectory_round_trip_property(tmp_path, frames, period):
+    traj = Trajectory(frames=np.array(frames), frame_period=period)
+    save_trajectory(tmp_path / "traj.csv", traj)
+    loaded = load_trajectory(tmp_path / "traj.csv")
+    assert np.array_equal(loaded.frames, traj.frames)
+    if len(traj) > 1:
+        assert loaded.frame_period == period
+
+
+@settings(PROPERTY, max_examples=10)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 30),
+    per_action=st.integers(0, 2),
+    provenance=st.text(string.ascii_letters + string.digits + " =:-", max_size=20).map(str.strip),
+)
+def test_dataset_round_trip_property(tmp_path, seed, n, per_action, provenance):
+    config = default_config()
+    trials = generate_trials(config, n, seed=seed, trajectories_per_action=per_action)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as directory:
+        write_dataset(directory, trials, config.schema, provenance=provenance)
+        data, traj_paths = read_dataset(directory, config.schema)
+        frames = {row: load_trajectory(path).frames for row, path in traj_paths.items()}
+    assert data.provenance == provenance
+    assert np.array_equal(data.rows, np.stack([t.to_row(config.schema) for t in trials]))
+    assert sorted(traj_paths) == [i for i, t in enumerate(trials) if t.trajectory is not None]
+    for row, loaded in frames.items():
+        assert np.array_equal(loaded, trials[row].trajectory.frames)
+
+
+# ---------------------------------------------------------------------------
+# corrupted inputs
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def corruptions(draw, lines: list[str], sep: str | None, last_drop: int):
+    """One corruption of a line-oriented file that leaves it malformed.
+
+    A line up to index ``last_drop`` is dropped, a line is blanked, a field
+    is removed, or a number is replaced by a word.  Dropping a trajectory's
+    data row leaves a valid shorter trajectory, so a trajectory only drops
+    its header.
+    """
+    lines = list(lines)
+    joiner = " " if sep is None else sep
+    op = draw(st.sampled_from(["drop", "blank", "remove field", "word for number"]))
+    if op == "drop":
+        del lines[draw(st.integers(0, last_drop))]
+    elif op == "blank":
+        lines[draw(st.integers(0, len(lines) - 1))] = ""
+    elif op == "remove field":
+        i = draw(st.integers(0, len(lines) - 1))
+        parts = lines[i].split(sep)
+        del parts[draw(st.integers(0, len(parts) - 1))]
+        lines[i] = joiner.join(parts)
+    else:
+        numeric = [i for i, line in enumerate(lines) if any(map(_is_number, line.split(sep)))]
+        i = draw(st.sampled_from(numeric))
+        parts = lines[i].split(sep)
+        j = draw(st.sampled_from([j for j, p in enumerate(parts) if _is_number(p)]))
+        parts[j] = draw(st.sampled_from(["x", "word", "one", "NA"]))
+        lines[i] = joiner.join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["bn", "bank", "traj"])
+@PROPERTY
+@given(data=st.data())
+def test_corrupted_file_never_exits_0_or_1(inputs, kind, data):
+    source = _source(kind, inputs)
+    lines = source.read_text().splitlines()
+    sep = "," if kind == "traj" else None
+    text = data.draw(corruptions(lines, sep, 0 if kind == "traj" else len(lines) - 1))
+    path = inputs / "bad" / f"corrupt-{source.name}"
+    path.write_text(text)
+    code, err = _exit_code(_argv(kind, inputs, path))
+    assert code in (3, 4, 5), err
+
+
+@PROPERTY
+@given(data=st.data())
+def test_corrupted_config_never_exits_0_or_1(inputs, data):
+    """A valid config with one value removed, made a bare word or out of
+    type or range, or the text cut short."""
+    config = asdict(RunConfig())
+    name = data.draw(st.sampled_from(sorted(config)))
+    op = data.draw(st.sampled_from(["remove value", "bare word", "bad value", "truncate"]))
+    if op == "bad value":
+        bad = [True, "x", None, [1], -1, math.nan, math.inf]
+        if isinstance(config[name], int):
+            bad.append(0.5)
+        config[name] = data.draw(st.sampled_from(bad))
+    text = json.dumps(config, indent=1)
+    if op in ("remove value", "bare word"):
+        word = "" if op == "remove value" else data.draw(st.sampled_from(["x", "seed", "one"]))
+        text = re.sub(rf'("{name}": )[^,\n]+', rf"\g<1>{word}", text)
+    elif op == "truncate":
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    path = inputs / "bad" / "config.json"
+    path.write_text(text)
+    code, err = _exit_code(_argv("config", inputs, path))
+    assert code in (3, 4, 5), err
