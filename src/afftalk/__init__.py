@@ -35,6 +35,7 @@ from .grammar import (
     default_grammar,
     derivable,
     generate_sentences,
+    kbest,
     load_grammar,
     nbest,
     score_sentence,

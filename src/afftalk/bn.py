@@ -391,9 +391,29 @@ def _validated_query(net: BayesNet, infer_vars: Sequence[str], obs: Evidence):
     return infer_idx, obs_idx
 
 
-def _reduced_factors(net: BayesNet, obs_idx: Mapping[int, int]) -> list[_Factor]:
+def _ancestral_closure(parents: Sequence[Sequence[int]], keep: Iterable[int]) -> list[int]:
+    """``keep`` and all its ancestors, in ascending schema order.
+
+    Every other variable is barren: it is neither kept nor an ancestor of a
+    kept one, so summing it out (children first) multiplies by one.
+    """
+    needed: set[int] = set()
+    stack = list(keep)
+    while stack:
+        v = stack.pop()
+        if v not in needed:
+            needed.add(v)
+            stack.extend(parents[v])
+    return sorted(needed)
+
+
+def _reduced_factors(
+    net: BayesNet, obs_idx: Mapping[int, int], relevant: Sequence[int]
+) -> list[_Factor]:
+    """The evidence-sliced CPT factor of every variable in ``relevant``."""
     factors = []
-    for i, ps in enumerate(net.parents):
+    for i in relevant:
+        ps = net.parents[i]
         axis_vars = list(ps) + [i]
         slicer = tuple(obs_idx.get(v, slice(None)) for v in axis_vars)
         table = net.cpts[i][slicer]
@@ -417,20 +437,21 @@ def _finish(table: np.ndarray, order_idx, caller_idx, schema) -> JointTable:
 
 
 def _elimination_order(
-    net: BayesNet, infer_idx: Sequence[int], obs_idx: Mapping[int, int]
+    net: BayesNet,
+    infer_idx: Sequence[int],
+    obs_idx: Mapping[int, int],
+    relevant: Sequence[int],
 ) -> list[int]:
     """Latent variables in greedy min-degree order, ties to schema position.
 
-    Works on the interaction graph of the evidence-reduced factors: two
-    unobserved variables are neighbours when some factor holds both, and
-    eliminating a variable joins its neighbours into a clique, just as
-    summing it out joins the factors that hold it.
+    Works on the interaction graph of the evidence-reduced factors of the
+    ``relevant`` variables: two unobserved variables are neighbours when
+    some factor holds both, and eliminating a variable joins its neighbours
+    into a clique, just as summing it out joins the factors that hold it.
     """
-    nbrs: dict[int, set[int]] = {
-        v: set() for v in range(len(net.schema)) if v not in obs_idx
-    }
-    for i, ps in enumerate(net.parents):
-        scope = [v for v in (*ps, i) if v not in obs_idx]
+    nbrs: dict[int, set[int]] = {v: set() for v in relevant if v not in obs_idx}
+    for i in relevant:
+        scope = [v for v in (*net.parents[i], i) if v not in obs_idx]
         for v in scope:
             nbrs[v].update(scope)
     for v, adjacent in nbrs.items():
@@ -451,12 +472,14 @@ def _elimination_order(
 def query(net: BayesNet, infer_vars: Sequence[str], obs: Evidence) -> JointTable:
     """Exact conditional P(infer_vars | obs) by variable elimination.
 
-    Latent variables are eliminated in min-degree order with ties broken by
-    schema position, so results are deterministic.  Evidence with zero
-    probability raises ``ImpossibleEvidenceError`` rather than returning a
-    silent uniform.  The answer is read-only, and ``net`` keeps the last
-    one, so asking the same (query variables, evidence) again in a row,
-    as every frame or grid point of a fused query does, costs a lookup.
+    Only the ancestral closure of the query and evidence variables enters
+    the elimination; the barren rest sums to one.  Its latent variables are
+    eliminated in min-degree order with ties broken by schema position, so
+    results are deterministic.  Evidence with zero probability raises
+    ``ImpossibleEvidenceError`` rather than returning a silent uniform.
+    The answer is read-only, and ``net`` keeps the last one, so asking the
+    same (query variables, evidence) again in a row, as every frame or grid
+    point of a fused query does, costs a lookup.
     """
     infer_idx, obs_idx = _validated_query(net, infer_vars, obs)
     key = (tuple(infer_idx), tuple(sorted(obs_idx.items())))
@@ -464,8 +487,9 @@ def query(net: BayesNet, infer_vars: Sequence[str], obs: Evidence) -> JointTable
     if last is not None and last[0] == key:
         return last[1]
     arities = net.schema.arities
-    factors = _reduced_factors(net, obs_idx)
-    for target in _elimination_order(net, infer_idx, obs_idx):
+    relevant = _ancestral_closure(net.parents, [*infer_idx, *obs_idx])
+    factors = _reduced_factors(net, obs_idx, relevant)
+    for target in _elimination_order(net, infer_idx, obs_idx, relevant):
         involved = [f for f in factors if target in f.vars]
         rest = [f for f in factors if target not in f.vars]
         prod = _product(involved, arities)
@@ -529,16 +553,7 @@ def prune_barren(net: BayesNet, keep_vars: Sequence[str]) -> BayesNet:
     repeatedly keeps exactly the ancestral closure.  Handy for shrinking a
     model below the enumeration cap before cross-checking inference.
     """
-    keep_idx = {net.schema.index(v) for v in keep_vars}
-    needed: set[int] = set()
-    stack = list(keep_idx)
-    while stack:
-        v = stack.pop()
-        if v in needed:
-            continue
-        needed.add(v)
-        stack.extend(net.parents[v])
-    order = sorted(needed)
+    order = _ancestral_closure(net.parents, [net.schema.index(v) for v in keep_vars])
     remap = {v: k for k, v in enumerate(order)}
     schema = WorldSchema(tuple(net.schema.variables[v] for v in order))
     parents = tuple(tuple(remap[p] for p in net.parents[v]) for v in order)

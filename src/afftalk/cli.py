@@ -48,7 +48,6 @@ _LIMITS = {
     "states": (1, "a count of at least one state"),
     "mixtures": (1, "a count of at least one component"),
     "train_per_action": (1, "a count of at least one trajectory"),
-    "n_candidates": (1, "a count of at least one sentence"),
     "keep": (1, "a count of at least one sentence"),
     "grid_points": (1, "a count of at least one point"),
     "noise_std": (0.0, "a finite number >= 0"),
@@ -70,7 +69,6 @@ class RunConfig:
     states: int = 4
     mixtures: int = 2
     train_per_action: int = 50
-    n_candidates: int = 10000
     keep: int = 10
     grid_points: int = 100
     noise_std: float = 0.05
@@ -116,8 +114,10 @@ def _parse_evidence(schema, pairs) -> Evidence:
                 continue
             if "=" not in token:
                 raise BnError(f"evidence must look like Var=value, got {token!r}")
-            name, label = token.split("=", 1)
-            labeled[name.strip()] = label.strip()
+            name, label = (part.strip() for part in token.split("=", 1))
+            if name in labeled:
+                raise BnError(f"evidence names {name!r} twice")
+            labeled[name] = label
     return Evidence.from_labels(schema, labeled)
 
 
@@ -149,10 +149,12 @@ def _load_bank(path, schema) -> hmm.GestureBank:
 
 
 def _load_soft(args, schema) -> SoftActionEvidence | None:
-    if not getattr(args, "traj", None):
+    if not args.traj and not args.bank:
         return None
-    if not getattr(args, "bank", None):
+    if not args.bank:
         raise BnError("--traj needs --bank to score the trajectory")
+    if not args.traj:
+        raise BnError("--bank needs --traj: the bank scores a trajectory")
     bank = _load_bank(args.bank, schema)
     traj = serialize.load_trajectory(args.traj)
     return hmm.action_posterior(bank, traj)
@@ -269,13 +271,7 @@ def cmd_describe(args, config: RunConfig) -> int:
             word_probs[word] = 1.0 if observed[word] == true_idx else 0.0
         else:
             word_probs[word] = float(inferred[unobserved.index(word)])
-    result = grammar_mod.nbest(
-        grammar_mod.default_grammar(),
-        word_probs,
-        n=config.n_candidates,
-        k=config.keep,
-        seed=config.seed,
-    )
+    result = grammar_mod.kbest(grammar_mod.default_grammar(), word_probs, config.keep)
     for rank, (sentence, score) in enumerate(result.entries, 1):
         print(f"{rank:2d}  {score: .5f}  {sentence.text}")
     if args.out:
@@ -355,9 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ev", action="append")
     p.add_argument("--bank")
     p.add_argument("--traj")
-    p.add_argument("--n", type=int, dest="n_candidates", help="candidate sentences to sample")
     p.add_argument("--k", type=int, dest="keep", help="list size to keep")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="accepted; the ranking is exact and uses no seed")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_describe)
 

@@ -221,16 +221,57 @@ def word_probabilities(
 ) -> np.ndarray:
     """P(word present | obs[, soft]) for each of ``words``, in order.
 
-    Without ``soft`` this is the plain network query.
+    Without ``soft`` this is the plain network query.  A word with no child
+    and no word parent depends on the evidence only through its parents, so
+    one joint query over the unobserved parents of all such words serves
+    them all (``fuse_query`` weights the action in it when ``soft`` is
+    given): each word's CPT is contracted against that joint's marginal
+    over its own parents.  Any other word gets its own query.
     """
-    probs = np.empty(len(words))
-    for i, word in enumerate(words):
+    schema = net.schema
+    observed = dict(obs.items())
+    word_vars = set(schema.word_variables())
+    has_child = {p for ps in net.parents for p in ps}
+
+    def by_joint(word: str) -> bool:
+        i = schema.index(word)
+        return (
+            word not in observed
+            and i not in has_child
+            and not any(schema.names[p] in word_vars for p in net.parents[i])
+        )
+
+    joint_words = {w for w in words if by_joint(w)}
+    free = {
+        p for w in joint_words for p in net.parents[schema.index(w)]
+        if schema.names[p] not in observed
+    }
+    if not free:  # nothing to infer jointly; the per-word queries check obs
+        joint_words = set()
+    axes = sorted(free)  # ascending schema order, like CPT parent axes
+    if joint_words:
+        names = tuple(schema.names[v] for v in axes)
         if soft is None:
-            table = query(net, (word,), obs)
+            joint = query(net, names, obs).probs
+        else:
+            spec = QuerySpec(infer_vars=names, obs=obs, action_var=action_var)
+            joint = fuse_query(net, soft, spec).table.probs
+    probs = np.empty(len(words))
+    for k, word in enumerate(words):
+        true_idx = schema.value_index(word, "true")
+        if word in joint_words:
+            i = schema.index(word)
+            ps = net.parents[i]
+            slicer = tuple(observed.get(schema.names[p], slice(None)) for p in ps)
+            cpt = net.cpts[i][slicer + (true_idx,)]
+            kept = {axes.index(p) for p in ps if schema.names[p] not in observed}
+            drop = tuple(a for a in range(len(axes)) if a not in kept)
+            probs[k] = float((joint.sum(axis=drop) * cpt).sum())
+        elif soft is None:
+            probs[k] = query(net, (word,), obs).probs[true_idx]
         else:
             spec = QuerySpec(infer_vars=(word,), obs=obs, action_var=action_var)
-            table = fuse_query(net, soft, spec).table
-        probs[i] = table.probs[net.schema.value_index(word, "true")]
+            probs[k] = fuse_query(net, soft, spec).table.probs[true_idx]
     return probs
 
 

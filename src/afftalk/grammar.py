@@ -9,11 +9,13 @@ Grammar files are line oriented::
 ``[...]`` wraps an optional group (included with probability 1/2 while
 sampling).  Rule references must form an acyclic graph, which makes the
 language of every rule a finite set of word sequences; this is what the
-membership checker and the exhaustive tests rely on.
+membership checker, the exact k-best search and the exhaustive tests rely
+on.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import re
@@ -21,6 +23,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 PROB_FLOOR = 1e-12
+# A log-probability sum that beats another by more than this beats it after
+# any rounding of the final score too; ``kbest`` keeps closer candidates.
+TIE_MARGIN = 1e-9
 
 __all__ = [
     "GrammarError",
@@ -32,6 +37,7 @@ __all__ = [
     "generate_sentences",
     "score_sentence",
     "nbest",
+    "kbest",
     "derivable",
 ]
 
@@ -90,7 +96,11 @@ class Grammar:
 
 @dataclass(frozen=True)
 class NBestList:
-    """Deduplicated sentences sorted by descending score."""
+    """Deduplicated sentences sorted by descending score.
+
+    ``n_generated`` counts the sentences sampled (``nbest``) or the distinct
+    candidates rescored (``kbest``) before the cut.
+    """
 
     entries: tuple[tuple[Sentence, float], ...]
     n_generated: int
@@ -286,13 +296,15 @@ def score_sentence(sentence: Sentence, word_probs: dict[str, float]) -> float:
     """Mean log word probability, with probabilities floored at 1e-12.
 
     The floor keeps the ranking total when a model assigns an exact zero.
+    The logs are summed with ``math.fsum``, which rounds the exact sum once,
+    so sentences that permute the same words score the same.
     """
-    total = 0.0
+    logs = []
     for word in sentence.words:
         if word not in word_probs:
             raise GrammarError(f"word {word!r} is outside the scoring vocabulary")
-        total += math.log(max(word_probs[word], PROB_FLOOR))
-    return total / len(sentence.words)
+        logs.append(math.log(max(word_probs[word], PROB_FLOOR)))
+    return math.fsum(logs) / len(sentence.words)
 
 
 def nbest(
@@ -312,8 +324,119 @@ def nbest(
     for sentence in generate_sentences(grammar, n, seed):
         unique.setdefault(sentence.words, sentence)
     scored = [(s, score_sentence(s, word_probs)) for s in unique.values()]
-    scored.sort(key=lambda entry: (-entry[1], entry[0].words))
+    scored.sort(key=lambda entry: _ranked(*entry))
     return NBestList(entries=tuple(scored[:k]), n_generated=n)
+
+
+def _ranked(sentence: Sentence, score: float):
+    """``nbest``'s order: descending score, then the word sequence."""
+    return (-score, sentence.words)
+
+
+# Every finite double is a whole multiple of 2**-1074.
+_EXACT_UNIT = 1 << 1074
+
+
+def _exact(x: float) -> int:
+    """``x`` as an exact integer count of 2**-1074."""
+    num, den = x.as_integer_ratio()
+    return num * (_EXACT_UNIT // den)
+
+
+_EXACT_MARGIN = _exact(TIE_MARGIN)
+
+
+# Candidate word sequences by length, each with its exact log-probability sum.
+_ByLength = dict[int, dict[tuple[str, ...], int]]
+
+
+def _cut(candidates: dict[tuple[str, ...], int], k: int) -> dict[tuple[str, ...], int]:
+    """Every candidate that fewer than ``k`` others surely outrank.
+
+    ``candidates`` maps a word sequence to its exact log-probability sum; all
+    share one length.  Another sequence surely outranks a candidate, in any
+    context the grammar puts both in, when its sum is larger by more than
+    ``TIE_MARGIN`` (no rounding of the final score can undo that) or equal
+    with the sequence first in lexicographic order.  Everything else stays.
+    """
+    if len(candidates) <= k:
+        return candidates
+    # below this floor the k best outrank a candidate by more than the margin
+    floor = heapq.nlargest(k, candidates.values())[-1] - _EXACT_MARGIN
+    near = [c for c in candidates.items() if c[1] >= floor]
+    ranked = sorted(near, key=lambda c: (-c[1], c[0]))
+    kept = {}
+    above = 0  # candidates whose sum beats the current one by over the margin
+    tie_start = 0  # first candidate whose sum equals the current one
+    for i, (words, total) in enumerate(ranked):
+        while ranked[above][1] > total + _EXACT_MARGIN:
+            above += 1
+        if total != ranked[tie_start][1]:
+            tie_start = i
+        if above >= k:
+            break
+        if above + i - tie_start < k:
+            kept[words] = total
+    return kept
+
+
+def kbest(grammar: Grammar, word_probs: dict[str, float], k: int) -> NBestList:
+    """The ``k`` best sentences of the grammar's whole language, exactly.
+
+    Equal to scoring every derivable sentence with ``score_sentence`` and
+    ranking with ``nbest``'s rule.  The score is a mean, so at a fixed
+    length it is a sum: a dynamic program over (rule, length) keeps the
+    ``k`` best distinct word sequences per length, which suffices because
+    swapping a part for a distinct better one of the same length yields a
+    distinct better sentence (k-best derivations; Huang & Chiang 2005).  The
+    rules are acyclic, so the program is finite.  Sums are kept exact as
+    integers, so summation order cannot reorder candidates; the survivors
+    of every length are rescored with ``score_sentence`` and merged.
+    """
+    if k < 1:
+        raise GrammarError("need k >= 1")
+    rules: dict[str, _ByLength] = {}
+
+    def item(it) -> _ByLength:
+        if isinstance(it, str):
+            if it not in word_probs:
+                raise GrammarError(f"word {it!r} is outside the scoring vocabulary")
+            return {1: {(it,): _exact(math.log(max(word_probs[it], PROB_FLOOR)))}}
+        if isinstance(it, Opt):
+            return {**sequence(it.items), 0: {(): 0}}
+        if it.name not in rules:
+            merged: _ByLength = {}
+            for alt in grammar.rules[it.name]:
+                for length, cands in sequence(alt).items():
+                    merged.setdefault(length, {}).update(cands)
+            rules[it.name] = {n: _cut(c, k) for n, c in merged.items()}
+        return rules[it.name]
+
+    def sequence(items) -> _ByLength:
+        current: _ByLength = {0: {(): 0}}
+        for it in items:
+            right = item(it)
+            joined: _ByLength = {}
+            for n1, left_cands in current.items():
+                for n2, right_cands in right.items():
+                    into = joined.setdefault(n1 + n2, {})
+                    for w1, s1 in left_cands.items():
+                        for w2, s2 in right_cands.items():
+                            into[w1 + w2] = s1 + s2
+            current = {n: _cut(c, k) for n, c in joined.items()}
+        return current
+
+    sentences = [
+        Sentence(words)
+        for length, cands in item(Ref(grammar.start)).items()
+        if length
+        for words in cands
+    ]
+    if not sentences:
+        raise GrammarError("grammar produced an empty sentence")
+    scored = [(s, score_sentence(s, word_probs)) for s in sentences]
+    scored.sort(key=lambda entry: _ranked(*entry))
+    return NBestList(entries=tuple(scored[:k]), n_generated=len(scored))
 
 
 def derivable(grammar: Grammar, sentence) -> bool:

@@ -129,6 +129,28 @@ def rescan_elimination_order(net: BayesNet, infer_idx, obs_idx) -> list[int]:
     return order
 
 
+def full_elimination(net: BayesNet, infer_vars, obs) -> np.ndarray:
+    """P(infer_vars | obs) by variable elimination over every variable,
+    barren ones included, in the rescan's min-degree order: the algorithm
+    ``bn.query`` ran before it learned to skip barren variables."""
+    infer_idx, obs_idx = bn._validated_query(net, infer_vars, obs)
+    arities = net.schema.arities
+    factors = []
+    for i, ps in enumerate(net.parents):
+        axis_vars = [*ps, i]
+        table = net.cpts[i][tuple(obs_idx.get(v, slice(None)) for v in axis_vars)]
+        remaining = [v for v in axis_vars if v not in obs_idx]
+        factors.append(bn._Factor.from_axes(remaining, np.asarray(table)))
+    for target in rescan_elimination_order(net, infer_idx, obs_idx):
+        prod = bn._product([f for f in factors if target in f.vars], arities)
+        summed = prod.table.sum(axis=prod.vars.index(target))
+        factors = [f for f in factors if target not in f.vars]
+        rest = tuple(v for v in prod.vars if v != target)
+        factors.append(bn._Factor(rest, summed / summed.max()))
+    result = bn._product(factors, arities)
+    return bn._finish(result.table, list(result.vars), infer_idx, net.schema).probs
+
+
 def permute_net(net: BayesNet, perm) -> BayesNet:
     """Same model with variables stored in a different schema order."""
     n = len(net.schema)

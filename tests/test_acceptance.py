@@ -29,7 +29,7 @@ from afftalk.fusion import (
     fuse_query,
     word_delta,
 )
-from afftalk.grammar import default_grammar, derivable, nbest
+from afftalk.grammar import default_grammar, derivable, kbest, nbest
 from afftalk.hmm import forward_loglik, prefix_curve
 from afftalk.schema import ACTIONS
 from afftalk.world import sample_trajectory
@@ -279,6 +279,20 @@ def test_criterion_8_conjunction_choice(trained_net):
         ok,
         f"top for medium has 'and': {'and' in tops['medium'].words}; "
         f"top for slow has 'but': {'but' in tops['slow'].words}",
+    )
+
+
+def test_criterion_8_conjunction_choice_on_the_exact_list(trained_net):
+    tops = {}
+    for objvel in ("medium", "slow"):
+        probs = _word_probs(trained_net, {"Action": "grasp", "ObjVel": objvel})
+        tops[objvel] = kbest(default_grammar(), probs, k=10).entries[0][0]
+    ok = "and" in tops["medium"].words and "but" in tops["slow"].words
+    report(
+        8,
+        ok,
+        f"exact top for medium: {tops['medium'].text!r}; "
+        f"exact top for slow: {tops['slow'].text!r}",
     )
 
 

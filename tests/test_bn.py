@@ -22,6 +22,7 @@ from afftalk.bn import (
 from afftalk.schema import default_schema, layered_candidates
 
 from conftest import (
+    full_elimination,
     permute_net,
     random_binary_net,
     random_split,
@@ -257,6 +258,29 @@ def test_prune_barren_preserves_queries():
         assert np.abs(a.probs - b.probs).max() <= 1e-9
 
 
+def test_query_skips_barren_variables_and_matches_enumeration():
+    rng = np.random.default_rng(1990)
+    pruned = 0
+    for _ in range(60):
+        net = random_binary_net(rng, int(rng.integers(4, 14)))
+        infer, obs = random_split(rng, net)
+        keep = [net.schema.index(v) for v in [*infer, *obs]]
+        pruned += len(bn._ancestral_closure(net.parents, keep)) < len(net.schema)
+        a = query(net, infer, Evidence(obs))
+        b = joint_enumerate(net, infer, Evidence(obs))
+        assert np.abs(a.probs - b.probs).max() <= 1e-12
+    assert pruned >= 40  # most of these queries leave barren variables out
+
+
+def test_query_matches_elimination_over_every_variable(trained_net):
+    rng = np.random.default_rng(1986)
+    for _ in range(300):
+        infer, obs = random_split(rng, trained_net, n_obs=4)
+        a = query(trained_net, infer, Evidence(obs))
+        b = full_elimination(trained_net, infer, Evidence(obs))
+        assert np.abs(a.probs - b).max() <= 1e-12
+
+
 def test_marginal_consistency_of_joint_tables():
     rng = np.random.default_rng(3)
     net = random_binary_net(rng, 7)
@@ -276,9 +300,8 @@ def test_elimination_order_matches_factor_rescan_on_random_nets():
     for _ in range(60):
         net = random_binary_net(rng, int(rng.integers(2, 16)))
         infer_idx, obs_idx = _index_split(net, *random_split(rng, net, n_obs=5))
-        assert bn._elimination_order(net, infer_idx, obs_idx) == rescan_elimination_order(
-            net, infer_idx, obs_idx
-        )
+        order = bn._elimination_order(net, infer_idx, obs_idx, range(len(net.schema)))
+        assert order == rescan_elimination_order(net, infer_idx, obs_idx)
 
 
 def test_elimination_order_matches_factor_rescan_on_default_schema(trained_net):
@@ -286,7 +309,7 @@ def test_elimination_order_matches_factor_rescan_on_default_schema(trained_net):
     for _ in range(25):
         infer, obs = random_split(rng, trained_net, n_obs=6)
         infer_idx, obs_idx = _index_split(trained_net, infer, obs)
-        order = bn._elimination_order(trained_net, infer_idx, obs_idx)
+        order = bn._elimination_order(trained_net, infer_idx, obs_idx, range(57))
         assert order == rescan_elimination_order(trained_net, infer_idx, obs_idx)
         assert sorted(order + infer_idx + list(obs_idx)) == list(range(57))
 

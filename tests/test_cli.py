@@ -120,8 +120,6 @@ def test_describe_conjunction_contrast(pipeline_dir, capsys):
                 str(pipeline_dir / "models/bn.txt"),
                 "--ev",
                 f"Action=grasp,ObjVel={objvel}",
-                "--n",
-                "3000",
                 "--k",
                 "10",
                 "--seed",
@@ -291,12 +289,37 @@ def test_sweep_without_points_exit_code(pipeline_dir, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_describe_keeping_more_than_it_samples_exit_code(pipeline_dir, capsys):
-    code = main(
-        ["describe", "--bn", str(pipeline_dir / "models/bn.txt"), "--n", "5", "--k", "10"]
-    )
-    assert code == 4
-    assert "n >= k" in capsys.readouterr().err
+def test_describe_sample_size_flag_is_retired(pipeline_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["describe", "--bn", str(pipeline_dir / "models/bn.txt"), "--n", "5"])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
+
+
+def test_describe_runs_one_elimination_with_and_without_a_gesture(
+    pipeline_dir, tmp_path, eliminations
+):
+    common = ["describe", "--bn", str(pipeline_dir / "models/bn.txt")]
+    assert main([*common, "--ev", "Action=grasp,ObjVel=medium"]) == 0
+    assert len(eliminations) == 1
+    gesture = [
+        "--bank",
+        str(pipeline_dir / "models/hmm.txt"),
+        "--traj",
+        _somewhere_with_traj(pipeline_dir),
+    ]
+    out = tmp_path / "describe.csv"
+    assert main([*common, "--ev", "Shape=sphere", *gesture, "--out", str(out)]) == 0
+    assert len(eliminations) == 2
+    assert len(out.read_text().splitlines()) == 11
+
+
+def test_describe_ignores_the_seed(pipeline_dir, capsys):
+    common = ["describe", "--bn", str(pipeline_dir / "models/bn.txt"), "--ev", "Action=tap"]
+    assert main([*common, "--seed", "1"]) == 0
+    first = capsys.readouterr().out
+    assert main([*common, "--seed", "2"]) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_missing_model_file_exit_code(pipeline_dir, capsys):
@@ -335,7 +358,7 @@ def test_impossible_evidence_exit_code(pipeline_dir, tmp_path, capsys):
 
 
 def test_config_file_controls_defaults(pipeline_dir, tmp_path, capsys):
-    config = {"version": 1, "keep": 3, "n_candidates": 500, "seed": 9}
+    config = {"version": 1, "keep": 3, "seed": 9}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     code = main(
@@ -359,6 +382,13 @@ def test_config_file_controls_defaults(pipeline_dir, tmp_path, capsys):
     )
     assert code == 4
     assert "keepp" in capsys.readouterr().err
+    retired = tmp_path / "retired.json"
+    retired.write_text(json.dumps({"n_candidates": 500}))
+    code = main(
+        ["--config", str(retired), "describe", "--bn", str(pipeline_dir / "models/bn.txt")]
+    )
+    assert code == 4
+    assert "n_candidates" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

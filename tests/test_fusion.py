@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from afftalk.bn import (
+    BOOL_LABELS,
+    BayesNet,
     BnError,
     Evidence,
     EvidenceError,
     ImpossibleEvidenceError,
+    WorldSchema,
+    build_network,
     query,
 )
 from afftalk.fusion import (
@@ -14,6 +18,7 @@ from afftalk.fusion import (
     confidence_sweep,
     fuse_query,
     word_delta,
+    word_probabilities,
 )
 
 from conftest import random_binary_net, random_split
@@ -209,3 +214,78 @@ def test_word_delta_keeps_one_entry_per_requested_word():
     assert result.words == words
     assert result.baseline.shape == result.combined.shape == (3,)
     assert result.baseline[0] == result.baseline[2]
+
+
+def _word_net(rng, word_parents):
+    """Net over an action, two affordances and boolean words with the given
+    parent names (words may also parent words), with Dirichlet CPT rows."""
+    pairs = [("Action", ("grasp", "tap", "touch")), ("A1", ("u", "v")), ("A2", ("p", "q", "r"))]
+    pairs += [(w, BOOL_LABELS) for w in word_parents]
+    schema = WorldSchema.of(pairs)
+    parents = [[], [0], [0, 1]]
+    parents += [[schema.index(p) for p in ps] for ps in word_parents.values()]
+    skeleton = build_network(schema, parents)
+    cpts = []
+    for i, ps in enumerate(skeleton.parents):
+        shape = tuple(schema.arities[p] for p in ps) + (schema.arities[i],)
+        rows = rng.dirichlet(np.ones(shape[-1]), size=int(np.prod(shape[:-1], dtype=int)))
+        cpts.append(rows.reshape(shape))
+    return BayesNet(schema, skeleton.parents, tuple(cpts))
+
+
+WORD_PARENTS = {
+    "w0": ("Action",),
+    "w1": ("A1", "A2"),
+    "w2": (),
+    "w3": ("Action", "A2"),
+    "w4": ("w3",),  # a word parent: w4 has its own query, and so has w3
+    "w5": ("A1",),
+}
+
+
+def test_word_probabilities_match_one_query_per_word():
+    rng = np.random.default_rng(5)
+    net = _word_net(rng, WORD_PARENTS)
+    words = tuple(WORD_PARENTS)
+    cases = [{}, {"A1": 1}, {"A2": 2, "w2": 0}, {"A1": 0, "A2": 1}, {"w4": 1}]
+    for labeled in cases:
+        obs = Evidence(labeled)
+        asked = [w for w in words if w not in labeled]
+        soft = SoftActionEvidence(rng.dirichlet(np.ones(3)))
+        for weights in (None, soft):
+            got = word_probabilities(net, obs, asked, weights)
+            for word, p in zip(asked, got):
+                if weights is None:
+                    table = query(net, (word,), obs)
+                else:
+                    table = fuse_query(net, soft, QuerySpec((word,), obs)).table
+                assert abs(p - table.probs[1]) <= 1e-12, (labeled, word)
+        plain = word_probabilities(net, obs, asked)
+        uniform = word_probabilities(net, obs, asked, SoftActionEvidence.uniform(3))
+        assert np.abs(plain - uniform).max() <= 1e-12
+
+
+def test_word_probabilities_with_every_parent_observed():
+    net = _word_net(np.random.default_rng(6), {"w0": ("A1",), "w1": ("A1", "A2")})
+    obs = Evidence({"A1": 1, "A2": 0})
+    got = word_probabilities(net, obs, ("w0", "w1"))
+    expected = [net.cpts[3][1, 1], net.cpts[4][1, 0, 1]]
+    assert np.abs(got - expected).max() <= 1e-12
+    # A1 is never v: the per-word queries still see impossible evidence
+    cpts = list(net.cpts)
+    cpts[1] = np.array([[1.0, 0.0]] * 3)
+    impossible = BayesNet(net.schema, net.parents, tuple(cpts))
+    with pytest.raises(ImpossibleEvidenceError):
+        word_probabilities(impossible, obs, ("w0", "w1"))
+
+
+def test_word_delta_runs_one_elimination_per_query_pattern(eliminations):
+    net = _word_net(np.random.default_rng(7), {"w0": ("A1",), "w1": ("A2",)})
+    soft = SoftActionEvidence(np.array([0.2, 0.5, 0.3]))
+    word_delta(net, Evidence({"A1": 0}), soft)
+    # the baseline joint is over A2; the fused one adds the action
+    assert len(eliminations) == 2
+    net = _word_net(np.random.default_rng(7), {"w0": ("Action",), "w1": ("A2",)})
+    word_delta(net, Evidence({"A1": 0}), soft)
+    # the action already parents a word: both joints share one pattern
+    assert len(eliminations) == 3

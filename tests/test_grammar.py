@@ -1,13 +1,18 @@
 import math
+import random
 
 import pytest
 
+from afftalk.bn import Evidence
+from afftalk.fusion import word_probabilities
 from afftalk.grammar import (
     GrammarError,
+    Ref,
     Sentence,
     default_grammar,
     derivable,
     generate_sentences,
+    kbest,
     load_grammar,
     nbest,
     score_sentence,
@@ -105,3 +110,139 @@ def test_empty_sentence_rejected():
         Sentence(())
     g = default_grammar()
     assert not derivable(g, [])
+
+
+def _language(grammar):
+    """Every word sequence the grammar derives, by plain expansion."""
+
+    def seq(items):
+        out = {()}
+        for item in items:
+            if isinstance(item, str):
+                options = {(item,)}
+            elif isinstance(item, Ref):
+                options = rule(item.name)
+            else:  # Opt
+                options = seq(item.items) | {()}
+            out = {a + b for a in out for b in options}
+        return out
+
+    def rule(name):
+        return set().union(*(seq(alt) for alt in grammar.rules[name]))
+
+    return {words for words in rule(grammar.start) if words}
+
+
+def _brute_force_top(grammar, probs, k):
+    scored = [(s, score_sentence(s, probs)) for s in map(Sentence, _language(grammar))]
+    scored.sort(key=lambda entry: (-entry[1], entry[0].words))
+    return scored[:k]
+
+
+SMALL_GRAMMARS = {
+    "optional groups": "<s> ::= [a] b [c d] | [a [b]] c",
+    "shared subrules": "<s> ::= <x> <y> <x> | <y> <y>\n<x> ::= a | b [c]\n<y> ::= <x> d | c",
+    "ties": "<s> ::= <w> <w> <w>\n<w> ::= a | b | c | d",
+    "ambiguous": "<s> ::= <x> b | a <y> | a b\n<x> ::= a | [c] a\n<y> ::= b | b b",
+    "lengths": "<s> ::= a | b b | c c c | d d d d | [a] [b] [c] [d] e",
+}
+
+
+def _random_grammar(rng: random.Random) -> str:
+    """An acyclic grammar over four words: rule i references only later rules."""
+    lines = []
+    for i in range(4):
+        alts = []
+        for _ in range(rng.randint(1, 3)):
+            items = []
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.random()
+                if kind < 0.25 and i < 3:
+                    items.append(f"<r{rng.randint(i + 1, 3)}>")
+                elif kind < 0.4:
+                    items.append(f"[{rng.choice('abcd')}]")
+                else:
+                    items.append(rng.choice("abcd"))
+            alts.append(" ".join(items))
+        lines.append(f"<r{i}> ::= " + " | ".join(alts))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("text", SMALL_GRAMMARS.values(), ids=SMALL_GRAMMARS)
+def test_kbest_equals_brute_force_on_small_grammars(text):
+    g = load_grammar(text)
+    size = len(_language(g))
+    rng = random.Random(text)
+    # equal, floored and distinct probabilities, so that ties of every kind occur
+    for probs in (
+        {w: 0.5 for w in g.vocabulary},
+        {w: rng.choice([0.0, 0.1, 0.5, 1.0]) for w in g.vocabulary},
+        {w: rng.random() for w in g.vocabulary},
+    ):
+        for k in range(1, size + 2):
+            result = kbest(g, probs, k)
+            assert list(result.entries) == _brute_force_top(g, probs, k)
+
+
+def test_kbest_equals_brute_force_on_random_grammars():
+    rng = random.Random(2005)
+    for _ in range(60):
+        g = load_grammar(_random_grammar(rng))
+        if not _language(g):
+            with pytest.raises(GrammarError, match="empty sentence"):
+                kbest(g, {w: 0.5 for w in g.vocabulary}, 3)
+            continue
+        probs = {w: rng.choice([0.0, 0.2, 0.2, 0.7, rng.random()]) for w in g.vocabulary}
+        k = rng.randint(1, 12)
+        assert list(kbest(g, probs, k).entries) == _brute_force_top(g, probs, k)
+
+
+def test_kbest_keeps_permuted_ties_in_word_order():
+    # three distinct values summed in different orders tie exactly
+    g = load_grammar("<s> ::= <w> <w> <w>\n<w> ::= a | b | c")
+    probs = {"a": 0.1, "b": 0.7, "c": 0.3}
+    result = kbest(g, probs, 27)
+    scores = {}
+    for sentence, score in result.entries:
+        scores.setdefault(tuple(sorted(sentence.words)), set()).add(score)
+    assert all(len(group) == 1 for group in scores.values())
+    assert [s.text for s, _ in result.entries[:3]] == ["b b b", "b b c", "b c b"]
+
+
+def test_kbest_keeps_candidates_that_tie_only_after_rounding():
+    # log p(a) = -2**-53 is lost when the sum with log p(c) near -8 is
+    # rounded, so "a c" ties "b c" and comes first, although b beats a
+    g = load_grammar("<s> ::= <x> c\n<x> ::= a | b")
+    probs = {"a": 1.0 - 2.0**-53, "b": 1.0, "c": math.exp(-8.0)}
+    assert math.log(probs["a"]) < 0.0
+    assert list(kbest(g, probs, 1).entries) == _brute_force_top(g, probs, 1)
+    assert kbest(g, probs, 1).entries[0][0].text == "a c"
+
+
+def test_kbest_keeps_exactly_k_per_length_under_equal_probabilities():
+    # nine sentence lengths (8 to 16 words), each with more than ten sentences
+    g = default_grammar()
+    for p in (0.5, 0.3, 0.77):
+        assert kbest(g, {w: p for w in g.vocabulary}, 10).n_generated == 90
+
+
+def test_kbest_rejects_bad_requests():
+    g = load_grammar("<s> ::= a b")
+    with pytest.raises(GrammarError, match="k >= 1"):
+        kbest(g, {"a": 0.5, "b": 0.5}, 0)
+    with pytest.raises(GrammarError, match="outside"):
+        kbest(g, {"a": 0.5}, 1)
+
+
+def test_sampled_sentences_never_beat_the_exact_list(trained_net):
+    g = default_grammar()
+    words = trained_net.schema.word_variables()
+    for labeled in ({"Action": "grasp", "ObjVel": "medium"}, {"Action": "tap", "Shape": "box"}):
+        obs = Evidence.from_labels(trained_net.schema, labeled)
+        probs = dict(zip(words, word_probabilities(trained_net, obs, words).tolist()))
+        exact = kbest(g, probs, 10)
+        kth = exact.entries[-1][1]
+        listed = {s.words for s, _ in exact.entries}
+        for seed in (1, 5, 9):
+            for sentence, score in nbest(g, probs, n=2000, k=2000, seed=seed).entries:
+                assert sentence.words in listed or score <= kth

@@ -174,6 +174,9 @@ CONFIG_CASES = [
     ("float seed", '{"seed": 1.5}', []),
     ("t_min above t_max", '{"t_min": 30, "t_max": 20}', []),
     ("unsupported version", '{"version": 2}', []),
+    ("--ev naming a variable twice", None, ["--ev", "Shape=box,Shape=sphere"]),
+    ("--bank without --traj", None, ["--bank", "{inputs}/hmm.txt"]),
+    ("--traj without --bank", None, ["--traj", "{inputs}/traj.csv"]),
 ]
 
 
@@ -188,12 +191,21 @@ def test_bad_config_or_flag_exits_4_before_any_work(inputs, tmp_path, text, flag
         argv = ["--config", tmp_path / "config.json"]
     if "--points" in flags:
         argv += ["sweep", "--bn", inputs / "bn.txt", "--target", "tap", "--out", out]
+    elif {"--ev", "--bank", "--traj"} & set(flags):
+        argv += ["infer", "--bn", inputs / "bn.txt", "--infer", "ObjVel", "--out", out]
     else:
         argv += ["simulate", "--out", out]
-    code, err = _exit_code(argv + flags)
+    code, err = _exit_code(argv + [f.format(inputs=inputs) for f in flags])
     assert code == 4, err
     assert "error[BnError]" in err
     assert not out.exists()
+
+
+def test_evidence_naming_a_variable_twice_names_it(inputs):
+    argv = ["infer", "--bn", inputs / "bn.txt", "--infer", "Action"]
+    code, err = _exit_code([*argv, "--ev", "Shape=box", "--ev", "Size=big,Shape=box"])
+    assert code == 4
+    assert "'Shape' twice" in err
 
 
 @pytest.mark.parametrize("kind", ["bn", "bank", "traj", "config"])
