@@ -278,13 +278,23 @@ def build_network(schema: WorldSchema, parents: Sequence[Sequence[int]]) -> Baye
         if len(set(ps)) != len(ps):
             raise BnError(f"duplicate parent for {schema.names[i]!r}")
         canon.append(tuple(sorted(ps)))
-    _toposort(canon)
     arities = schema.arities
     cpts = []
     for i, ps in enumerate(canon):
         shape = tuple(arities[p] for p in ps) + (arities[i],)
         cpts.append(np.full(shape, 1.0 / arities[i]))
     return BayesNet(schema=schema, parents=tuple(canon), cpts=tuple(cpts))
+
+
+def _family_counts(
+    rows: np.ndarray, arities, node: int, parents: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Counts indexed (parent values..., node value) and their per-row totals."""
+    shape = tuple(arities[p] for p in parents) + (arities[node],)
+    counts = np.zeros(shape)
+    index = tuple(rows[:, p] for p in parents) + (rows[:, node],)
+    np.add.at(counts, index, 1.0)
+    return counts, counts.sum(axis=-1, keepdims=True)
 
 
 def fit_parameters(net: BayesNet, data: Dataset, alpha: float = 1.0) -> BayesNet:
@@ -301,11 +311,7 @@ def fit_parameters(net: BayesNet, data: Dataset, alpha: float = 1.0) -> BayesNet
     arities = net.schema.arities
     cpts = []
     for i, ps in enumerate(net.parents):
-        shape = tuple(arities[p] for p in ps) + (arities[i],)
-        counts = np.zeros(shape)
-        index = tuple(rows[:, p] for p in ps) + (rows[:, i],)
-        np.add.at(counts, index, 1.0)
-        totals = counts.sum(axis=-1, keepdims=True)
+        counts, totals = _family_counts(rows, arities, i, ps)
         if alpha == 0.0 and (totals == 0).any():
             raise BnError(
                 f"unobserved parent configuration for {net.schema.names[i]!r}; "
@@ -562,11 +568,7 @@ def prune_barren(net: BayesNet, keep_vars: Sequence[str]) -> BayesNet:
 
 
 def _family_loglik(rows: np.ndarray, arities, node: int, parents: Sequence[int]) -> float:
-    shape = tuple(arities[p] for p in parents) + (arities[node],)
-    counts = np.zeros(shape)
-    index = tuple(rows[:, p] for p in parents) + (rows[:, node],)
-    np.add.at(counts, index, 1.0)
-    totals = counts.sum(axis=-1, keepdims=True)
+    counts, totals = _family_counts(rows, arities, node, parents)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(counts > 0, counts * np.log(counts / totals), 0.0)
     return float(terms.sum())

@@ -128,12 +128,8 @@ def _print_table(table: JointTable) -> None:
 
 
 def _world_config(config: RunConfig) -> world.WorldConfig:
-    base = world.default_config()
-    return replace(
-        base,
-        noise_std=config.noise_std,
-        t_min=config.t_min,
-        t_max=config.t_max,
+    return world.WorldConfig(
+        noise_std=config.noise_std, t_min=config.t_min, t_max=config.t_max
     )
 
 

@@ -168,12 +168,6 @@ class GestureBank:
     def actions(self) -> tuple[str, ...]:
         return tuple(m.action_label for m in self.models)
 
-    def model(self, action: str) -> HmmModel:
-        for m in self.models:
-            if m.action_label == action:
-                return m
-        raise HmmError(f"no model for action {action!r}")
-
 
 def _left_right_log_trans(n_states: int, self_prob: float) -> np.ndarray:
     trans = np.zeros((n_states, n_states))

@@ -1,10 +1,12 @@
 """Seeded synthetic stand-in for the tabletop manipulation recordings.
 
 Each trial draws an action and object features uniformly, rolls the motion
-effects from explicit conditional tables, writes a congruent verbal
-description through the bundled grammar, and can attach a noisy 3D hand
-trajectory built from per-action waypoint templates.  Everything is a pure
-function of (config, seed).
+effects from explicit conditional rows, writes a congruent verbal
+description in the bundled grammar's words, and can attach a noisy 3D hand
+trajectory built from per-action waypoint templates.  The effect rows, the
+description rules and the templates are module constants; the only settings
+are the trajectories' noise and length range (``WorldConfig``).  Everything
+is a pure function of (config, seed).
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bn import Dataset, WorldSchema
-from .grammar import Grammar, Sentence, default_grammar
+from .bn import BOOL_LABELS, Dataset, WorldSchema
+from .grammar import Sentence
 from .hmm import Trajectory, preprocess
 from .schema import (
     ACTION_VAR,
     ACTIONS,
+    AFFORDANCE_VARIABLES,
     EFFECT_VARS,
     FEATURE_VARS,
     default_schema,
@@ -39,52 +42,95 @@ __all__ = [
 
 
 class WorldError(ValueError):
-    """Inconsistent generator configuration."""
+    """Out-of-range generator setting or unknown action."""
 
 
 # ---------------------------------------------------------------------------
-# defaults
+# description rules
 
-_VERB_FAMILIES = {"grasp": ("grasp", "pick"), "tap": ("tap", "push"), "touch": ("touch", "poke")}
+AGENTS = ("the robot", "he", "baltazar")
+AGENT_WEIGHTS = (0.5, 0.25, 0.25)
 
-_VERB_STEMS = {
-    "touch": ("touches", "touched", "touching"),
-    "poke": ("pokes", "poked", "poking"),
-    "tap": ("taps", "tapped", "tapping"),
-    "push": ("pushes", "pushed", "pushing"),
-    "grasp": ("grasps", "grasped", "grasping"),
-    "pick": ("picks", "picked", "picking"),
+VERB_FAMILIES = {"grasp": ("grasp", "pick"), "tap": ("tap", "push"), "touch": ("touch", "poke")}
+
+
+def _verb_forms(stem3: str, past: str, ing: str) -> tuple[str, ...]:
+    return (stem3, past, f"has {past}", f"just {past}", f"has just {past}", f"is {ing}")
+
+
+VERB_FORMS = {
+    lemma: _verb_forms(*stems)
+    for lemma, stems in {
+        "touch": ("touches", "touched", "touching"),
+        "poke": ("pokes", "poked", "poking"),
+        "tap": ("taps", "tapped", "tapping"),
+        "push": ("pushes", "pushed", "pushing"),
+        "grasp": ("grasps", "grasped", "grasping"),
+        "pick": ("picks", "picked", "picking"),
+    }.items()
 }
 
-_AGENTS = ("the robot", "he", "baltazar")
-_AGENT_WEIGHTS = (0.5, 0.25, 0.25)
+SHAPE_WORDS = {"sphere": ("sphere", "ball"), "box": ("box", "cube", "square")}
+COLOR_WORDS = {"blue": "blue", "yellow": "yellow", "green1": "green", "green2": "green"}
+SIZE_WORDS = {"small": "small", "medium": None, "big": "big"}
+ATTRIBUTE_PROB = 0.5  # chance that each object mention names its size, and its color
 
-_SHAPE_WORDS = {"sphere": ("sphere", "ball"), "box": ("box", "cube", "square")}
-_COLOR_WORDS = {"blue": "blue", "yellow": "yellow", "green1": "green", "green2": "green"}
-_SIZE_WORDS = {"small": "small", "medium": None, "big": "big"}
 
-# effect rows indexed (action, shape, size); sizes share the same row by default
-_OBJVEL_BASE = {
-    ("tap", "sphere"): (0.1, 0.2, 0.7),
-    ("tap", "box"): (0.6, 0.3, 0.1),
-    ("grasp", "sphere"): (0.3, 0.7, 0.0),
-    ("grasp", "box"): (0.3, 0.7, 0.0),
-    ("touch", "sphere"): (0.9, 0.1, 0.0),
-    ("touch", "box"): (0.9, 0.1, 0.0),
+def conjunction(action: str, objvel: str) -> str:
+    """"and" when the object moved as the action intends, else "but"."""
+    if action == "grasp":
+        return "and" if objvel == "medium" else "but"
+    if action == "tap":
+        return "and" if objvel in ("medium", "fast") else "but"
+    return "and" if objvel == "slow" else "but"
+
+
+def effect_phrases(action: str, objvel: str, shape: str) -> tuple[str, ...]:
+    """The phrases, drawn uniformly, that describe the object's motion."""
+    if objvel == "slow":
+        return ("is inert", "is still")
+    if action == "grasp":
+        return ("rises", "is rising", "moves", "is moving")
+    if action == "tap":
+        motion = ("rolls", "is rolling") if shape == "sphere" else ("slides", "is sliding")
+        return motion + ("moves", "is moving")
+    return ("moves", "is moving")
+
+
+# ---------------------------------------------------------------------------
+# effect rows and trajectory templates
+
+
+def _shape_free(rows: dict[str, tuple[float, ...]]) -> dict[tuple[str, str], tuple[float, ...]]:
+    shapes = dict(AFFORDANCE_VARIABLES)["Shape"]
+    return {(action, shape): row for action, row in rows.items() for shape in shapes}
+
+
+# P(effect | Action, Shape), keyed by the labels; no effect depends on Size
+EFFECT_ROWS: dict[str, dict[tuple[str, str], tuple[float, ...]]] = {
+    "ObjVel": {
+        ("tap", "sphere"): (0.1, 0.2, 0.7),
+        ("tap", "box"): (0.6, 0.3, 0.1),
+        ("grasp", "sphere"): (0.3, 0.7, 0.0),
+        ("grasp", "box"): (0.3, 0.7, 0.0),
+        ("touch", "sphere"): (0.9, 0.1, 0.0),
+        ("touch", "box"): (0.9, 0.1, 0.0),
+    },
+    "HandVel": _shape_free({"grasp": (0.8, 0.2), "tap": (0.2, 0.8), "touch": (0.7, 0.3)}),
+    "ObjHandVel": {
+        ("tap", "sphere"): (0.1, 0.3, 0.6),
+        ("tap", "box"): (0.5, 0.4, 0.1),
+        ("grasp", "sphere"): (0.3, 0.6, 0.1),
+        ("grasp", "box"): (0.3, 0.6, 0.1),
+        ("touch", "sphere"): (0.8, 0.2, 0.0),
+        ("touch", "box"): (0.8, 0.2, 0.0),
+    },
+    "Contact": _shape_free({"grasp": (0.1, 0.9), "tap": (0.9, 0.1), "touch": (0.3, 0.7)}),
 }
-_HANDVEL_BASE = {"grasp": (0.8, 0.2), "tap": (0.2, 0.8), "touch": (0.7, 0.3)}
-_OBJHANDVEL_BASE = {
-    ("tap", "sphere"): (0.1, 0.3, 0.6),
-    ("tap", "box"): (0.5, 0.4, 0.1),
-    ("grasp", "sphere"): (0.3, 0.6, 0.1),
-    ("grasp", "box"): (0.3, 0.6, 0.1),
-    ("touch", "sphere"): (0.8, 0.2, 0.0),
-    ("touch", "box"): (0.8, 0.2, 0.0),
-}
-_CONTACT_BASE = {"grasp": (0.1, 0.9), "tap": (0.9, 0.1), "touch": (0.3, 0.7)}
 
-# waypoint templates in torso-centered meters: x lateral, y forward, z up
-_TEMPLATES: dict[str, tuple[np.ndarray, np.ndarray]] = {
+# (waypoints, segment durations) per action, in torso-centered meters:
+# x lateral, y forward, z up
+TEMPLATES: dict[str, tuple[np.ndarray, np.ndarray]] = {
     "grasp": (
         np.array(
             [
@@ -120,144 +166,34 @@ _TEMPLATES: dict[str, tuple[np.ndarray, np.ndarray]] = {
 }
 
 
-def _verb_forms(stem3: str, past: str, ing: str) -> tuple[str, ...]:
-    return (stem3, past, f"has {past}", f"just {past}", f"has just {past}", f"is {ing}")
-
-
-def _default_conjunction(action: str, objvel: str) -> str:
-    if action == "grasp":
-        return "and" if objvel == "medium" else "but"
-    if action == "tap":
-        return "and" if objvel in ("medium", "fast") else "but"
-    return "and" if objvel == "slow" else "but"
-
-
-def _default_effect_phrases(action: str, objvel: str, shape: str) -> tuple[str, ...]:
-    if objvel == "slow":
-        return ("is inert", "is still")
-    if action == "grasp":
-        return ("rises", "is rising", "moves", "is moving")
-    if action == "tap":
-        motion = ("rolls", "is rolling") if shape == "sphere" else ("slides", "is sliding")
-        return motion + ("moves", "is moving")
-    return ("moves", "is moving")
-
-
 @dataclass(frozen=True)
 class WorldConfig:
-    """Everything the generator needs, with explicit probability rows.
+    """The generator's settings: trajectory noise and length range.
 
-    ``effect_tables[name]`` has shape (actions, shapes, sizes, arity); every
-    row is a distribution.  Description choices must only emit grammar
-    vocabulary, which ``validate`` enforces at construction time.
+    Everything else it draws from is a module constant written against the
+    default schema, which ``schema`` holds.
     """
 
-    schema: WorldSchema
-    grammar: Grammar
-    effect_tables: Mapping[str, np.ndarray]
-    verb_families: Mapping[str, tuple[str, ...]] = field(
-        default_factory=lambda: dict(_VERB_FAMILIES)
-    )
-    verb_forms: Mapping[str, tuple[str, ...]] = field(
-        default_factory=lambda: {k: _verb_forms(*v) for k, v in _VERB_STEMS.items()}
-    )
-    agents: tuple[str, ...] = _AGENTS
-    agent_weights: tuple[float, ...] = _AGENT_WEIGHTS
-    shape_words: Mapping[str, tuple[str, ...]] = field(
-        default_factory=lambda: dict(_SHAPE_WORDS)
-    )
-    color_words: Mapping[str, str] = field(default_factory=lambda: dict(_COLOR_WORDS))
-    size_words: Mapping[str, str | None] = field(default_factory=lambda: dict(_SIZE_WORDS))
-    attribute_prob: float = 0.5
-    conjunctions: Mapping[tuple[str, str], str] = field(default_factory=dict)
-    effect_phrases: Mapping[tuple[str, str, str], tuple[str, ...]] = field(
-        default_factory=dict
-    )
-    templates: Mapping[str, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=lambda: dict(_TEMPLATES)
-    )
+    schema: WorldSchema = field(init=False, repr=False)
     noise_std: float = 0.05
     t_min: int = 20
     t_max: int = 60
 
     def __post_init__(self):
-        if not self.conjunctions:
-            table = {}
-            for action in ACTIONS:
-                for objvel in self.schema.variable("ObjVel").labels:
-                    table[(action, objvel)] = _default_conjunction(action, objvel)
-            object.__setattr__(self, "conjunctions", table)
-        if not self.effect_phrases:
-            table = {}
-            for action in ACTIONS:
-                for objvel in self.schema.variable("ObjVel").labels:
-                    for shape in self.schema.variable("Shape").labels:
-                        table[(action, objvel, shape)] = _default_effect_phrases(
-                            action, objvel, shape
-                        )
-            object.__setattr__(self, "effect_phrases", table)
-        self.validate()
-
-    def validate(self) -> None:
         if not 0 < self.t_min <= self.t_max:
             raise WorldError("need 0 < t_min <= t_max")
         if self.noise_std < 0:
             raise WorldError("noise_std must be nonnegative")
-        n_actions = len(ACTIONS)
-        n_shapes = self.schema.variable("Shape").arity
-        n_sizes = self.schema.variable("Size").arity
-        for name in EFFECT_VARS:
-            table = np.asarray(self.effect_tables[name])
-            expected = (n_actions, n_shapes, n_sizes, self.schema.variable(name).arity)
-            if table.shape != expected:
-                raise WorldError(f"effect table {name!r} has shape {table.shape}, expected {expected}")
-            if (table < 0).any() or not np.allclose(table.sum(axis=-1), 1.0, atol=1e-12):
-                raise WorldError(f"effect table {name!r} rows must be distributions")
-        vocab = set(self.grammar.vocabulary)
-        emitted: set[str] = set()
-        for agent in self.agents:
-            emitted.update(agent.split())
-        for forms in self.verb_forms.values():
-            for form in forms:
-                emitted.update(form.split())
-        for words in self.shape_words.values():
-            emitted.update(words)
-        emitted.update(w for w in self.color_words.values() if w)
-        emitted.update(w for w in self.size_words.values() if w)
-        emitted.add("the")
-        emitted.update(self.conjunctions.values())
-        for phrases in self.effect_phrases.values():
-            for phrase in phrases:
-                emitted.update(phrase.split())
-        unknown = emitted - vocab
-        if unknown:
-            raise WorldError(
-                f"description rules emit words outside the vocabulary: {sorted(unknown)}"
-            )
+        object.__setattr__(self, "schema", default_schema())
 
 
-def default_config(seed_schema: WorldSchema | None = None) -> WorldConfig:
-    """Config with the built-in effect tables, word maps and templates."""
-    grammar = default_grammar()
-    schema = seed_schema or default_schema(grammar)
-    n_sizes = schema.variable("Size").arity
-    tables: dict[str, np.ndarray] = {}
+def default_config() -> WorldConfig:
+    """The generator's default noise and trajectory lengths."""
+    return WorldConfig()
 
-    def tile(rows_by_action_shape) -> np.ndarray:
-        actions = []
-        for action in ACTIONS:
-            shapes = []
-            for shape in schema.variable("Shape").labels:
-                row = np.asarray(rows_by_action_shape(action, shape), dtype=np.float64)
-                shapes.append(np.tile(row, (n_sizes, 1)))
-            actions.append(np.stack(shapes, axis=0))
-        return np.stack(actions, axis=0)
 
-    tables["ObjVel"] = tile(lambda a, s: _OBJVEL_BASE[(a, s)])
-    tables["HandVel"] = tile(lambda a, s: _HANDVEL_BASE[a])
-    tables["ObjHandVel"] = tile(lambda a, s: _OBJHANDVEL_BASE[(a, s)])
-    tables["Contact"] = tile(lambda a, s: _CONTACT_BASE[a])
-    return WorldConfig(schema=schema, grammar=grammar, effect_tables=tables)
+# value index of a word variable, by whether the word was said
+_WORD_CODES = (BOOL_LABELS.index("false"), BOOL_LABELS.index("true"))
 
 
 @dataclass(frozen=True)
@@ -277,9 +213,7 @@ class Trial:
         for name, value in self.assignment.items():
             row[schema.index(name)] = value
         for word in schema.word_variables():
-            row[schema.index(word)] = schema.value_index(
-                word, "true" if word in self.words else "false"
-            )
+            row[schema.index(word)] = _WORD_CODES[word in self.words]
         return row
 
 
@@ -306,25 +240,24 @@ def sample_description(
     objvel = trial.label(schema, "ObjVel")
 
     words: list[str] = []
-    words.extend(_choose(rng, config.agents, config.agent_weights).split())
-    lemma = _choose(rng, config.verb_families[action])
-    words.extend(_choose(rng, config.verb_forms[lemma]).split())
+    words.extend(_choose(rng, AGENTS, AGENT_WEIGHTS).split())
+    lemma = _choose(rng, VERB_FAMILIES[action])
+    words.extend(_choose(rng, VERB_FORMS[lemma]).split())
 
     def object_phrase() -> list[str]:
         phrase = ["the"]
-        size_word = config.size_words.get(size)
-        if size_word and rng.random() < config.attribute_prob:
+        size_word = SIZE_WORDS[size]
+        if size_word and rng.random() < ATTRIBUTE_PROB:
             phrase.append(size_word)
-        color_word = config.color_words.get(color)
-        if color_word and rng.random() < config.attribute_prob:
-            phrase.append(color_word)
-        phrase.append(_choose(rng, config.shape_words[shape]))
+        if rng.random() < ATTRIBUTE_PROB:
+            phrase.append(COLOR_WORDS[color])
+        phrase.append(_choose(rng, SHAPE_WORDS[shape]))
         return phrase
 
     words.extend(object_phrase())
-    words.append(config.conjunctions[(action, objvel)])
+    words.append(conjunction(action, objvel))
     words.extend(object_phrase())
-    words.extend(_choose(rng, config.effect_phrases[(action, objvel, shape)]).split())
+    words.extend(_choose(rng, effect_phrases(action, objvel, shape)).split())
     sentence = Sentence(tuple(words))
     return sentence, frozenset(sentence.words)
 
@@ -343,13 +276,9 @@ def sample_trajectory(
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    if action not in config.templates:
+    if action not in TEMPLATES:
         raise WorldError(f"unknown action {action!r}")
-    waypoints, durations = config.templates[action]
-    waypoints = np.asarray(waypoints, dtype=np.float64)
-    durations = np.asarray(durations, dtype=np.float64)
-    if len(durations) != len(waypoints) - 1 or (durations <= 0).any():
-        raise WorldError(f"bad waypoint template for {action!r}")
+    waypoints, durations = TEMPLATES[action]
     knots = np.concatenate([[0.0], np.cumsum(durations)])
     knots /= knots[-1]
     t_frames = int(rng.integers(config.t_min, config.t_max + 1))
@@ -373,17 +302,15 @@ def sample_trial(
     assignment[ACTION_VAR] = int(rng.integers(schema.variable(ACTION_VAR).arity))
     for name in FEATURE_VARS:
         assignment[name] = int(rng.integers(schema.variable(name).arity))
-    action_idx = assignment[ACTION_VAR]
-    shape_idx = assignment["Shape"]
-    size_idx = assignment["Size"]
+    action = schema.variable(ACTION_VAR).labels[assignment[ACTION_VAR]]
+    shape = schema.variable("Shape").labels[assignment["Shape"]]
     for name in EFFECT_VARS:
-        row = np.asarray(config.effect_tables[name])[action_idx, shape_idx, size_idx]
+        row = EFFECT_ROWS[name][action, shape]
         assignment[name] = int(rng.choice(len(row), p=row))
     stub = Trial(assignment=assignment, words=frozenset(), sentence=None)
     sentence, words = sample_description(stub, config, rng)
     trajectory = None
     if with_trajectory:
-        action = schema.variable(ACTION_VAR).labels[action_idx]
         trajectory = sample_trajectory(action, config, rng=rng)
     return replace(stub, words=words, sentence=sentence, trajectory=trajectory)
 

@@ -1,14 +1,28 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from afftalk.bn import Dataset, Evidence, build_network, fit_parameters, query
+from afftalk.bn import build_network, fit_parameters
+from afftalk.cli import main
 from afftalk.grammar import default_grammar, derivable
-from afftalk.schema import ACTIONS
+from afftalk.schema import ACTIONS, EFFECT_VARS
 from afftalk.world import (
+    AGENT_WEIGHTS,
+    AGENTS,
+    COLOR_WORDS,
+    EFFECT_ROWS,
+    SHAPE_WORDS,
+    SIZE_WORDS,
+    TEMPLATES,
+    VERB_FAMILIES,
+    VERB_FORMS,
+    WorldConfig,
     WorldError,
-    default_config,
+    conjunction,
+    effect_phrases,
     generate_trials,
     sample_description,
     sample_trajectory,
@@ -48,7 +62,7 @@ def test_effect_frequencies_match_config(config, many_trials):
         if t.assignment["Action"] == tap and t.assignment["Shape"] == sphere
     ]
     frac = sum(t.assignment["ObjVel"] == fast for t in hits) / len(hits)
-    expected = config.effect_tables["ObjVel"][tap, sphere, 0][fast]
+    expected = EFFECT_ROWS["ObjVel"]["tap", "sphere"][fast]
     assert abs(frac - expected) <= 0.02
 
 
@@ -201,16 +215,17 @@ def test_fitted_net_recovers_generator_tables(config, many_trials):
     net = fit_parameters(build_network(schema, parents), data, alpha=1.0)
 
     worst = 0.0
+    shapes = schema.variable("Shape").labels
     for name in ("ObjVel", "ObjHandVel"):
         cpt = net.cpts[idx(name)]
-        for a in range(3):
-            for s in range(2):
-                truth = config.effect_tables[name][a, s, 0]
+        for a, action in enumerate(ACTIONS):
+            for s, shape in enumerate(shapes):
+                truth = EFFECT_ROWS[name][action, shape]
                 worst = max(worst, np.abs(cpt[a, s] - truth).max())
     for name in ("HandVel", "Contact"):
         cpt = net.cpts[idx(name)]
-        for a in range(3):
-            truth = config.effect_tables[name][a, 0, 0]
+        for a, action in enumerate(ACTIONS):
+            truth = EFFECT_ROWS[name][action, shapes[0]]
             worst = max(worst, np.abs(cpt[a] - truth).max())
     assert worst <= 0.03
 
@@ -226,21 +241,73 @@ def test_fitted_net_recovers_generator_tables(config, many_trials):
     assert abs(p_and - 1.0) <= 0.03
 
 
-def test_config_validation_rejects_foreign_words(config):
-    from dataclasses import replace
+def test_rule_constants_are_consistent(config):
+    """Every word the rules can emit is grammar vocabulary; rows and templates are sound."""
+    schema = config.schema
+    labels = {v.name: v.labels for v in schema.variables}
+    assert set(VERB_FAMILIES) == set(ACTIONS) == set(TEMPLATES)
+    assert set(SHAPE_WORDS) == set(labels["Shape"])
+    assert set(COLOR_WORDS) == set(labels["Color"])
+    assert set(SIZE_WORDS) == set(labels["Size"])
+    assert len(AGENT_WEIGHTS) == len(AGENTS) and math.isclose(sum(AGENT_WEIGHTS), 1.0)
 
-    bad = dict(config.shape_words)
-    bad["sphere"] = ("sphere", "orb")
-    with pytest.raises(WorldError, match="orb"):
-        replace(config, shape_words=bad)
+    phrases = ["the", *AGENTS, *COLOR_WORDS.values()]
+    phrases += [w for w in SIZE_WORDS.values() if w]
+    for lemmas in VERB_FAMILIES.values():
+        for lemma in lemmas:
+            phrases += VERB_FORMS[lemma]
+    for words in SHAPE_WORDS.values():
+        phrases += words
+    for action, objvel, shape in itertools.product(
+        ACTIONS, labels["ObjVel"], labels["Shape"]
+    ):
+        phrases.append(conjunction(action, objvel))
+        phrases += effect_phrases(action, objvel, shape)
+    emitted = {word for phrase in phrases for word in phrase.split()}
+    vocabulary = set(default_grammar().vocabulary)
+    assert emitted <= vocabulary, emitted - vocabulary
+
+    assert set(EFFECT_ROWS) == set(EFFECT_VARS)
+    for name, rows in EFFECT_ROWS.items():
+        assert set(rows) == set(itertools.product(ACTIONS, labels["Shape"]))
+        for row in rows.values():
+            assert len(row) == len(labels[name])
+            assert min(row) >= 0 and math.isclose(sum(row), 1.0, abs_tol=1e-12)
+
+    for waypoints, durations in TEMPLATES.values():
+        assert waypoints.ndim == 2 and waypoints.shape[1] == 3
+        assert len(durations) == len(waypoints) - 1
+        assert (durations > 0).all()
 
 
-def test_config_validation_rejects_bad_tables(config):
-    from dataclasses import replace
+@pytest.mark.parametrize(
+    "settings", [{"t_min": 0}, {"t_min": 30, "t_max": 20}, {"noise_std": -0.1}]
+)
+def test_config_rejects_out_of_range_settings(settings):
+    with pytest.raises(WorldError):
+        WorldConfig(**settings)
 
-    tables = dict(config.effect_tables)
-    broken = np.array(tables["ObjVel"], copy=True)
-    broken[0, 0, 0] = (0.5, 0.5, 0.5)
-    tables["ObjVel"] = broken
-    with pytest.raises(WorldError, match="distributions"):
-        replace(config, effect_tables=tables)
+
+# SHA-256 of ``simulate --trials 300 --trajectories-per-action 2 --seed 1234``
+SIMULATE_DIGESTS = {
+    "trials.txt": "a1fbc243dda89d166e9d29088ead0c5d43d59ad483c5df87dc54d1503fdb8fec",
+    "traj/00000.csv": "73451536317bb8a4cc73750e55f3c0a3aedd991fc32e4456578aa74924587e12",
+    "traj/00001.csv": "d8a686977a0bf5fbd36fd804b9d996c60af92b794023bba21365f16939f0bbbb",
+    "traj/00002.csv": "fdc8b4ca69448f8bde34a0d9710e51a960ed4c26791341845a175c26b9b56ce4",
+    "traj/00004.csv": "d61473f08983bfd9e62b0b1dd5617463f872c68f45d98458016f7d91209e149b",
+    "traj/00006.csv": "dfe1f20341ed37f27c3614b1f821e64c97204806345dc41a8f2f8d32e0e80624",
+    "traj/00009.csv": "518516fdbc90a63d3042fa6770fbf4481c680aaa6ded4edcf45a20536f52f940",
+}
+
+
+def test_simulate_output_bytes_are_pinned(tmp_path):
+    """The generator's draw order and the dataset format produce these exact bytes."""
+    out = tmp_path / "ds"
+    argv = ["simulate", "--out", str(out), "--trials", "300"]
+    assert main(argv + ["--trajectories-per-action", "2", "--seed", "1234"]) == 0
+    written = sorted(
+        str(path.relative_to(out)) for path in out.rglob("*") if path.is_file()
+    )
+    assert written == sorted(SIMULATE_DIGESTS)
+    for name, digest in SIMULATE_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
