@@ -241,6 +241,35 @@ def test_fitted_net_recovers_generator_tables(config, many_trials):
     assert abs(p_and - 1.0) <= 0.03
 
 
+def _foreign_words(labels, shape_words=SHAPE_WORDS):
+    """Words the description rules can emit that the grammar does not know."""
+    phrases = ["the", *AGENTS, *COLOR_WORDS.values()]
+    phrases += [w for w in SIZE_WORDS.values() if w]
+    for lemmas in VERB_FAMILIES.values():
+        for lemma in lemmas:
+            phrases += VERB_FORMS[lemma]
+    for words in shape_words.values():
+        phrases += words
+    for action, objvel, shape in itertools.product(
+        ACTIONS, labels["ObjVel"], labels["Shape"]
+    ):
+        phrases.append(conjunction(action, objvel))
+        phrases += effect_phrases(action, objvel, shape)
+    emitted = {word for phrase in phrases for word in phrase.split()}
+    return emitted - set(default_grammar().vocabulary)
+
+
+def _bad_effect_rows(labels, effect_rows=EFFECT_ROWS):
+    """(variable, (action, shape)) of every row that is not a distribution of the right arity."""
+    bad = []
+    for name, rows in effect_rows.items():
+        for key, row in rows.items():
+            sound = len(row) == len(labels[name]) and min(row) >= 0
+            if not (sound and math.isclose(sum(row), 1.0, abs_tol=1e-12)):
+                bad.append((name, key))
+    return bad
+
+
 def test_rule_constants_are_consistent(config):
     """Every word the rules can emit is grammar vocabulary; rows and templates are sound."""
     schema = config.schema
@@ -251,33 +280,35 @@ def test_rule_constants_are_consistent(config):
     assert set(SIZE_WORDS) == set(labels["Size"])
     assert len(AGENT_WEIGHTS) == len(AGENTS) and math.isclose(sum(AGENT_WEIGHTS), 1.0)
 
-    phrases = ["the", *AGENTS, *COLOR_WORDS.values()]
-    phrases += [w for w in SIZE_WORDS.values() if w]
-    for lemmas in VERB_FAMILIES.values():
-        for lemma in lemmas:
-            phrases += VERB_FORMS[lemma]
-    for words in SHAPE_WORDS.values():
-        phrases += words
-    for action, objvel, shape in itertools.product(
-        ACTIONS, labels["ObjVel"], labels["Shape"]
-    ):
-        phrases.append(conjunction(action, objvel))
-        phrases += effect_phrases(action, objvel, shape)
-    emitted = {word for phrase in phrases for word in phrase.split()}
-    vocabulary = set(default_grammar().vocabulary)
-    assert emitted <= vocabulary, emitted - vocabulary
+    assert _foreign_words(labels) == set()
 
     assert set(EFFECT_ROWS) == set(EFFECT_VARS)
-    for name, rows in EFFECT_ROWS.items():
+    for rows in EFFECT_ROWS.values():
         assert set(rows) == set(itertools.product(ACTIONS, labels["Shape"]))
-        for row in rows.values():
-            assert len(row) == len(labels[name])
-            assert min(row) >= 0 and math.isclose(sum(row), 1.0, abs_tol=1e-12)
+    assert _bad_effect_rows(labels) == []
 
     for waypoints, durations in TEMPLATES.values():
         assert waypoints.ndim == 2 and waypoints.shape[1] == 3
         assert len(durations) == len(waypoints) - 1
         assert (durations > 0).all()
+
+
+def test_config_validation_rejects_foreign_words(config):
+    """The vocabulary check on the rule constants flags a word the grammar lacks."""
+    labels = {v.name: v.labels for v in config.schema.variables}
+    shape_words = dict(SHAPE_WORDS, sphere=("sphere", "orb"))
+    assert _foreign_words(labels, shape_words) == {"orb"}
+
+
+def test_config_validation_rejects_bad_tables(config):
+    """The distribution check on the effect rows flags a row that does not sum to 1."""
+    labels = {v.name: v.labels for v in config.schema.variables}
+    objvel = dict(EFFECT_ROWS["ObjVel"])
+    objvel["grasp", "sphere"] = (0.5, 0.5, 0.5)
+    rows = dict(EFFECT_ROWS, ObjVel=objvel)
+    assert _bad_effect_rows(labels, rows) == [("ObjVel", ("grasp", "sphere"))]
+    objvel["grasp", "sphere"] = (0.5, 0.5)
+    assert _bad_effect_rows(labels, rows) == [("ObjVel", ("grasp", "sphere"))]
 
 
 @pytest.mark.parametrize(
