@@ -91,8 +91,9 @@ BOOL_LABELS = ("false", "true")
 class WorldSchema:
     """Ordered variable declarations shared by datasets and networks.
 
-    ``names`` and ``arities`` are tuples in schema order, built once at
-    construction because loading and inference read them in every loop.
+    ``names``, ``arities`` and ``word_columns`` (the indices of the word
+    variables) are tuples in schema order, built once at construction
+    because loading, inference and dataset rows read them in every loop.
     """
 
     variables: tuple[Variable, ...]
@@ -104,6 +105,8 @@ class WorldSchema:
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "arities", tuple(v.arity for v in self.variables))
+        words = tuple(i for i, v in enumerate(self.variables) if v.labels == BOOL_LABELS)
+        object.__setattr__(self, "word_columns", words)
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[str, Sequence[str]]]) -> "WorldSchema":
@@ -132,7 +135,7 @@ class WorldSchema:
 
     def word_variables(self) -> tuple[str, ...]:
         """Boolean presence variables, recognized by their false/true labels."""
-        return tuple(v.name for v in self.variables if v.labels == BOOL_LABELS)
+        return tuple(self.names[i] for i in self.word_columns)
 
 
 @dataclass(frozen=True)
@@ -291,9 +294,8 @@ def _family_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Counts indexed (parent values..., node value) and their per-row totals."""
     shape = tuple(arities[p] for p in parents) + (arities[node],)
-    counts = np.zeros(shape)
-    index = tuple(rows[:, p] for p in parents) + (rows[:, node],)
-    np.add.at(counts, index, 1.0)
+    cells = np.ravel_multi_index(tuple(rows[:, p] for p in parents) + (rows[:, node],), shape)
+    counts = np.bincount(cells, minlength=math.prod(shape)).astype(float).reshape(shape)
     return counts, counts.sum(axis=-1, keepdims=True)
 
 

@@ -255,17 +255,20 @@ def load_trajectory(path) -> Trajectory:
         return Trajectory(frames=table[:, 1:].copy(), frame_period=period)
 
 
+def _cells(schema: WorldSchema) -> list[tuple[str, ...]]:
+    """Each variable's ``name=label`` fields, indexed by value."""
+    return [tuple(f"{v.name}={label}" for label in v.labels) for v in schema.variables]
+
+
 def write_dataset(directory, trials: Sequence[Trial], schema: WorldSchema, provenance: str = "") -> None:
     """Write ``trials.txt`` plus one trajectory CSV per trial that has one."""
     directory = Path(directory)
+    cells = _cells(schema)
     records = [f"# {DATASET_MAGIC} {FORMAT_VERSION}"]
     if provenance:
         records.append(f"# provenance: {provenance}")
     for i, trial in enumerate(trials):
-        row = trial.to_row(schema)
-        fields = [f"trial={i:05d}"]
-        for j, var in enumerate(schema.variables):
-            fields.append(f"{var.name}={var.labels[row[j]]}")
+        fields = [f"trial={i:05d}", *map(tuple.__getitem__, cells, trial.to_row(schema).tolist())]
         if trial.trajectory is not None:
             rel = f"traj/{i:05d}.csv"
             save_trajectory(directory / rel, trial.trajectory)
@@ -275,13 +278,27 @@ def write_dataset(directory, trials: Sequence[Trial], schema: WorldSchema, prove
 
 
 def read_dataset(directory, schema: WorldSchema) -> tuple[Dataset, dict[int, str]]:
-    """Rows as value indices plus the trajectory paths keyed by row number."""
-    codes = [{label: k for k, label in enumerate(v.labels)} for v in schema.variables]
+    """Rows as value indices plus the trajectory paths keyed by row number.
+
+    A record written in ``write_dataset``'s field order is decoded from its
+    whole ``name=label`` fields; any other record, fields in another order,
+    repeated or unknown fields included, is parsed field by field, and that
+    parse words every error.
+    """
+    labels = [{label: k for k, label in enumerate(v.labels)} for v in schema.variables]
+    cells = [dict(zip(fields, range(len(fields)))) for fields in _cells(schema)]
     names = schema.names
+    width = len(names)
     rows = []
     traj_paths: dict[int, str] = {}
     provenance = ""
-    with _Lines(Path(directory) / "trials.txt") as lines:
+    path = Path(directory) / "trials.txt"
+    with _Lines(path) as lines:
+        header = lines.fields()
+        if header[:2] != ["#", DATASET_MAGIC] or len(header) != 3:
+            raise lines.error(f"expected a '# {DATASET_MAGIC} {FORMAT_VERSION}' header")
+        if header[2] != str(FORMAT_VERSION):
+            raise lines.error(f"unsupported dataset format version {header[2]}")
         for parts in lines.rest():
             if not parts:
                 continue
@@ -290,24 +307,36 @@ def read_dataset(directory, schema: WorldSchema) -> tuple[Dataset, dict[int, str
                 if found:
                     provenance = text.strip()
                 continue
-            try:
-                record = dict(field.split("=", 1) for field in parts)
-            except ValueError:
-                raise lines.error("fields must look like name=label") from None
-            row = [code.get(record.get(name)) for name, code in zip(names, codes)]
-            if None in row:
-                name = names[row.index(None)]
-                raise lines.error(
-                    f"unknown label {record[name]!r} for variable {name!r}"
-                    if name in record
-                    else f"record is missing variable {name!r}"
-                )
-            if "traj" in record:
-                traj_paths[len(rows)] = os.path.join(str(directory), record["traj"])
+            traj = parts[-1][len("traj=") :] if parts[-1].startswith("traj=") else None
+            fields = parts[1 : len(parts) - (traj is not None)]
+            row = list(map(dict.get, cells, fields))
+            if not parts[0].startswith("trial=") or len(fields) != width or None in row:
+                row, traj = _parse_record(lines, parts, names, labels)
+            if traj is not None:
+                traj_paths[len(rows)] = os.path.join(str(directory), traj)
             rows.append(row)
+    if not rows:
+        raise SerializeError(f"{path}: no trial records")
     dataset = Dataset(rows=np.asarray(rows, dtype=np.int64), provenance=provenance)
     dataset.validate(schema)
     return dataset, traj_paths
+
+
+def _parse_record(lines: _Lines, parts: list[str], names, labels) -> tuple[list[int], str | None]:
+    """One record's value indices and trajectory path, field by field."""
+    try:
+        record = dict(field.split("=", 1) for field in parts)
+    except ValueError:
+        raise lines.error("fields must look like name=label") from None
+    row = [code.get(record.get(name)) for name, code in zip(names, labels)]
+    if None in row:
+        name = names[row.index(None)]
+        raise lines.error(
+            f"unknown label {record[name]!r} for variable {name!r}"
+            if name in record
+            else f"record is missing variable {name!r}"
+        )
+    return row, record.get("traj")
 
 
 def write_table_csv(path, table: JointTable) -> None:

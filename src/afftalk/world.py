@@ -11,8 +11,10 @@ is a pure function of (config, seed).
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -212,14 +214,26 @@ class Trial:
         row = np.zeros(len(schema), dtype=np.int64)
         for name, value in self.assignment.items():
             row[schema.index(name)] = value
-        for word in schema.word_variables():
-            row[schema.index(word)] = _WORD_CODES[word in self.words]
+        names = schema.names
+        row[list(schema.word_columns)] = [
+            _WORD_CODES[names[j] in self.words] for j in schema.word_columns
+        ]
         return row
 
 
+@functools.cache
+def _cdf(weights: tuple[float, ...]) -> list[float]:
+    cdf = np.cumsum(weights)
+    return (cdf / cdf[-1]).tolist()
+
+
 def _choose(rng: np.random.Generator, options: Sequence, weights=None):
-    idx = rng.choice(len(options), p=weights)
-    return options[int(idx)]
+    """The draw ``rng.choice(len(options), p=weights)`` makes, without its
+    per-call set-up: one ``integers`` draw, or one ``random`` draw located
+    in the weights' cached normalised CDF."""
+    if weights is None:
+        return options[int(rng.integers(len(options)))]
+    return options[bisect_right(_cdf(weights), rng.random())]
 
 
 def sample_description(
@@ -293,9 +307,14 @@ def sample_trajectory(
 
 
 def sample_trial(
-    config: WorldConfig, seed: int, with_trajectory: bool = False
+    config: WorldConfig, seed: int, with_trajectory: bool | Collection[str] = False
 ) -> Trial:
-    """One fully specified trial, deterministic for a given seed."""
+    """One fully specified trial, deterministic for a given seed.
+
+    ``with_trajectory`` is True to attach a trajectory, or the actions whose
+    trials get one.  The trajectory is drawn last, so it never changes the
+    rest of the trial.
+    """
     rng = np.random.default_rng(seed)
     schema = config.schema
     assignment: dict[str, int] = {}
@@ -306,11 +325,11 @@ def sample_trial(
     shape = schema.variable("Shape").labels[assignment["Shape"]]
     for name in EFFECT_VARS:
         row = EFFECT_ROWS[name][action, shape]
-        assignment[name] = int(rng.choice(len(row), p=row))
+        assignment[name] = _choose(rng, range(len(row)), row)
     stub = Trial(assignment=assignment, words=frozenset(), sentence=None)
     sentence, words = sample_description(stub, config, rng)
     trajectory = None
-    if with_trajectory:
+    if with_trajectory is True or action in (with_trajectory or ()):
         trajectory = sample_trajectory(action, config, rng=rng)
     return replace(stub, words=words, sentence=sentence, trajectory=trajectory)
 
@@ -321,21 +340,26 @@ def generate_trials(
     seed: int,
     trajectories_per_action: int = 0,
 ) -> list[Trial]:
-    """Trials with seeds ``seed .. seed+n-1``.
+    """Trials with seeds ``seed .. seed+n-1``, one random stream each.
 
     The first ``trajectories_per_action`` trials of each action get a
-    trajectory attached; the draw order makes this choice independent of the
-    sampled values, so the trial content never depends on the cap.
+    trajectory attached.  Trial ``i`` draws everything from
+    ``default_rng(seed + i)`` in one order: the action, the object
+    features, the effects, the description and, last, the trajectory when
+    the drawn action still needs one.  The trial content before the
+    trajectory therefore never depends on the cap.
     """
-    counts = {a: 0 for a in ACTIONS}
+    counts = dict.fromkeys(ACTIONS, 0)
+    open_actions = set(ACTIONS) if trajectories_per_action > 0 else set()
     trials = []
     for i in range(n):
-        probe = sample_trial(config, seed + i, with_trajectory=False)
-        action = probe.label(config.schema, ACTION_VAR)
-        if counts[action] < trajectories_per_action:
+        trial = sample_trial(config, seed + i, with_trajectory=open_actions)
+        if trial.trajectory is not None:
+            action = trial.label(config.schema, ACTION_VAR)
             counts[action] += 1
-            probe = sample_trial(config, seed + i, with_trajectory=True)
-        trials.append(probe)
+            if counts[action] == trajectories_per_action:
+                open_actions.discard(action)
+        trials.append(trial)
     return trials
 
 

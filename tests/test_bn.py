@@ -419,3 +419,21 @@ def test_greedy_structure_respects_layering_on_default_schema():
             assert set(ps) <= roots
         else:
             assert set(ps) <= affordances
+
+
+@pytest.mark.parametrize("n_parents", [0, 1, 3])
+def test_family_counts_equal_scattered_adds(n_parents):
+    """The bincount tables equal an ``np.add.at`` scatter cell for cell."""
+    rng = np.random.default_rng(n_parents)
+    arities = (3, 2, 4, 2, 3)
+    for n_rows in (0, 1, 500):
+        rows = np.stack([rng.integers(a, size=n_rows) for a in arities], axis=1)
+        node, parents = 4, tuple(rng.permutation(4)[:n_parents])
+        counts, totals = bn._family_counts(rows, arities, node, parents)
+        shape = tuple(arities[p] for p in parents) + (arities[node],)
+        expected = np.zeros(shape)
+        np.add.at(expected, tuple(rows[:, p] for p in parents) + (rows[:, node],), 1.0)
+        assert counts.dtype == expected.dtype and counts.shape == shape
+        assert np.array_equal(counts, expected)
+        assert np.array_equal(totals, expected.sum(axis=-1, keepdims=True))
+        assert totals.sum() == n_rows

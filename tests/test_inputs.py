@@ -59,6 +59,8 @@ def inputs(tmp_path_factory, trained_net, trained_bank, world_config):
     save_bayesnet(root / "bn.txt", trained_net)
     save_gesture_bank(root / "hmm.txt", trained_bank)
     save_trajectory(root / "traj.csv", sample_trajectory("tap", world_config, seed=3))
+    trials = generate_trials(world_config, 20, seed=1)
+    write_dataset(root / "ds", trials, world_config.schema, provenance="inputs")
     (root / "bad").mkdir()
     return root
 
@@ -74,11 +76,14 @@ def _argv(kind: str, root: Path, path: Path) -> list:
         return ["infer", "--bn", bn, "--bank", bank, "--traj", path, "--infer", "ObjVel"]
     if kind == "config":
         return ["--config", path, "infer", "--bn", bn, "--infer", "Action"]
+    if kind == "dataset":
+        return ["train-bn", "--dataset", path.parent, "--out", root / "bad" / "trained.txt"]
     raise AssertionError(kind)
 
 
 def _source(kind: str, root: Path) -> Path:
-    return root / {"bn": "bn.txt", "bank": "hmm.txt", "traj": "traj.csv"}[kind]
+    names = {"bn": "bn.txt", "bank": "hmm.txt", "traj": "traj.csv", "dataset": "ds/trials.txt"}
+    return root / names[kind]
 
 
 def _first(lines, prefix):
@@ -134,8 +139,24 @@ def _no_coordinates(lines):
     return 0
 
 
+def _dataset_version_9(lines):
+    lines[0] = "# afftalk-dataset 9"
+    return 0
+
+
+def _dataset_without_header(lines):
+    del lines[0]
+    return 0
+
+
+def _dataset_without_records(lines):
+    del lines[2:]
+    return None
+
+
 # (id, input kind, edit of the valid file's lines returning the 0-based
-# index of the line an error must name)
+# index of the line an error must name, or None for an error about the
+# whole file)
 FILE_CASES = [
     ("non-numeric CPT cell", "bn", _cpt_cell),
     ("blank line after the bayesnet header", "bn", _blank_after_header),
@@ -146,6 +167,9 @@ FILE_CASES = [
     ("model with zero dimensions", "bank", _model_without_dimensions),
     ("time column standing still", "traj", _time_standing_still),
     ("trajectory without coordinates", "traj", _no_coordinates),
+    ("dataset format version 9", "dataset", _dataset_version_9),
+    ("dataset without a header", "dataset", _dataset_without_header),
+    ("dataset without trial records", "dataset", _dataset_without_records),
 ]
 
 
@@ -157,7 +181,8 @@ def test_malformed_file_exits_4_naming_path_and_line(inputs, kind, edit):
     path.write_text("\n".join(lines) + "\n")
     code, err = _exit_code(_argv(kind, inputs, path))
     assert code == 4, err
-    assert f"error[SerializeError]: {path}:{index + 1}: " in err
+    where = path if index is None else f"{path}:{index + 1}"
+    assert f"error[SerializeError]: {where}: " in err
 
 
 # (id, config file text or None, extra flags)
@@ -253,10 +278,57 @@ def test_dataset_errors_name_the_line_and_variable(tmp_path):
         (re.sub(r"Shape=\w+", "Shape=cone", lines[1]), "unknown label 'cone' for variable 'Shape'"),
         (re.sub(r" Shape=\w+", "", lines[1]), "record is missing variable 'Shape'"),
         (lines[1] + " junk", "fields must look like name=label"),
+        ("junk" + lines[1][lines[1].index(" ") :], "fields must look like name=label"),
     ]:
         path.write_text("\n".join([lines[0], broken, *lines[2:]]) + "\n")
         with pytest.raises(SerializeError, match=re.escape(f"{path}:2: {message}")):
             read_dataset(tmp_path, schema)
+
+
+def test_dataset_header_and_empty_dataset_errors(tmp_path):
+    schema = default_config().schema
+    write_dataset(tmp_path, generate_trials(default_config(), 3, seed=1), schema)
+    path = tmp_path / "trials.txt"
+    lines = path.read_text().splitlines()
+    for text, message in [
+        (["# afftalk-dataset 9", *lines[1:]], ":1: unsupported dataset format version 9"),
+        (lines[1:], ":1: expected a '# afftalk-dataset 1' header"),
+        (["# afftalk-dataset", *lines[1:]], ":1: expected a '# afftalk-dataset 1' header"),
+        ([], ":1: truncated file"),
+        (lines[:1], ": no trial records"),
+        ([lines[0], "# provenance: x", ""], ": no trial records"),
+    ]:
+        path.write_text("".join(line + "\n" for line in text))
+        with pytest.raises(SerializeError, match=re.escape(f"{path}{message}")):
+            read_dataset(tmp_path, schema)
+
+
+def test_dataset_records_read_the_same_in_any_field_layout(tmp_path):
+    """Records that leave ``write_dataset``'s field order read like the original."""
+    config = default_config()
+    trials = generate_trials(config, 12, seed=3, trajectories_per_action=2)
+    write_dataset(tmp_path, trials, config.schema, provenance="layouts")
+    data, traj_paths = read_dataset(tmp_path, config.schema)
+    assert len(traj_paths) == 6
+    path = tmp_path / "trials.txt"
+    lines = path.read_text().splitlines()
+    rng = np.random.default_rng(0)
+    layouts = {
+        "shuffled": lambda f: [f[i] for i in rng.permutation(len(f))],
+        "unknown field last": lambda f: f + ["Mood=calm"],
+        "unknown field second": lambda f: f[:1] + ["Mood=calm"] + f[1:],
+        "repeated field": lambda f: f[:3] + f[2:],
+        "trial field last": lambda f: f[1:] + f[:1],
+        "no trial field": lambda f: f[1:],
+        "traj field first": lambda f: f[-1:] + f[:-1] if f[-1].startswith("traj=") else f,
+    }
+    for name, layout in layouts.items():
+        records = [" ".join(layout(line.split())) for line in lines[2:]]
+        path.write_text("\n".join(lines[:2] + records) + "\n")
+        moved, moved_paths = read_dataset(tmp_path, config.schema)
+        assert np.array_equal(moved.rows, data.rows), name
+        assert moved_paths == traj_paths, name
+        assert moved.provenance == "layouts", name
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from afftalk.bn import build_network, fit_parameters
 from afftalk.cli import main
 from afftalk.grammar import default_grammar, derivable
 from afftalk.schema import ACTIONS, EFFECT_VARS
+from afftalk import world
 from afftalk.world import (
     AGENT_WEIGHTS,
     AGENTS,
@@ -200,6 +201,48 @@ def test_generate_trials_caps_trajectories_per_action(config):
     assert [t.sentence.words for t in plain] == [t.sentence.words for t in trials]
 
 
+def test_generate_trials_builds_one_generator_per_trial(config, monkeypatch):
+    """Each trial draws from one stream: no probe trial is sampled first."""
+    expected = generate_trials(config, 40, seed=5, trajectories_per_action=4)
+    built = []
+
+    def counting_rng(seed=None):
+        built.append(seed)
+        return np.random.Generator(np.random.PCG64(seed))
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    trials = generate_trials(config, 40, seed=5, trajectories_per_action=4)
+    assert built == list(range(5, 45))
+    assert sum(t.trajectory is not None for t in trials) == 12
+    for a, b in zip(trials, expected):
+        assert a.assignment == b.assignment and a.sentence == b.sentence
+        assert (a.trajectory is None) == (b.trajectory is None)
+        if a.trajectory is not None:
+            assert np.array_equal(a.trajectory.frames, b.trajectory.frames)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [AGENT_WEIGHTS] + sorted({row for rows in EFFECT_ROWS.values() for row in rows.values()}),
+)
+def test_weighted_draws_equal_generator_choice(weights):
+    """The cached-CDF draw consumes the stream exactly as ``Generator.choice``."""
+    options = range(len(weights))
+    for seed in range(1000):
+        ours, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert world._choose(ours, options, weights) == numpy.choice(len(weights), p=weights)
+        assert ours.random() == numpy.random()
+
+
+def test_uniform_draws_equal_generator_choice():
+    for seed in range(1000):
+        ours, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in (2, 3, 4, 6):
+            assert world._choose(ours, range(n)) == numpy.choice(n)
+        assert ours.random() == numpy.random()
+
+
 def test_fitted_net_recovers_generator_tables(config, many_trials):
     """Fitting with the generating structure reproduces the config rows."""
     schema = config.schema
@@ -342,3 +385,24 @@ def test_simulate_output_bytes_are_pinned(tmp_path):
     assert written == sorted(SIMULATE_DIGESTS)
     for name, digest in SIMULATE_DIGESTS.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+# SHA-256 of ``train-bn`` and ``train-hmm --seed 7`` on that dataset
+TRAIN_DIGESTS = {
+    "bn.txt": "1589ef4c6bc12c05aa1449744bcaa6133a43e400c95a888335563f4ccdb391f1",
+    "hmm.txt": "f1de2a93471c5761d7ea1a325d1b3da3defe58a573aee6227f2d910038dea4a5",
+}
+
+
+def test_trained_model_bytes_are_pinned(tmp_path):
+    """Dataset reading, the structure search and EM produce these exact bytes."""
+    data = tmp_path / "ds"
+    argv = ["simulate", "--out", str(data), "--trials", "300"]
+    assert main(argv + ["--trajectories-per-action", "2", "--seed", "1234"]) == 0
+    bn_path, hmm_path = tmp_path / "bn.txt", tmp_path / "hmm.txt"
+    assert main(["train-bn", "--dataset", str(data), "--out", str(bn_path)]) == 0
+    argv = ["train-hmm", "--dataset", str(data), "--out", str(hmm_path), "--seed", "7"]
+    assert main(argv) == 0
+    for path in (bn_path, hmm_path):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == TRAIN_DIGESTS[path.name], path.name
