@@ -379,12 +379,17 @@ def forward_loglik(model: HmmModel, traj: Trajectory) -> float:
 
 def action_posterior(bank: GestureBank, traj: Trajectory) -> SoftActionEvidence:
     """Posterior over actions from normalized likelihoods (uniform prior)."""
-    logliks = _prefix_logliks(bank.models, traj)[-1]
-    peak = logliks.max()
-    if peak == -np.inf:
-        raise HmmError("trajectory has zero likelihood under every model")
-    weights = np.exp(logliks - peak)
-    return SoftActionEvidence(weights=weights / weights.sum(), actions=bank.actions)
+    weights = _normalise(_prefix_logliks(bank.models, traj)[-1])
+    return SoftActionEvidence(weights=weights, actions=bank.actions)
+
+
+def _normalise(log_liks: np.ndarray) -> np.ndarray:
+    """Likelihoods scaled to sum to one along the last axis (uniform prior)."""
+    peak = log_liks.max(axis=-1, keepdims=True)
+    if (peak == -np.inf).any():
+        raise HmmError("the trajectory or a prefix of it has zero likelihood under every model")
+    weights = np.exp(log_liks - peak)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -415,12 +420,9 @@ def prefix_curve(bank: GestureBank, traj: Trajectory) -> PrefixCurve:
     """Length-normalized prefix log-likelihoods plus per-prefix posteriors."""
     log_liks = _prefix_logliks(bank.models, traj)
     t = np.arange(1, len(traj) + 1)[:, None].astype(np.float64)
-    scores = log_liks / t
-    peak = log_liks.max(axis=1, keepdims=True)
-    if (peak == -np.inf).any():
-        raise HmmError("some prefix has zero likelihood under every model")
-    weights = np.exp(log_liks - peak)
-    posteriors = weights / weights.sum(axis=1, keepdims=True)
     return PrefixCurve(
-        actions=bank.actions, log_liks=log_liks, scores=scores, posteriors=posteriors
+        actions=bank.actions,
+        log_liks=log_liks,
+        scores=log_liks / t,
+        posteriors=_normalise(log_liks),
     )

@@ -1,11 +1,12 @@
 """Versioned text formats for models, datasets, trajectories and results.
 
-Models are stored as line-oriented documents with a magic header and 17
-significant digits per float, which round-trips IEEE doubles exactly.
-Datasets use one record per line with ``name=label`` fields so they stay
-greppable; trajectories are small CSV files with a ``t,x,y,z`` header.
-Results are CSV files with labeled header columns.  Every reader reports a
-malformed file as a ``SerializeError`` that names ``path:line``.
+Models and datasets are line-oriented documents that open with one
+``afftalk-model <version> <kind>`` header.  Models print 17 significant
+digits per float, which round-trips IEEE doubles exactly.  A dataset names
+its columns once and then holds one row of labels per trial; trajectories
+are small CSV files with a ``t,x,y,z`` header.  Results are CSV files with
+labeled header columns.  Every reader reports a malformed file as a
+``SerializeError`` that names ``path:line``.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from .grammar import NBestList
 from .hmm import GestureBank, HmmModel, PrefixCurve, Trajectory
 from .world import Trial
 
-MODEL_MAGIC = "afftalk-model"
-DATASET_MAGIC = "afftalk-dataset"
-FORMAT_VERSION = 1
+MAGIC = "afftalk-model"
+FORMAT_VERSION = 2
 
 __all__ = [
     "SerializeError",
@@ -130,16 +130,20 @@ def _write_csv(path, header: list[str], rows) -> None:
     _write_text(path, text.getvalue())
 
 
+def _header(kind: str) -> str:
+    return f"{MAGIC} {FORMAT_VERSION} {kind}"
+
+
 def _check_header(lines: _Lines, kind: str) -> None:
     parts = lines.fields()
-    if len(parts) != 3 or parts[0] != MODEL_MAGIC or parts[2] != kind:
-        raise lines.error(f"expected '{MODEL_MAGIC} <version> {kind}' header")
+    if len(parts) != 3 or parts[0] != MAGIC or parts[2] != kind:
+        raise lines.error(f"expected '{MAGIC} <version> {kind}' header")
     if parts[1] != str(FORMAT_VERSION):
         raise lines.error(f"unsupported format version {parts[1]}")
 
 
 def save_bayesnet(path, net: BayesNet) -> None:
-    lines = [f"{MODEL_MAGIC} {FORMAT_VERSION} bayesnet"]
+    lines = [_header("bayesnet")]
     lines.append(f"variables {len(net.schema)}")
     for var in net.schema.variables:
         lines.append("var " + " ".join((var.name,) + var.labels))
@@ -180,13 +184,12 @@ def load_bayesnet(path) -> BayesNet:
 
 
 def save_gesture_bank(path, bank: GestureBank) -> None:
-    lines = [f"{MODEL_MAGIC} {FORMAT_VERSION} gesturebank"]
+    lines = [_header("gesturebank")]
     lines.append(f"models {len(bank.models)}")
     for m in bank.models:
         lines.append(f"model {m.action_label} {m.n_states} {m.n_mixtures} {m.dim}")
-        trans = np.exp(m.log_trans)
         for q in range(m.n_states):
-            lines.append(f"trans {q} " + " ".join(_fmt(v) for v in trans[q]))
+            lines.append(f"logtrans {q} " + " ".join(_fmt(v) for v in m.log_trans[q]))
         for q in range(m.n_states):
             lines.append(f"mix {q} " + " ".join(_fmt(v) for v in m.weights[q]))
             for c in range(m.n_mixtures):
@@ -203,8 +206,8 @@ def load_gesture_bank(path) -> GestureBank:
         for _ in range(lines.size(lines.fields("models", count=2)[1])):
             _, label, *dims = lines.fields("model", count=5)
             n_states, n_mix, dim = map(lines.size, dims)
-            trans = np.array(
-                [lines.floats("trans", str(q), count=n_states) for q in range(n_states)]
+            log_trans = np.array(
+                [lines.floats("logtrans", str(q), count=n_states) for q in range(n_states)]
             )
             weights = np.zeros((n_states, n_mix))
             means = np.zeros((n_states, n_mix, dim))
@@ -214,8 +217,6 @@ def load_gesture_bank(path) -> GestureBank:
                 for c in range(n_mix):
                     means[q, c] = lines.floats("mean", str(q), str(c), count=dim)
                     variances[q, c] = lines.floats("var", str(q), str(c), count=dim)
-            with np.errstate(divide="ignore"):
-                log_trans = np.log(trans)
             models.append(
                 HmmModel(
                     action_label=label,
@@ -255,88 +256,76 @@ def load_trajectory(path) -> Trajectory:
         return Trajectory(frames=table[:, 1:].copy(), frame_period=period)
 
 
-def _cells(schema: WorldSchema) -> list[tuple[str, ...]]:
-    """Each variable's ``name=label`` fields, indexed by value."""
-    return [tuple(f"{v.name}={label}" for label in v.labels) for v in schema.variables]
+def _columns(schema: WorldSchema) -> list[str]:
+    """A dataset's columns: every variable in schema order, then ``traj``."""
+    return [*schema.names, "traj"]
 
 
 def write_dataset(directory, trials: Sequence[Trial], schema: WorldSchema, provenance: str = "") -> None:
-    """Write ``trials.txt`` plus one trajectory CSV per trial that has one."""
+    """Write ``trials.txt`` plus one trajectory CSV per trial that has one.
+
+    The file is the header, a ``provenance`` line, the column line, then one
+    row per trial: its labels in column order and its trajectory path or ``-``.
+    """
     directory = Path(directory)
-    cells = _cells(schema)
-    records = [f"# {DATASET_MAGIC} {FORMAT_VERSION}"]
-    if provenance:
-        records.append(f"# provenance: {provenance}")
+    labels = [v.labels for v in schema.variables]
+    records = [_header("dataset"), f"provenance {provenance}", " ".join(_columns(schema))]
     for i, trial in enumerate(trials):
-        fields = [f"trial={i:05d}", *map(tuple.__getitem__, cells, trial.to_row(schema).tolist())]
+        traj = "-"
         if trial.trajectory is not None:
-            rel = f"traj/{i:05d}.csv"
-            save_trajectory(directory / rel, trial.trajectory)
-            fields.append(f"traj={rel}")
-        records.append(" ".join(fields))
+            traj = f"traj/{i:05d}.csv"
+            save_trajectory(directory / traj, trial.trajectory)
+        row = map(tuple.__getitem__, labels, trial.to_row(schema).tolist())
+        records.append(" ".join([*row, traj]))
     _write_lines(directory / "trials.txt", records)
 
 
 def read_dataset(directory, schema: WorldSchema) -> tuple[Dataset, dict[int, str]]:
-    """Rows as value indices plus the trajectory paths keyed by row number.
-
-    A record written in ``write_dataset``'s field order is decoded from its
-    whole ``name=label`` fields; any other record, fields in another order,
-    repeated or unknown fields included, is parsed field by field, and that
-    parse words every error.
-    """
-    labels = [{label: k for k, label in enumerate(v.labels)} for v in schema.variables]
-    cells = [dict(zip(fields, range(len(fields)))) for fields in _cells(schema)]
-    names = schema.names
-    width = len(names)
+    """Rows as value indices plus the trajectory paths keyed by row number."""
+    codes = [{label: k for k, label in enumerate(v.labels)} for v in schema.variables]
+    columns = _columns(schema)
     rows = []
     traj_paths: dict[int, str] = {}
-    provenance = ""
     path = Path(directory) / "trials.txt"
     with _Lines(path) as lines:
+        _check_header(lines, "dataset")
+        lines.fields("provenance")
+        provenance = lines.lines[1][len("provenance ") :]
         header = lines.fields()
-        if header[:2] != ["#", DATASET_MAGIC] or len(header) != 3:
-            raise lines.error(f"expected a '# {DATASET_MAGIC} {FORMAT_VERSION}' header")
-        if header[2] != str(FORMAT_VERSION):
-            raise lines.error(f"unsupported dataset format version {header[2]}")
+        if header != columns:
+            raise lines.error(_column_error(header, columns))
         for parts in lines.rest():
-            if not parts:
-                continue
-            if parts[0].startswith("#"):
-                _, found, text = lines.lines[lines.lineno - 1].partition("provenance:")
-                if found:
-                    provenance = text.strip()
-                continue
-            traj = parts[-1][len("traj=") :] if parts[-1].startswith("traj=") else None
-            fields = parts[1 : len(parts) - (traj is not None)]
-            row = list(map(dict.get, cells, fields))
-            if not parts[0].startswith("trial=") or len(fields) != width or None in row:
-                row, traj = _parse_record(lines, parts, names, labels)
-            if traj is not None:
-                traj_paths[len(rows)] = os.path.join(str(directory), traj)
+            row = list(map(dict.get, codes, parts))
+            if len(parts) != len(columns) or None in row:
+                raise lines.error(_row_error(parts, row, columns))
+            if parts[-1] != "-":
+                traj_paths[len(rows)] = os.path.join(str(directory), parts[-1])
             rows.append(row)
     if not rows:
         raise SerializeError(f"{path}: no trial records")
-    dataset = Dataset(rows=np.asarray(rows, dtype=np.int64), provenance=provenance)
-    dataset.validate(schema)
-    return dataset, traj_paths
+    return Dataset(rows=np.asarray(rows, dtype=np.int64), provenance=provenance), traj_paths
 
 
-def _parse_record(lines: _Lines, parts: list[str], names, labels) -> tuple[list[int], str | None]:
-    """One record's value indices and trajectory path, field by field."""
-    try:
-        record = dict(field.split("=", 1) for field in parts)
-    except ValueError:
-        raise lines.error("fields must look like name=label") from None
-    row = [code.get(record.get(name)) for name, code in zip(names, labels)]
-    if None in row:
-        name = names[row.index(None)]
-        raise lines.error(
-            f"unknown label {record[name]!r} for variable {name!r}"
-            if name in record
-            else f"record is missing variable {name!r}"
-        )
-    return row, record.get("traj")
+def _column_error(header: list[str], columns: list[str]) -> str:
+    """Where a dataset's column line first leaves the schema's columns."""
+    pairs = enumerate(zip(header, columns))
+    i = next((i for i, (found, want) in pairs if found != want), min(len(header), len(columns)))
+    if i == len(header):
+        return f"expected column {columns[i]!r}, found end of line"
+    if i == len(columns):
+        return f"unexpected column {header[i]!r} after {columns[-1]!r}"
+    return f"expected column {columns[i]!r}, found {header[i]!r}"
+
+
+def _row_error(parts: list[str], row: list, columns: list[str]) -> str:
+    """Why a dataset row does not decode: its width or its first unknown label."""
+    n, found = len(columns), len(parts)
+    if found < n:
+        return f"row ends before column {columns[found]!r}: expected {n} fields, found {found}"
+    if found > n:
+        return f"row runs past the last column {columns[-1]!r}: expected {n} fields, found {found}"
+    i = row.index(None)
+    return f"unknown label {parts[i]!r} for variable {columns[i]!r}"
 
 
 def write_table_csv(path, table: JointTable) -> None:

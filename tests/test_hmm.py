@@ -231,11 +231,12 @@ def test_action_posterior_examples():
 
 
 def test_posterior_invariant_to_constant_loglik_shift():
-    lls = np.array([-3.0, -5.0, -1.0])
-    for shift in (0.0, 100.0, -250.0):
-        w = np.exp((lls + shift) - (lls + shift).max())
-        base = np.exp(lls - lls.max())
-        assert np.allclose(w / w.sum(), base / base.sum(), atol=1e-12)
+    """Shifts far past exp's range too: the peak is taken out first."""
+    lls = np.array([[-3.0, -5.0, -1.0], [-2.0, -2.0, -2.0]])
+    base = np.exp(lls) / np.exp(lls).sum(axis=1, keepdims=True)
+    for shift in (0.0, 100.0, -250.0, 1000.0, -2000.0):
+        assert np.allclose(hmm._normalise(lls + shift), base, atol=1e-12)
+        assert np.allclose(hmm._normalise(lls[0] + shift), base[0], atol=1e-12)
 
 
 def test_bank_scoring_pads_models_with_fewer_states_exactly():
@@ -281,6 +282,7 @@ def test_prefix_curve_matches_full_forward_and_validates_t():
         )
     scores, posterior = curve.at(14)
     assert posterior.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(action_posterior(bank, t).weights, posterior)
     with pytest.raises(HmmError):
         curve.at(0)
     with pytest.raises(HmmError):

@@ -68,7 +68,7 @@ def inputs(tmp_path_factory, trained_net, trained_bank, world_config):
 def _argv(kind: str, root: Path, path: Path) -> list:
     """A command that reads ``path`` as its input of the given kind."""
     bn, bank, traj = root / "bn.txt", root / "hmm.txt", root / "traj.csv"
-    if kind == "bn":
+    if kind in ("bn", "bank as bn"):
         return ["infer", "--bn", path, "--infer", "Action"]
     if kind == "bank":
         return ["infer", "--bn", bn, "--bank", path, "--traj", traj, "--infer", "ObjVel"]
@@ -82,7 +82,13 @@ def _argv(kind: str, root: Path, path: Path) -> list:
 
 
 def _source(kind: str, root: Path) -> Path:
-    names = {"bn": "bn.txt", "bank": "hmm.txt", "traj": "traj.csv", "dataset": "ds/trials.txt"}
+    names = {
+        "bn": "bn.txt",
+        "bank": "hmm.txt",
+        "bank as bn": "hmm.txt",
+        "traj": "traj.csv",
+        "dataset": "ds/trials.txt",
+    }
     return root / names[kind]
 
 
@@ -140,7 +146,7 @@ def _no_coordinates(lines):
 
 
 def _dataset_version_9(lines):
-    lines[0] = "# afftalk-dataset 9"
+    lines[0] = "afftalk-model 9 dataset"
     return 0
 
 
@@ -150,8 +156,56 @@ def _dataset_without_header(lines):
 
 
 def _dataset_without_records(lines):
-    del lines[2:]
+    del lines[3:]
     return None
+
+
+def _dataset_version_1(lines):
+    """The same trials in the version-1 layout of ``name=label`` fields."""
+    names = lines[2].split()[:-1]
+    records = []
+    for i, row in enumerate(lines[3:]):
+        *labels, traj = row.split()
+        fields = [f"trial={i:05d}", *map("{}={}".format, names, labels)]
+        records.append(" ".join(fields + ([] if traj == "-" else [f"traj={traj}"])))
+    lines[:] = ["# afftalk-dataset 1", "# provenance: inputs", *records]
+    return 0
+
+
+def _model_version_1(lines):
+    """A network in version 1, whose body is the same as version 2's."""
+    lines[0] = lines[0].replace(" 2 ", " 1 ")
+    return 0
+
+
+def _bank_version_1(lines):
+    """A bank in version 1, which stored transition probabilities."""
+    for i, line in enumerate(lines):
+        if line.startswith("logtrans "):
+            _, q, *values = line.split()
+            probabilities = (format(math.exp(float(v)), ".17g") for v in values)
+            lines[i] = f"trans {q} " + " ".join(probabilities)
+    return _model_version_1(lines)
+
+
+def _columns_swapped(lines):
+    lines[2] = lines[2].replace("Color Size", "Size Color")
+    assert lines[2].split()[1] == "Size"
+    return 2
+
+
+def _row_without_traj_field(lines):
+    lines[3] = lines[3].rsplit(" ", 1)[0]
+    return 3
+
+
+def _unknown_label(lines):
+    lines[3] = "kick " + lines[3].split(" ", 1)[1]
+    return 3
+
+
+def _unchanged(lines):
+    return 0
 
 
 # (id, input kind, edit of the valid file's lines returning the 0-based
@@ -170,6 +224,13 @@ FILE_CASES = [
     ("dataset format version 9", "dataset", _dataset_version_9),
     ("dataset without a header", "dataset", _dataset_without_header),
     ("dataset without trial records", "dataset", _dataset_without_records),
+    ("version 1 dataset", "dataset", _dataset_version_1),
+    ("version 1 bn.txt", "bn", _model_version_1),
+    ("version 1 hmm.txt", "bank", _bank_version_1),
+    ("dataset columns that differ from the schema", "dataset", _columns_swapped),
+    ("ragged dataset row", "dataset", _row_without_traj_field),
+    ("unknown label in a dataset row", "dataset", _unknown_label),
+    ("bank file passed as --bn", "bank as bn", _unchanged),
 ]
 
 
@@ -274,14 +335,22 @@ def test_dataset_errors_name_the_line_and_variable(tmp_path):
     write_dataset(tmp_path, generate_trials(default_config(), 3, seed=1), schema)
     path = tmp_path / "trials.txt"
     lines = path.read_text().splitlines()
-    for broken, message in [
-        (re.sub(r"Shape=\w+", "Shape=cone", lines[1]), "unknown label 'cone' for variable 'Shape'"),
-        (re.sub(r" Shape=\w+", "", lines[1]), "record is missing variable 'Shape'"),
-        (lines[1] + " junk", "fields must look like name=label"),
-        ("junk" + lines[1][lines[1].index(" ") :], "fields must look like name=label"),
+    columns, row = lines[2].split(), lines[3].split()
+    assert columns[3] == "Shape"
+    for lineno, broken, message in [
+        (4, [*row[:3], "cone", *row[4:]], "unknown label 'cone' for variable 'Shape'"),
+        (4, row[:-1], "row ends before column 'traj': expected 58 fields, found 57"),
+        (4, row[:3] + row[4:], "row ends before column 'traj': expected 58 fields, found 57"),
+        (4, [], "row ends before column 'Action': expected 58 fields, found 0"),
+        (4, [*row, "junk"], "row runs past the last column 'traj': expected 58 fields, found 59"),
+        (3, [*columns[:3], "Form", *columns[4:]], "expected column 'Shape', found 'Form'"),
+        (3, columns[:-1], "expected column 'traj', found end of line"),
+        (3, [*columns, "Mood"], "unexpected column 'Mood' after 'traj'"),
     ]:
-        path.write_text("\n".join([lines[0], broken, *lines[2:]]) + "\n")
-        with pytest.raises(SerializeError, match=re.escape(f"{path}:2: {message}")):
+        text = list(lines)
+        text[lineno - 1] = " ".join(broken)
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(SerializeError, match=re.escape(f"{path}:{lineno}: {message}")):
             read_dataset(tmp_path, schema)
 
 
@@ -290,45 +359,21 @@ def test_dataset_header_and_empty_dataset_errors(tmp_path):
     write_dataset(tmp_path, generate_trials(default_config(), 3, seed=1), schema)
     path = tmp_path / "trials.txt"
     lines = path.read_text().splitlines()
+    header = ":1: expected 'afftalk-model <version> dataset' header"
     for text, message in [
-        (["# afftalk-dataset 9", *lines[1:]], ":1: unsupported dataset format version 9"),
-        (lines[1:], ":1: expected a '# afftalk-dataset 1' header"),
-        (["# afftalk-dataset", *lines[1:]], ":1: expected a '# afftalk-dataset 1' header"),
+        (["afftalk-model 9 dataset", *lines[1:]], ":1: unsupported format version 9"),
+        (["# afftalk-dataset 1", *lines[1:]], header),
+        (["afftalk-model 2 bayesnet", *lines[1:]], header),
+        (lines[1:], header),
         ([], ":1: truncated file"),
-        (lines[:1], ": no trial records"),
-        ([lines[0], "# provenance: x", ""], ": no trial records"),
+        (lines[:1], ":2: truncated file"),
+        ([lines[0], "origin x", *lines[2:]], ":2: expected a line starting 'provenance'"),
+        (lines[:2], ":3: truncated file"),
+        (lines[:3], ": no trial records"),
     ]:
         path.write_text("".join(line + "\n" for line in text))
         with pytest.raises(SerializeError, match=re.escape(f"{path}{message}")):
             read_dataset(tmp_path, schema)
-
-
-def test_dataset_records_read_the_same_in_any_field_layout(tmp_path):
-    """Records that leave ``write_dataset``'s field order read like the original."""
-    config = default_config()
-    trials = generate_trials(config, 12, seed=3, trajectories_per_action=2)
-    write_dataset(tmp_path, trials, config.schema, provenance="layouts")
-    data, traj_paths = read_dataset(tmp_path, config.schema)
-    assert len(traj_paths) == 6
-    path = tmp_path / "trials.txt"
-    lines = path.read_text().splitlines()
-    rng = np.random.default_rng(0)
-    layouts = {
-        "shuffled": lambda f: [f[i] for i in rng.permutation(len(f))],
-        "unknown field last": lambda f: f + ["Mood=calm"],
-        "unknown field second": lambda f: f[:1] + ["Mood=calm"] + f[1:],
-        "repeated field": lambda f: f[:3] + f[2:],
-        "trial field last": lambda f: f[1:] + f[:1],
-        "no trial field": lambda f: f[1:],
-        "traj field first": lambda f: f[-1:] + f[:-1] if f[-1].startswith("traj=") else f,
-    }
-    for name, layout in layouts.items():
-        records = [" ".join(layout(line.split())) for line in lines[2:]]
-        path.write_text("\n".join(lines[:2] + records) + "\n")
-        moved, moved_paths = read_dataset(tmp_path, config.schema)
-        assert np.array_equal(moved.rows, data.rows), name
-        assert moved_paths == traj_paths, name
-        assert moved.provenance == "layouts", name
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +429,6 @@ def test_bayesnet_round_trip_property(tmp_path, net):
     dim=st.integers(1, 3),
 )
 def test_gesture_bank_round_trip_property(tmp_path, seed, n_models, n_states, n_mix, dim):
-    """Exact, except that transitions are stored as probabilities and their
-    logs are taken again on loading, which can move them by an ulp."""
     rng = np.random.default_rng(seed)
     bank = GestureBank(
         tuple(
@@ -397,7 +440,7 @@ def test_gesture_bank_round_trip_property(tmp_path, seed, n_models, n_states, n_
     loaded = load_gesture_bank(tmp_path / "bank.txt")
     assert loaded.actions == bank.actions
     for a, b in zip(loaded.models, bank.models):
-        np.testing.assert_array_max_ulp(np.exp(a.log_trans), np.exp(b.log_trans), maxulp=2)
+        assert np.array_equal(a.log_trans, b.log_trans)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.variances, b.variances)
@@ -459,13 +502,15 @@ def _is_number(token: str) -> bool:
 
 
 @st.composite
-def corruptions(draw, lines: list[str], sep: str | None, last_drop: int):
+def corruptions(draw, lines: list[str], sep: str | None, last_drop: int, free: int = -1):
     """One corruption of a line-oriented file that leaves it malformed.
 
     A line up to index ``last_drop`` is dropped, a line is blanked, a field
     is removed, or a number is replaced by a word.  Dropping a trajectory's
     data row leaves a valid shorter trajectory, so a trajectory only drops
-    its header.
+    its header, and a dataset only one of its three header lines.  Line
+    ``free`` holds free text after its first field (a dataset's provenance),
+    so only that first field is removed from it.
     """
     lines = list(lines)
     joiner = " " if sep is None else sep
@@ -477,7 +522,7 @@ def corruptions(draw, lines: list[str], sep: str | None, last_drop: int):
     elif op == "remove field":
         i = draw(st.integers(0, len(lines) - 1))
         parts = lines[i].split(sep)
-        del parts[draw(st.integers(0, len(parts) - 1))]
+        del parts[draw(st.integers(0, 0 if i == free else len(parts) - 1))]
         lines[i] = joiner.join(parts)
     else:
         numeric = [i for i, line in enumerate(lines) if any(map(_is_number, line.split(sep)))]
@@ -489,15 +534,18 @@ def corruptions(draw, lines: list[str], sep: str | None, last_drop: int):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("kind", ["bn", "bank", "traj"])
+@pytest.mark.parametrize("kind", ["bn", "bank", "traj", "dataset"])
 @PROPERTY
 @given(data=st.data())
 def test_corrupted_file_never_exits_0_or_1(inputs, kind, data):
     source = _source(kind, inputs)
     lines = source.read_text().splitlines()
     sep = "," if kind == "traj" else None
-    text = data.draw(corruptions(lines, sep, 0 if kind == "traj" else len(lines) - 1))
-    path = inputs / "bad" / f"corrupt-{source.name}"
+    last_drop = {"traj": 0, "dataset": 2}.get(kind, len(lines) - 1)
+    free = 1 if kind == "dataset" else -1
+    text = data.draw(corruptions(lines, sep, last_drop, free))
+    path = inputs / "bad" / kind / source.name
+    path.parent.mkdir(exist_ok=True)
     path.write_text(text)
     code, err = _exit_code(_argv(kind, inputs, path))
     assert code in (3, 4, 5), err

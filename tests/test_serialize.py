@@ -77,7 +77,7 @@ def test_gesture_bank_round_trip_is_exact(tmp_path):
     loaded = load_gesture_bank(path)
     assert loaded.actions == bank.actions
     for a, b in zip(loaded.models, bank.models):
-        assert np.array_equal(np.exp(a.log_trans), np.exp(b.log_trans))
+        assert np.array_equal(a.log_trans, b.log_trans)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.variances, b.variances)
@@ -106,9 +106,12 @@ def test_dataset_round_trip(tmp_path):
     for row, path in traj_paths.items():
         loaded = load_trajectory(path)
         assert np.array_equal(loaded.frames, trials[row].trajectory.frames)
-    # the records store labels, not indices
-    text = (tmp_path / "ds" / "trials.txt").read_text()
-    assert "Action=grasp" in text or "Action=tap" in text or "Action=touch" in text
+    # the column line names the schema, and the rows hold labels, not indices
+    lines = (tmp_path / "ds" / "trials.txt").read_text().splitlines()
+    assert lines[2].split() == [*config.schema.names, "traj"]
+    for line, row in zip(lines[3:], expected, strict=True):
+        labels = [v.labels[k] for v, k in zip(config.schema.variables, row)]
+        assert line.split()[:-1] == labels
 
 
 def test_read_dataset_missing_file(tmp_path):

@@ -362,9 +362,12 @@ def test_config_rejects_out_of_range_settings(settings):
         WorldConfig(**settings)
 
 
-# SHA-256 of ``simulate --trials 300 --trajectories-per-action 2 --seed 1234``
+# SHA-256 of ``simulate --trials 300 --trajectories-per-action 2 --seed 1234``.
+# ``trials.txt`` is in format version 2; it decodes to the same rows,
+# provenance and trajectory paths as the version-1 file it replaced, and the
+# trajectory CSVs kept their digests.
 SIMULATE_DIGESTS = {
-    "trials.txt": "a1fbc243dda89d166e9d29088ead0c5d43d59ad483c5df87dc54d1503fdb8fec",
+    "trials.txt": "5aebebb5ac5b46429c4464959e8a636e5aaddafc0ef78ff70f840e13501540ef",
     "traj/00000.csv": "73451536317bb8a4cc73750e55f3c0a3aedd991fc32e4456578aa74924587e12",
     "traj/00001.csv": "d8a686977a0bf5fbd36fd804b9d996c60af92b794023bba21365f16939f0bbbb",
     "traj/00002.csv": "fdc8b4ca69448f8bde34a0d9710e51a960ed4c26791341845a175c26b9b56ce4",
@@ -387,10 +390,13 @@ def test_simulate_output_bytes_are_pinned(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-# SHA-256 of ``train-bn`` and ``train-hmm --seed 7`` on that dataset
+# SHA-256 of ``train-bn`` and ``train-hmm --seed 7`` on that dataset, in
+# format version 2.  Against version 1, ``bn.txt`` differs only in its header
+# line, and ``hmm.txt`` only in its header and in storing each transition row
+# as ``logtrans`` (the logs) where it stored ``trans`` (their exponentials).
 TRAIN_DIGESTS = {
-    "bn.txt": "1589ef4c6bc12c05aa1449744bcaa6133a43e400c95a888335563f4ccdb391f1",
-    "hmm.txt": "f1de2a93471c5761d7ea1a325d1b3da3defe58a573aee6227f2d910038dea4a5",
+    "bn.txt": "18407b4af5fca4e87ce06b5bb6413bc05f4d95d0cb884cdfe03423f30d78a2eb",
+    "hmm.txt": "3c97c256902cebf2701f58b43c4f07ff170bc47e1f971baffcdfa24945bdc21a",
 }
 
 
