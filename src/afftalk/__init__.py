@@ -59,10 +59,8 @@ from .world import (
     WorldConfig,
     default_config,
     generate_trials,
-    sample_description,
     sample_trajectory,
     sample_trial,
-    trials_to_dataset,
 )
 
 __version__ = "0.1.0"

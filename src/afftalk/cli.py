@@ -38,21 +38,22 @@ from .world import WorldError
 
 CONFIG_VERSION = 1
 
-# Smallest value of each numeric config field, and how an error states it.
+# Range of each numeric config field, and how an error states it.  The upper
+# bounds keep one command's memory and time bounded before it starts.
 _LIMITS = {
-    "seed": (0, "a nonnegative integer"),
-    "trials": (1, "a count of at least one trial"),
-    "trajectories_per_action": (0, "a nonnegative integer"),
-    "alpha": (0.0, "a finite number >= 0"),
-    "max_parents": (0, "a nonnegative integer"),
-    "states": (1, "a count of at least one state"),
-    "mixtures": (1, "a count of at least one component"),
-    "train_per_action": (1, "a count of at least one trajectory"),
-    "keep": (1, "a count of at least one sentence"),
-    "grid_points": (1, "a count of at least one point"),
-    "noise_std": (0.0, "a finite number >= 0"),
-    "t_min": (1, "a count of at least one frame"),
-    "t_max": (1, "a count of at least one frame"),
+    "seed": (0, math.inf, "a nonnegative integer"),
+    "trials": (1, 1_000_000, "a count of at least one trial and at most 1,000,000"),
+    "trajectories_per_action": (0, math.inf, "a nonnegative integer"),
+    "alpha": (0.0, math.inf, "a finite number >= 0"),
+    "max_parents": (0, math.inf, "a nonnegative integer"),
+    "states": (1, math.inf, "a count of at least one state"),
+    "mixtures": (1, math.inf, "a count of at least one component"),
+    "train_per_action": (1, math.inf, "a count of at least one trajectory"),
+    "keep": (1, 1_000, "a count of at least one sentence and at most 1,000"),
+    "grid_points": (1, 100_000, "a count of at least one point and at most 100,000"),
+    "noise_std": (0.0, math.inf, "a finite number >= 0"),
+    "t_min": (1, math.inf, "a count of at least one frame"),
+    "t_max": (1, math.inf, "a count of at least one frame"),
 }
 
 
@@ -94,12 +95,12 @@ class RunConfig:
         """Check the type and range of every field."""
         if isinstance(self.version, bool) or self.version != CONFIG_VERSION:
             raise BnError(f"unsupported config version {self.version!r}")
-        for name, (least, rule) in _LIMITS.items():
+        for name, (least, most, rule) in _LIMITS.items():
             value = getattr(self, name)
             kind = int if isinstance(least, int) else (int, float)
             typed = isinstance(value, kind) and not isinstance(value, bool)
-            # the chained comparison also turns away NaN and infinity
-            if not (typed and least <= value < math.inf):
+            # the comparisons also turn away NaN and infinity
+            if not (typed and least <= value <= most and value < math.inf):
                 raise BnError(f"{name} must be {rule}, got {value!r}")
         if self.t_min > self.t_max:
             raise BnError(f"t_min {self.t_min} exceeds t_max {self.t_max}")
@@ -161,17 +162,14 @@ def _load_soft(args, schema) -> SoftActionEvidence | None:
 
 def cmd_simulate(args, config: RunConfig) -> int:
     wc = _world_config(config)
-    trials = world.generate_trials(
+    data, trajectories = world.generate_trials(
         wc,
         n=config.trials,
         seed=config.seed,
         trajectories_per_action=config.trajectories_per_action,
     )
-    serialize.write_dataset(
-        args.out, trials, wc.schema, provenance=f"synthetic world seed={config.seed}"
-    )
-    n_traj = sum(1 for t in trials if t.trajectory is not None)
-    print(f"wrote {len(trials)} trials ({n_traj} with trajectories) to {args.out}")
+    serialize.write_dataset(args.out, data, trajectories, wc.schema)
+    print(f"wrote {len(data)} trials ({len(trajectories)} with trajectories) to {args.out}")
     return 0
 
 

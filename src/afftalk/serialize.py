@@ -15,7 +15,7 @@ import csv
 import io
 import os
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .bn import BayesNet, Dataset, JointTable, Variable, WorldSchema
 from .fusion import SweepResult
 from .grammar import NBestList
 from .hmm import GestureBank, HmmModel, PrefixCurve, Trajectory
-from .world import Trial
 
 MAGIC = "afftalk-model"
 FORMAT_VERSION = 2
@@ -232,11 +231,9 @@ def load_gesture_bank(path) -> GestureBank:
 
 def save_trajectory(path, traj: Trajectory) -> None:
     header = "t," + ",".join("xyz"[d] if traj.dim <= 3 else f"d{d}" for d in range(traj.dim))
-    lines = [header]
-    for i, frame in enumerate(traj.frames):
-        t = i * traj.frame_period
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in frame]))
-    _write_lines(path, lines)
+    table = np.column_stack([np.arange(len(traj)) * traj.frame_period, traj.frames])
+    frame = ",".join(["%.17g"] * table.shape[1])  # what ``_fmt`` writes per value
+    _write_lines(path, [header, *(frame % tuple(row) for row in table.tolist())])
 
 
 def load_trajectory(path) -> Trajectory:
@@ -261,23 +258,27 @@ def _columns(schema: WorldSchema) -> list[str]:
     return [*schema.names, "traj"]
 
 
-def write_dataset(directory, trials: Sequence[Trial], schema: WorldSchema, provenance: str = "") -> None:
-    """Write ``trials.txt`` plus one trajectory CSV per trial that has one.
+def write_dataset(
+    directory, data: Dataset, trajectories: Mapping[int, Trajectory], schema: WorldSchema
+) -> None:
+    """Write ``trials.txt`` plus one CSV per trajectory, keyed by row.
 
     The file is the header, a ``provenance`` line, the column line, then one
     row per trial: its labels in column order and its trajectory path or ``-``.
     """
     directory = Path(directory)
-    labels = [v.labels for v in schema.variables]
-    records = [_header("dataset"), f"provenance {provenance}", " ".join(_columns(schema))]
-    for i, trial in enumerate(trials):
-        traj = "-"
-        if trial.trajectory is not None:
-            traj = f"traj/{i:05d}.csv"
-            save_trajectory(directory / traj, trial.trajectory)
-        row = map(tuple.__getitem__, labels, trial.to_row(schema).tolist())
-        records.append(" ".join([*row, traj]))
-    _write_lines(directory / "trials.txt", records)
+    labels = np.array([label for v in schema.variables for label in v.labels], dtype=object)
+    table = np.full((len(data), len(schema) + 1), "-", dtype=object)
+    table[:, :-1] = labels[data.rows + np.cumsum([0, *schema.arities[:-1]])]
+    for row, trajectory in trajectories.items():
+        table[row, -1] = f"traj/{row:05d}.csv"
+        save_trajectory(directory / table[row, -1], trajectory)
+    records = [_header("dataset"), f"provenance {data.provenance}", " ".join(_columns(schema))]
+    directory.mkdir(parents=True, exist_ok=True)
+    with open(directory / "trials.txt", "w", encoding="utf-8", newline="") as out:
+        out.write("\n".join(records) + "\n")
+        for start in range(0, len(table), 1024):  # in chunks, which bounds the text held
+            out.writelines(" ".join(row) + "\n" for row in table[start : start + 1024].tolist())
 
 
 def read_dataset(directory, schema: WorldSchema) -> tuple[Dataset, dict[int, str]]:

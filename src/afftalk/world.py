@@ -3,7 +3,8 @@
 Each trial draws an action and object features uniformly, rolls the motion
 effects from explicit conditional rows, writes a congruent verbal
 description in the bundled grammar's words, and can attach a noisy 3D hand
-trajectory built from per-action waypoint templates.  The effect rows, the
+trajectory built from per-action waypoint templates.  Trials are drawn as
+array columns, ``BLOCK`` trials per random generator.  The effect rows, the
 description rules and the templates are module constants; the only settings
 are the trajectories' noise and length range (``WorldConfig``).  Everything
 is a pure function of (config, seed).
@@ -12,13 +13,13 @@ is a pure function of (config, seed).
 from __future__ import annotations
 
 import functools
-from bisect import bisect_right
-from dataclasses import dataclass, field, replace
-from typing import Collection, Mapping, Sequence
+import itertools
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bn import BOOL_LABELS, Dataset, WorldSchema
+from .bn import Dataset, WorldSchema
 from .grammar import Sentence
 from .hmm import Trajectory, preprocess
 from .schema import (
@@ -36,10 +37,8 @@ __all__ = [
     "Trial",
     "default_config",
     "sample_trial",
-    "sample_description",
     "sample_trajectory",
     "generate_trials",
-    "trials_to_dataset",
 ]
 
 
@@ -134,35 +133,15 @@ EFFECT_ROWS: dict[str, dict[tuple[str, str], tuple[float, ...]]] = {
 # x lateral, y forward, z up
 TEMPLATES: dict[str, tuple[np.ndarray, np.ndarray]] = {
     "grasp": (
-        np.array(
-            [
-                [0.05, 0.15, 0.35],
-                [0.14, 0.45, 0.02],
-                [0.15, 0.47, 0.02],
-                [0.15, 0.45, 0.55],
-            ]
-        ),
+        np.array([[0.05, 0.15, 0.35], [0.14, 0.45, 0.02], [0.15, 0.47, 0.02], [0.15, 0.45, 0.55]]),
         np.array([0.40, 0.10, 0.50]),
     ),
     "tap": (
-        np.array(
-            [
-                [-0.35, 0.40, 0.10],
-                [0.10, 0.45, 0.08],
-                [0.55, 0.50, 0.12],
-            ]
-        ),
+        np.array([[-0.35, 0.40, 0.10], [0.10, 0.45, 0.08], [0.55, 0.50, 0.12]]),
         np.array([0.50, 0.50]),
     ),
     "touch": (
-        np.array(
-            [
-                [-0.05, 0.25, 0.50],
-                [0.12, 0.45, 0.02],
-                [0.13, 0.46, 0.02],
-                [0.00, 0.25, 0.45],
-            ]
-        ),
+        np.array([[-0.05, 0.25, 0.50], [0.12, 0.45, 0.02], [0.13, 0.46, 0.02], [0.00, 0.25, 0.45]]),
         np.array([0.35, 0.30, 0.35]),
     ),
 }
@@ -194,86 +173,14 @@ def default_config() -> WorldConfig:
     return WorldConfig()
 
 
-# value index of a word variable, by whether the word was said
-_WORD_CODES = (BOOL_LABELS.index("false"), BOOL_LABELS.index("true"))
-
-
 @dataclass(frozen=True)
 class Trial:
     """One synthetic manipulation trial."""
 
     assignment: Mapping[str, int]  # the eight affordance variables
     words: frozenset[str]
-    sentence: Sentence | None
+    sentence: Sentence
     trajectory: Trajectory | None = None
-
-    def label(self, schema: WorldSchema, name: str) -> str:
-        return schema.variable(name).labels[self.assignment[name]]
-
-    def to_row(self, schema: WorldSchema) -> np.ndarray:
-        row = np.zeros(len(schema), dtype=np.int64)
-        for name, value in self.assignment.items():
-            row[schema.index(name)] = value
-        names = schema.names
-        row[list(schema.word_columns)] = [
-            _WORD_CODES[names[j] in self.words] for j in schema.word_columns
-        ]
-        return row
-
-
-@functools.cache
-def _cdf(weights: tuple[float, ...]) -> list[float]:
-    cdf = np.cumsum(weights)
-    return (cdf / cdf[-1]).tolist()
-
-
-def _choose(rng: np.random.Generator, options: Sequence, weights=None):
-    """The draw ``rng.choice(len(options), p=weights)`` makes, without its
-    per-call set-up: one ``integers`` draw, or one ``random`` draw located
-    in the weights' cached normalised CDF."""
-    if weights is None:
-        return options[int(rng.integers(len(options)))]
-    return options[bisect_right(_cdf(weights), rng.random())]
-
-
-def sample_description(
-    trial: Trial, config: WorldConfig, rng: np.random.Generator
-) -> tuple[Sentence, frozenset[str]]:
-    """Surface sentence and word bag for a trial's action, features and effects.
-
-    The verb matches the action family, object words follow the shape, size
-    and color maps (with synonyms sampled), the conjunction encodes whether
-    the outcome matched the action's intent, and the effect phrase tracks the
-    object velocity.
-    """
-    schema = config.schema
-    action = trial.label(schema, ACTION_VAR)
-    shape = trial.label(schema, "Shape")
-    color = trial.label(schema, "Color")
-    size = trial.label(schema, "Size")
-    objvel = trial.label(schema, "ObjVel")
-
-    words: list[str] = []
-    words.extend(_choose(rng, AGENTS, AGENT_WEIGHTS).split())
-    lemma = _choose(rng, VERB_FAMILIES[action])
-    words.extend(_choose(rng, VERB_FORMS[lemma]).split())
-
-    def object_phrase() -> list[str]:
-        phrase = ["the"]
-        size_word = SIZE_WORDS[size]
-        if size_word and rng.random() < ATTRIBUTE_PROB:
-            phrase.append(size_word)
-        if rng.random() < ATTRIBUTE_PROB:
-            phrase.append(COLOR_WORDS[color])
-        phrase.append(_choose(rng, SHAPE_WORDS[shape]))
-        return phrase
-
-    words.extend(object_phrase())
-    words.append(conjunction(action, objvel))
-    words.extend(object_phrase())
-    words.extend(_choose(rng, effect_phrases(action, objvel, shape)).split())
-    sentence = Sentence(tuple(words))
-    return sentence, frozenset(sentence.words)
 
 
 def sample_trajectory(
@@ -306,65 +213,157 @@ def sample_trajectory(
     return preprocess(raw, np.zeros_like(path))
 
 
-def sample_trial(
-    config: WorldConfig, seed: int, with_trajectory: bool | Collection[str] = False
-) -> Trial:
-    """One fully specified trial, deterministic for a given seed.
+# ---------------------------------------------------------------------------
+# columnar draws
 
-    ``with_trajectory`` is True to attach a trajectory, or the actions whose
-    trials get one.  The trajectory is drawn last, so it never changes the
-    rest of the trial.
-    """
-    rng = np.random.default_rng(seed)
-    schema = config.schema
-    assignment: dict[str, int] = {}
-    assignment[ACTION_VAR] = int(rng.integers(schema.variable(ACTION_VAR).arity))
-    for name in FEATURE_VARS:
-        assignment[name] = int(rng.integers(schema.variable(name).arity))
-    action = schema.variable(ACTION_VAR).labels[assignment[ACTION_VAR]]
-    shape = schema.variable("Shape").labels[assignment["Shape"]]
-    for name in EFFECT_VARS:
-        row = EFFECT_ROWS[name][action, shape]
-        assignment[name] = _choose(rng, range(len(row)), row)
-    stub = Trial(assignment=assignment, words=frozenset(), sentence=None)
-    sentence, words = sample_description(stub, config, rng)
-    trajectory = None
-    if with_trajectory is True or action in (with_trajectory or ()):
-        trajectory = sample_trajectory(action, config, rng=rng)
-    return replace(stub, words=words, sentence=sentence, trajectory=trajectory)
+BLOCK = 1024  # trials per random generator
+
+# The affordance columns lead every schema row: the action and the object
+# features (the roots), then the effects, ObjVel first.
+_LABELS = dict(AFFORDANCE_VARIABLES)
+_NAMES = tuple(_LABELS)
+_ARITIES = tuple(map(len, _LABELS.values()))
+_ROOTS = 1 + len(FEATURE_VARS)
+
+
+def _table(width: int, rule: Callable[..., Iterable[tuple[int, float]]]):
+    """Inverse-CDF rows, one per label combination of the first ``width``
+    affordance columns; ``rule(*labels)`` lists a combination's (entry,
+    weight) pairs.  The CDF is padded with 2.0, which no uniform reaches."""
+    rows = [list(rule(*labels)) for labels in itertools.product(*map(_LABELS.get, _NAMES[:width]))]
+    cdf = np.full((len(rows), max(map(len, rows))), 2.0)
+    entries = np.zeros(cdf.shape, dtype=np.int64)
+    for i, row in enumerate(rows):
+        ids, weights = zip(*row)
+        cumulative = np.cumsum(weights)
+        cdf[i, : len(row)] = cumulative / cumulative[-1]
+        entries[i, : len(row)] = ids
+    return cdf, entries
+
+
+def _draw(table, values: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Each trial's entry: its uniform located in the CDF row of its labels."""
+    cdf, entries = table
+    context = np.ravel_multi_index(values.T, _ARITIES[: values.shape[1]])
+    return entries[context, (cdf[context] <= uniforms[:, None]).sum(axis=1)]
+
+
+def _object_phrases(action, color, size, shape, objvel) -> list[tuple[str, float]]:
+    """Every mention of the object with its chance: "the", the size word and
+    the color word each with ``ATTRIBUTE_PROB``, then one shape word."""
+
+    def optional(word):
+        return [(word, ATTRIBUTE_PROB), ("", 1.0 - ATTRIBUTE_PROB)] if word else [("", 1.0)]
+
+    shapes = SHAPE_WORDS[shape]
+    mentions = itertools.product(optional(SIZE_WORDS[size]), optional(COLOR_WORDS[color]), shapes)
+    return [
+        (" ".join(filter(None, ("the", s, c, w))), p_size * p_color / len(shapes))
+        for (s, p_size), (c, p_color), w in mentions
+    ]
+
+
+# the description's slots in sentence order; each rule takes the labels of
+# the roots and ObjVel
+_SLOTS = (
+    lambda *labels: zip(AGENTS, AGENT_WEIGHTS),
+    lambda action, *_: [(f, 1.0) for lemma in VERB_FAMILIES[action] for f in VERB_FORMS[lemma]],
+    _object_phrases,
+    lambda action, color, size, shape, objvel: [(conjunction(action, objvel), 1.0)],
+    _object_phrases,
+    lambda action, color, size, shape, objvel: [
+        (p, 1.0) for p in effect_phrases(action, objvel, shape)
+    ],
+)
+
+
+@functools.cache
+def _tables():
+    """Effect tables, phrase tables, the phrases and the words each one says."""
+    ids: dict[str, int] = {}
+
+    def phrase_ids(rule):
+        return lambda *labels: [(ids.setdefault(p, len(ids)), w) for p, w in rule(*labels)]
+
+    def effect_rows(rows):
+        return lambda action, color, size, shape: enumerate(rows[action, shape])
+
+    effects = [_table(_ROOTS, effect_rows(EFFECT_ROWS[name])) for name in EFFECT_VARS]
+    slots = [_table(_ROOTS + 1, phrase_ids(rule)) for rule in _SLOTS]
+    words = default_schema().word_variables()
+    said = np.zeros((len(ids), len(words)), dtype=bool)
+    for phrase, i in ids.items():
+        said[i, [words.index(word) for word in phrase.split()]] = True
+    return effects, slots, tuple(ids), said
+
+
+def _columns(
+    config: WorldConfig, n: int, seed: int, trajectories_per_action: int
+) -> tuple[np.ndarray, np.ndarray, dict[int, Trajectory]]:
+    """The first ``n`` trials' schema rows and phrase choices, and their
+    trajectories keyed by row."""
+    effects, slots, _, said = _tables()
+    rows = np.empty((n, len(config.schema)), dtype=np.int64)
+    choices = np.empty((n, len(slots)), dtype=np.int64)
+    trajectories: dict[int, Trajectory] = {}
+    left = [trajectories_per_action] * len(ACTIONS)
+    for block, start in enumerate(range(0, n, BLOCK)):
+        rng = np.random.default_rng((seed, block))
+        values = np.empty((BLOCK, len(_NAMES)), dtype=np.int64)
+        values[:, :_ROOTS] = rng.integers(_ARITIES[:_ROOTS], size=(BLOCK, _ROOTS))
+        for j, table in enumerate(effects, _ROOTS):
+            values[:, j] = _draw(table, values[:, :_ROOTS], rng.random(BLOCK))
+        uniforms = rng.random((len(slots), BLOCK))
+        scene = values[:, : _ROOTS + 1]
+        picked = np.stack([_draw(t, scene, u) for t, u in zip(slots, uniforms)], axis=1)
+        kept = min(BLOCK, n - start)
+        values, picked = values[:kept], picked[:kept]
+        rows[start : start + kept, : len(_NAMES)] = values
+        # BOOL_LABELS is ("false", "true"): a word's value index is whether it was said
+        rows[start : start + kept, list(config.schema.word_columns)] = said[picked].any(axis=1)
+        choices[start : start + kept] = picked
+        for row, a in enumerate(values[:, 0].tolist() if any(left) else ()):
+            if left[a] > 0:
+                left[a] -= 1
+                trajectories[start + row] = sample_trajectory(ACTIONS[a], config, rng=rng)
+    return rows, choices, trajectories
 
 
 def generate_trials(
-    config: WorldConfig,
-    n: int,
-    seed: int,
-    trajectories_per_action: int = 0,
-) -> list[Trial]:
-    """Trials with seeds ``seed .. seed+n-1``, one random stream each.
+    config: WorldConfig, n: int, seed: int, trajectories_per_action: int = 0
+) -> tuple[Dataset, dict[int, Trajectory]]:
+    """The first ``n`` trials drawn with ``seed``: dataset rows, and the
+    trajectories keyed by row.
 
     The first ``trajectories_per_action`` trials of each action get a
-    trajectory attached.  Trial ``i`` draws everything from
-    ``default_rng(seed + i)`` in one order: the action, the object
-    features, the effects, the description and, last, the trajectory when
-    the drawn action still needs one.  The trial content before the
-    trajectory therefore never depends on the cap.
+    trajectory.  Block ``b`` of ``BLOCK`` trials draws from
+    ``default_rng((seed, b))`` in one order: the action and object-feature
+    columns, each effect column by inverse CDF on its (action, shape) row,
+    one phrase per description slot and, last, the trajectories of the
+    block's trials that still need one.  A short last block is drawn in full
+    and then cut.  The trial content therefore never depends on the cap, and
+    the first ``n`` trials are the same in every longer run.
     """
-    counts = dict.fromkeys(ACTIONS, 0)
-    open_actions = set(ACTIONS) if trajectories_per_action > 0 else set()
-    trials = []
-    for i in range(n):
-        trial = sample_trial(config, seed + i, with_trajectory=open_actions)
-        if trial.trajectory is not None:
-            action = trial.label(config.schema, ACTION_VAR)
-            counts[action] += 1
-            if counts[action] == trajectories_per_action:
-                open_actions.discard(action)
-        trials.append(trial)
-    return trials
+    rows, _, trajectories = _columns(config, n, seed, trajectories_per_action)
+    return Dataset(rows, provenance=f"synthetic world seed={seed}"), trajectories
 
 
-def trials_to_dataset(
-    trials: Sequence[Trial], schema: WorldSchema, provenance: str = ""
-) -> Dataset:
-    rows = np.stack([t.to_row(schema) for t in trials], axis=0)
-    return Dataset(rows=rows, provenance=provenance)
+def sample_trial(config: WorldConfig, seed: int, with_trajectory: bool = False) -> Trial:
+    """Trial 0 of every run drawn with ``seed``, as one object with its sentence.
+
+    ``with_trajectory`` attaches the trajectory it gets in a run that draws any.
+    """
+    rows, choices, trajectories = _columns(config, 1, seed, int(with_trajectory))
+    row, names = rows[0].tolist(), config.schema.names
+    return Trial(
+        assignment=dict(zip(_NAMES, row)),
+        words=frozenset(names[j] for j in config.schema.word_columns if row[j]),
+        sentence=_sentence(choices[0]),
+        trajectory=trajectories.get(0),
+    )
+
+
+def _sentence(choices: Sequence[int]) -> Sentence:
+    """The sentence a trial's phrase choices spell."""
+    phrases = _tables()[2]
+    return Sentence(tuple(" ".join(phrases[c] for c in choices).split()))

@@ -14,12 +14,7 @@ from afftalk.bn import (
 )
 from afftalk.hmm import HmmModel, train_bank
 from afftalk.schema import ACTIONS, layered_candidates
-from afftalk.world import (
-    default_config,
-    generate_trials,
-    sample_trajectory,
-    trials_to_dataset,
-)
+from afftalk.world import default_config, generate_trials, sample_trajectory
 
 
 @pytest.fixture(scope="session")
@@ -29,19 +24,19 @@ def world_config():
 
 @pytest.fixture(scope="session")
 def world_trials(world_config):
-    """10k trials from the default generator, shared across modules."""
-    return generate_trials(world_config, 10000, seed=1234)
+    """The rows of 10k trials from the default generator, shared across modules."""
+    data, _ = generate_trials(world_config, 10000, seed=1234)
+    return data
 
 
 @pytest.fixture(scope="session")
 def trained_net(world_config, world_trials):
     """Structure-learned, Laplace-fitted network on the 10k-trial dataset."""
-    data = trials_to_dataset(world_trials, world_config.schema)
     parents = greedy_structure_fit(
-        data, world_config.schema, 3, layered_candidates(world_config.schema)
+        world_trials, world_config.schema, 3, layered_candidates(world_config.schema)
     )
     return fit_parameters(
-        build_network(world_config.schema, parents), data, alpha=1.0
+        build_network(world_config.schema, parents), world_trials, alpha=1.0
     )
 
 

@@ -399,11 +399,10 @@ def test_greedy_structure_leaves_independent_columns_alone():
 
 def test_greedy_structure_respects_layering_on_default_schema():
     # tiny sample, only shape of the result matters here
-    from afftalk.world import default_config, generate_trials, trials_to_dataset
+    from afftalk.world import default_config, generate_trials
 
     config = default_config()
-    trials = generate_trials(config, 300, seed=5)
-    data = trials_to_dataset(trials, config.schema)
+    data, _ = generate_trials(config, 300, seed=5)
     candidates = layered_candidates(config.schema)
     parents = greedy_structure_fit(data, config.schema, 2, candidates)
     schema = config.schema

@@ -163,11 +163,10 @@ def test_sweep_grid_validation(action_net):
 def test_word_delta_uniform_soft_is_zero():
     from afftalk.bn import Dataset, build_network, fit_parameters
     from afftalk.schema import default_schema, layered_candidates
-    from afftalk.world import default_config, generate_trials, trials_to_dataset
+    from afftalk.world import default_config, generate_trials
 
     config = default_config()
-    trials = generate_trials(config, 400, seed=31)
-    data = trials_to_dataset(trials, config.schema)
+    data, _ = generate_trials(config, 400, seed=31)
     from afftalk.bn import greedy_structure_fit
 
     parents = greedy_structure_fit(data, config.schema, 2, layered_candidates(config.schema))

@@ -12,7 +12,7 @@ import math
 import re
 import string
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +59,8 @@ def inputs(tmp_path_factory, trained_net, trained_bank, world_config):
     save_bayesnet(root / "bn.txt", trained_net)
     save_gesture_bank(root / "hmm.txt", trained_bank)
     save_trajectory(root / "traj.csv", sample_trajectory("tap", world_config, seed=3))
-    trials = generate_trials(world_config, 20, seed=1)
-    write_dataset(root / "ds", trials, world_config.schema, provenance="inputs")
+    data, trajectories = generate_trials(world_config, 20, seed=1)
+    write_dataset(root / "ds", replace(data, provenance="inputs"), trajectories, world_config.schema)
     (root / "bad").mkdir()
     return root
 
@@ -254,6 +254,9 @@ CONFIG_CASES = [
     ("config not JSON", "{seed: 1", []),
     ("config trials -5", '{"trials": -5}', []),
     ("simulate --trials -5", None, ["--trials", "-5"]),
+    ("simulate --trials 1000001", None, ["--trials", "1000001"]),
+    ("sweep --points 100001", None, ["--points", "100001"]),
+    ("describe --k 1001", None, ["--k", "1001"]),
     ("bool for an int", '{"states": true}', []),
     ("NaN alpha", '{"alpha": NaN}', []),
     ("infinite noise", '{"noise_std": Infinity}', []),
@@ -277,6 +280,8 @@ def test_bad_config_or_flag_exits_4_before_any_work(inputs, tmp_path, text, flag
         argv = ["--config", tmp_path / "config.json"]
     if "--points" in flags:
         argv += ["sweep", "--bn", inputs / "bn.txt", "--target", "tap", "--out", out]
+    elif "--k" in flags:
+        argv += ["describe", "--bn", inputs / "bn.txt", "--out", out]
     elif {"--ev", "--bank", "--traj"} & set(flags):
         argv += ["infer", "--bn", inputs / "bn.txt", "--infer", "ObjVel", "--out", out]
     else:
@@ -332,7 +337,7 @@ def test_every_config_field_but_the_version_has_a_range():
 
 def test_dataset_errors_name_the_line_and_variable(tmp_path):
     schema = default_config().schema
-    write_dataset(tmp_path, generate_trials(default_config(), 3, seed=1), schema)
+    write_dataset(tmp_path, *generate_trials(default_config(), 3, seed=1), schema)
     path = tmp_path / "trials.txt"
     lines = path.read_text().splitlines()
     columns, row = lines[2].split(), lines[3].split()
@@ -356,7 +361,7 @@ def test_dataset_errors_name_the_line_and_variable(tmp_path):
 
 def test_dataset_header_and_empty_dataset_errors(tmp_path):
     schema = default_config().schema
-    write_dataset(tmp_path, generate_trials(default_config(), 3, seed=1), schema)
+    write_dataset(tmp_path, *generate_trials(default_config(), 3, seed=1), schema)
     path = tmp_path / "trials.txt"
     lines = path.read_text().splitlines()
     header = ":1: expected 'afftalk-model <version> dataset' header"
@@ -477,16 +482,16 @@ def test_trajectory_round_trip_property(tmp_path, frames, period):
 )
 def test_dataset_round_trip_property(tmp_path, seed, n, per_action, provenance):
     config = default_config()
-    trials = generate_trials(config, n, seed=seed, trajectories_per_action=per_action)
+    data, trajectories = generate_trials(config, n, seed=seed, trajectories_per_action=per_action)
     with tempfile.TemporaryDirectory(dir=tmp_path) as directory:
-        write_dataset(directory, trials, config.schema, provenance=provenance)
-        data, traj_paths = read_dataset(directory, config.schema)
+        write_dataset(directory, replace(data, provenance=provenance), trajectories, config.schema)
+        loaded, traj_paths = read_dataset(directory, config.schema)
         frames = {row: load_trajectory(path).frames for row, path in traj_paths.items()}
-    assert data.provenance == provenance
-    assert np.array_equal(data.rows, np.stack([t.to_row(config.schema) for t in trials]))
-    assert sorted(traj_paths) == [i for i, t in enumerate(trials) if t.trajectory is not None]
-    for row, loaded in frames.items():
-        assert np.array_equal(loaded, trials[row].trajectory.frames)
+    assert loaded.provenance == provenance
+    assert np.array_equal(loaded.rows, data.rows)
+    assert sorted(traj_paths) == sorted(trajectories)
+    for row, loaded_frames in frames.items():
+        assert np.array_equal(loaded_frames, trajectories[row].frames)
 
 
 # ---------------------------------------------------------------------------

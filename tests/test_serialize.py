@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,12 +35,10 @@ def test_bayesnet_round_trip_is_exact(tmp_path):
 
 def test_bayesnet_round_trip_default_schema(tmp_path):
     config = default_config()
-    trials = generate_trials(config, 200, seed=8)
-    from afftalk.world import trials_to_dataset
+    data, _ = generate_trials(config, 200, seed=8)
     from afftalk.schema import layered_candidates
     from afftalk.bn import greedy_structure_fit
 
-    data = trials_to_dataset(trials, config.schema)
     parents = greedy_structure_fit(data, config.schema, 2, layered_candidates(config.schema))
     net = fit_parameters(build_network(config.schema, parents), data)
     path = tmp_path / "net.txt"
@@ -94,24 +94,50 @@ def test_trajectory_round_trip(tmp_path):
     assert loaded.frame_period == pytest.approx(traj.frame_period, rel=1e-12)
 
 
+def test_trajectory_bytes_equal_per_value_formatting(tmp_path):
+    """One ``%.17g`` template per frame writes what formatting each value did."""
+    rng = np.random.default_rng(5)
+    frames = rng.normal(0, 1, (7, 3))
+    frames[2, 1] = -0.0
+    frames[3] = [1e-300, -5e-324, 1.7976931348623157e308]
+    cases = [
+        Trajectory(frames=frames, frame_period=1 / 30),
+        Trajectory(frames=frames[:1], frame_period=1 / 30),
+        Trajectory(frames=-frames, frame_period=5e-324),
+        Trajectory(frames=frames[:4], frame_period=1e-17),
+        Trajectory(frames=rng.normal(0, 1, (3, 5)), frame_period=0.1),
+        sample_trajectory("tap", default_config(), seed=3),
+    ]
+    for traj in cases:
+        header = "t," + ",".join("xyz"[d] if traj.dim <= 3 else f"d{d}" for d in range(traj.dim))
+        lines = [header] + [
+            ",".join(format(v, ".17g") for v in [i * traj.frame_period, *frame])
+            for i, frame in enumerate(traj.frames)
+        ]
+        save_trajectory(tmp_path / "traj.csv", traj)
+        assert (tmp_path / "traj.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_dataset_round_trip(tmp_path):
     config = default_config()
-    trials = generate_trials(config, 50, seed=3, trajectories_per_action=2)
-    write_dataset(tmp_path / "ds", trials, config.schema, provenance="seed=3")
-    data, traj_paths = read_dataset(tmp_path / "ds", config.schema)
-    assert data.provenance == "seed=3"
-    assert len(data) == 50
-    expected = np.stack([t.to_row(config.schema) for t in trials])
-    assert np.array_equal(data.rows, expected)
+    # more rows than one chunk of the writer, and a short last chunk
+    data, trajectories = generate_trials(config, 2500, seed=3, trajectories_per_action=2)
+    assert data.provenance == "synthetic world seed=3"
+    write_dataset(tmp_path / "ds", replace(data, provenance="seed=3"), trajectories, config.schema)
+    loaded, traj_paths = read_dataset(tmp_path / "ds", config.schema)
+    assert loaded.provenance == "seed=3"
+    assert len(loaded) == 2500
+    assert np.array_equal(loaded.rows, data.rows)
+    assert sorted(traj_paths) == sorted(trajectories) and len(trajectories) == 6
     for row, path in traj_paths.items():
-        loaded = load_trajectory(path)
-        assert np.array_equal(loaded.frames, trials[row].trajectory.frames)
+        assert np.array_equal(load_trajectory(path).frames, trajectories[row].frames)
     # the column line names the schema, and the rows hold labels, not indices
     lines = (tmp_path / "ds" / "trials.txt").read_text().splitlines()
     assert lines[2].split() == [*config.schema.names, "traj"]
-    for line, row in zip(lines[3:], expected, strict=True):
+    for i, (line, row) in enumerate(zip(lines[3:], data.rows, strict=True)):
         labels = [v.labels[k] for v, k in zip(config.schema.variables, row)]
-        assert line.split()[:-1] == labels
+        traj = f"traj/{i:05d}.csv" if i in trajectories else "-"
+        assert line.split() == [*labels, traj]
 
 
 def test_read_dataset_missing_file(tmp_path):

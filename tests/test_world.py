@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from afftalk.bn import build_network, fit_parameters
 from afftalk.cli import main
 from afftalk.grammar import default_grammar, derivable
-from afftalk.schema import ACTIONS, EFFECT_VARS
+from afftalk.schema import ACTION_VAR, ACTIONS, EFFECT_VARS, FEATURE_VARS
 from afftalk import world
 from afftalk.world import (
     AGENT_WEIGHTS,
@@ -25,10 +26,8 @@ from afftalk.world import (
     conjunction,
     effect_phrases,
     generate_trials,
-    sample_description,
     sample_trajectory,
     sample_trial,
-    trials_to_dataset,
 )
 
 
@@ -50,40 +49,55 @@ def test_trials_are_seed_deterministic(config):
     assert np.array_equal(a.trajectory.frames, b.trajectory.frames)
     c = sample_trial(config, seed=100)
     assert (a.assignment != c.assignment) or (a.sentence.words != c.sentence.words)
+    # the trial is row 0 of every run with that seed, its words those of its sentence
+    data, trajectories = generate_trials(config, 5, seed=99, trajectories_per_action=1)
+    row = data.rows[0]
+    assert a.assignment == {name: row[config.schema.index(name)] for name in a.assignment}
+    assert a.words == {config.schema.names[j] for j in config.schema.word_columns if row[j]}
+    assert a.words == frozenset(a.sentence.words)
+    assert np.array_equal(a.trajectory.frames, trajectories[0].frames)
 
 
 def test_effect_frequencies_match_config(config, many_trials):
     schema = config.schema
+    rows = many_trials.rows
     tap = schema.value_index("Action", "tap")
     sphere = schema.value_index("Shape", "sphere")
     fast = schema.value_index("ObjVel", "fast")
-    hits = [
-        t
-        for t in many_trials
-        if t.assignment["Action"] == tap and t.assignment["Shape"] == sphere
-    ]
-    frac = sum(t.assignment["ObjVel"] == fast for t in hits) / len(hits)
+    hits = rows[(rows[:, schema.index("Action")] == tap) & (rows[:, schema.index("Shape")] == sphere)]
+    frac = np.mean(hits[:, schema.index("ObjVel")] == fast)
     expected = EFFECT_ROWS["ObjVel"]["tap", "sphere"][fast]
     assert abs(frac - expected) <= 0.02
 
 
-def test_descriptions_are_derivable_and_consistent(config):
+@pytest.fixture(scope="module")
+def described(world_config):
+    """2,000 trials as (labels, words said, assembled sentence) per row."""
+    rows, choices, _ = world._columns(world_config, 2000, 11, 0)
+    data, _ = generate_trials(world_config, 2000, seed=11)
+    assert np.array_equal(rows, data.rows)
+    schema = world_config.schema
+    trials = []
+    for row, picked in zip(data.rows.tolist(), choices):
+        labels = {v.name: v.labels[row[i]] for i, v in enumerate(schema.variables[:8])}
+        words = {schema.names[j] for j in schema.word_columns if row[j]}
+        trials.append((labels, words, world._sentence(picked)))
+    return trials
+
+
+def test_descriptions_are_derivable_and_consistent(described):
+    """On every row the word columns are the assembled sentence's word set."""
     grammar = default_grammar()
-    for seed in range(60):
-        trial = sample_trial(config, seed=seed)
-        assert derivable(grammar, trial.sentence)
-        assert trial.words == frozenset(trial.sentence.words)
-        # exactly one conjunction
-        assert len({"and", "but"} & trial.words) == 1
-        shape = trial.label(config.schema, "Shape")
-        if shape == "sphere":
-            assert not ({"box", "cube", "square"} & trial.words)
-        else:
-            assert not ({"sphere", "ball"} & trial.words)
+    for labels, words, sentence in described:
+        assert words == set(sentence.words)
+        assert derivable(grammar, sentence)
+        # exactly one conjunction, and only the drawn shape's words
+        assert len({"and", "but"} & words) == 1
+        others = [w for shape, ws in SHAPE_WORDS.items() if shape != labels["Shape"] for w in ws]
+        assert not words & set(others)
 
 
-def test_conjunction_rule(config):
-    rng = np.random.default_rng(0)
+def test_conjunction_rule(described):
     cases = {
         ("grasp", "medium"): "and",
         ("grasp", "slow"): "but",
@@ -93,76 +107,39 @@ def test_conjunction_rule(config):
         ("touch", "slow"): "and",
         ("touch", "medium"): "but",
     }
-    schema = config.schema
-    from afftalk.world import Trial
-
     for (action, objvel), conj in cases.items():
-        assignment = {
-            "Action": schema.value_index("Action", action),
-            "Color": 0,
-            "Size": 0,
-            "Shape": 0,
-            "ObjVel": schema.value_index("ObjVel", objvel),
-            "HandVel": 0,
-            "ObjHandVel": 0,
-            "Contact": 0,
-        }
-        stub = Trial(assignment=assignment, words=frozenset(), sentence=None)
-        sentence, words = sample_description(stub, config, rng)
-        assert conj in words
-        assert ({"and", "but"} - {conj}).isdisjoint(words)
+        assert conjunction(action, objvel) == conj
+    seen = set()
+    for labels, words, _ in described:
+        conj = conjunction(labels["Action"], labels["ObjVel"])
+        assert conj in words and ({"and", "but"} - {conj}).isdisjoint(words)
+        seen.add((labels["Action"], labels["ObjVel"]))
+    assert set(cases) <= seen
 
 
-def test_failed_grasp_description_example(config):
-    schema = config.schema
-    from afftalk.world import Trial
-
-    assignment = {
-        "Action": schema.value_index("Action", "grasp"),
-        "Color": schema.value_index("Color", "green2"),
-        "Size": 1,
-        "Shape": schema.value_index("Shape", "sphere"),
-        "ObjVel": schema.value_index("ObjVel", "slow"),
-        "HandVel": 0,
-        "ObjHandVel": 0,
-        "Contact": 1,
-    }
-    stub = Trial(assignment=assignment, words=frozenset(), sentence=None)
-    rng = np.random.default_rng(3)
-    sentence, words = sample_description(stub, config, rng)
-    assert "but" in words
-    assert "green" in words  # seed picked so the color attribute is emitted
-    # across many draws: green is common, other colors never appear
-    greens = 0
-    for seed in range(40):
-        _, w = sample_description(stub, config, np.random.default_rng(seed))
-        assert not ({"blue", "yellow"} & w)
-        greens += "green" in w
-    assert greens >= 20
+def test_failed_grasp_description_example(described):
+    """A failed grasp of a green object says "but" and "is inert" or "is still",
+    never another color, and "green" in about three trials of four."""
+    failed = [
+        (words, sentence)
+        for labels, words, sentence in described
+        if (labels["Action"], labels["ObjVel"]) == ("grasp", "slow")
+        and labels["Color"] in ("green1", "green2")
+    ]
+    assert len(failed) >= 40
+    for words, sentence in failed:
+        assert "but" in words and sentence.words[-2:] in (("is", "inert"), ("is", "still"))
+        assert not ({"blue", "yellow"} & words)
+    # each of the two mentions names the color with probability 1/2
+    greens = sum("green" in words for words, _ in failed) / len(failed)
+    assert abs(greens - 0.75) <= 0.15
 
 
-def test_both_green_clusters_map_to_the_same_word(config):
-    schema = config.schema
-    from afftalk.world import Trial
-
+def test_both_green_clusters_map_to_the_same_word(described):
     for color in ("green1", "green2"):
-        assignment = {
-            "Action": 0,
-            "Color": schema.value_index("Color", color),
-            "Size": 0,
-            "Shape": 0,
-            "ObjVel": 1,
-            "HandVel": 0,
-            "ObjHandVel": 0,
-            "Contact": 0,
-        }
-        stub = Trial(assignment=assignment, words=frozenset(), sentence=None)
-        seen_green = False
-        for seed in range(30):
-            _, words = sample_description(stub, config, np.random.default_rng(seed))
-            assert not ({"blue", "yellow"} & words)
-            seen_green |= "green" in words
-        assert seen_green
+        said = [words for labels, words, _ in described if labels["Color"] == color]
+        assert all(not ({"blue", "yellow"} & words) for words in said)
+        assert any("green" in words for words in said)
 
 
 def test_trajectory_geometry(config):
@@ -189,21 +166,37 @@ def test_trajectories_are_preprocessed(config):
 
 
 def test_generate_trials_caps_trajectories_per_action(config):
-    trials = generate_trials(config, 60, seed=0, trajectories_per_action=3)
-    with_traj = [t for t in trials if t.trajectory is not None]
-    per_action = {a: 0 for a in ACTIONS}
-    for t in with_traj:
-        per_action[t.label(config.schema, "Action")] += 1
-    assert all(v <= 3 for v in per_action.values())
+    data, trajectories = generate_trials(config, 60, seed=0, trajectories_per_action=3)
+    actions = data.rows[:, config.schema.index("Action")]
+    # the first three trials of each action get one
+    expected = sorted(r for a in range(len(ACTIONS)) for r in np.flatnonzero(actions == a)[:3])
+    assert sorted(trajectories) == expected and len(expected) == 9
+    for row, trajectory in trajectories.items():
+        assert config.t_min <= len(trajectory) <= config.t_max
     # attaching trajectories must not change the sampled values
-    plain = generate_trials(config, 60, seed=0, trajectories_per_action=0)
-    assert [t.assignment for t in plain] == [t.assignment for t in trials]
-    assert [t.sentence.words for t in plain] == [t.sentence.words for t in trials]
+    for cap, count in ((-1, 0), (0, 0), (1, 3), (100, 60)):
+        plain, drawn = generate_trials(config, 60, seed=0, trajectories_per_action=cap)
+        assert np.array_equal(plain.rows, data.rows) and len(drawn) == count
 
 
-def test_generate_trials_builds_one_generator_per_trial(config, monkeypatch):
-    """Each trial draws from one stream: no probe trial is sampled first."""
-    expected = generate_trials(config, 40, seed=5, trajectories_per_action=4)
+def test_generate_trials_prefix_is_the_same_in_every_longer_run(config):
+    """The first n trials of a run do not depend on its length."""
+    assert 2 * world.BLOCK < 2500
+    long, long_trajectories = generate_trials(config, 2500, seed=9, trajectories_per_action=400)
+    for n in (1, world.BLOCK - 1, world.BLOCK, world.BLOCK + 1, 1500):
+        short, trajectories = generate_trials(config, n, seed=9, trajectories_per_action=400)
+        assert np.array_equal(short.rows, long.rows[:n])
+        assert sorted(trajectories) == [r for r in sorted(long_trajectories) if r < n]
+        for row, trajectory in trajectories.items():
+            assert np.array_equal(trajectory.frames, long_trajectories[row].frames)
+    # trajectories fall in more than one block at this cap
+    assert max(long_trajectories) >= world.BLOCK and len(long_trajectories) == 1200
+
+
+def test_generate_trials_builds_one_generator_per_block(config, monkeypatch):
+    """Each block of trials draws from one stream, seeded by (seed, block)."""
+    n = 2 * world.BLOCK + 10
+    expected, expected_trajectories = generate_trials(config, n, seed=5, trajectories_per_action=4)
     built = []
 
     def counting_rng(seed=None):
@@ -211,14 +204,21 @@ def test_generate_trials_builds_one_generator_per_trial(config, monkeypatch):
         return np.random.Generator(np.random.PCG64(seed))
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    trials = generate_trials(config, 40, seed=5, trajectories_per_action=4)
-    assert built == list(range(5, 45))
-    assert sum(t.trajectory is not None for t in trials) == 12
-    for a, b in zip(trials, expected):
-        assert a.assignment == b.assignment and a.sentence == b.sentence
-        assert (a.trajectory is None) == (b.trajectory is None)
-        if a.trajectory is not None:
-            assert np.array_equal(a.trajectory.frames, b.trajectory.frames)
+    data, trajectories = generate_trials(config, n, seed=5, trajectories_per_action=4)
+    assert built == [(5, 0), (5, 1), (5, 2)]
+    assert np.array_equal(data.rows, expected.rows)
+    assert sorted(trajectories) == sorted(expected_trajectories) and len(trajectories) == 12
+    for row, trajectory in trajectories.items():
+        assert np.array_equal(trajectory.frames, expected_trajectories[row].frames)
+
+
+def _draw_as_choice(weights, seed, n=3):
+    """``n`` inverse-CDF draws from the world's weighted-row table, and the
+    ``Generator.choice`` draws from the same stream."""
+    table = world._table(0, lambda: enumerate(weights))
+    ours = world._draw(table, np.zeros((n, 0), dtype=np.int64), np.random.default_rng(seed).random(n))
+    numpy = np.random.default_rng(seed)
+    return ours.tolist(), [int(numpy.choice(len(weights), p=weights)) for _ in range(n)]
 
 
 @pytest.mark.parametrize(
@@ -226,27 +226,51 @@ def test_generate_trials_builds_one_generator_per_trial(config, monkeypatch):
     [AGENT_WEIGHTS] + sorted({row for rows in EFFECT_ROWS.values() for row in rows.values()}),
 )
 def test_weighted_draws_equal_generator_choice(weights):
-    """The cached-CDF draw consumes the stream exactly as ``Generator.choice``."""
-    options = range(len(weights))
+    """The table draw picks what ``Generator.choice`` picks from the same uniforms."""
     for seed in range(1000):
-        ours, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(3):
-            assert world._choose(ours, options, weights) == numpy.choice(len(weights), p=weights)
-        assert ours.random() == numpy.random()
+        ours, numpy = _draw_as_choice(weights, seed)
+        assert ours == numpy
 
 
 def test_uniform_draws_equal_generator_choice():
-    for seed in range(1000):
-        ours, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
-        for n in (2, 3, 4, 6):
-            assert world._choose(ours, range(n)) == numpy.choice(n)
-        assert ours.random() == numpy.random()
+    """Equal weights, as the verb and effect phrases have, draw as ``choice`` with equal p."""
+    for n in (2, 3, 4, 6, 12):
+        for seed in range(1000):
+            ours, numpy = _draw_as_choice(np.full(n, 1.0 / n), seed)
+            assert ours == numpy
+
+
+def test_context_rows_draw_by_bisection_on_each_row(config):
+    """Every effect and phrase table, for every label combination and at the
+    CDF's own points, picks what bisecting that combination's row picks."""
+    effects, slots, phrases, _ = world._tables()
+    arities = [config.schema.variable(name).arity for name in world._NAMES]
+    for width, tables in ((world._ROOTS, effects), (world._ROOTS + 1, slots)):
+        values = np.array(list(itertools.product(*map(range, arities[:width]))))
+        for cdf, entries in tables:
+            assert len(cdf) == len(values)
+            for u in (0.0, 0.25, 0.5, 0.7, 0.9, 1.0 - 2**-53, *np.unique(cdf[cdf < 1])):
+                picked = world._draw((cdf, entries), values, np.full(len(values), u))
+                expected = [entries[c, bisect_right(cdf[c].tolist(), u)] for c in range(len(cdf))]
+                assert picked.tolist() == expected
+    # a small yellow sphere's mentions are exactly the rule's, at equal chances
+    cdf, entries = slots[2]
+    labels = ("tap", "yellow", "small", "sphere", "slow")
+    c = int(np.ravel_multi_index([config.schema.value_index(n, l) for n, l in zip(world._NAMES, labels)], arities[:5]))
+    drawable = cdf[c] <= 1
+    assert {phrases[e] for e in entries[c][drawable]} == {
+        f"the{size}{color} {word}"
+        for size in ("", " small")
+        for color in ("", " yellow")
+        for word in SHAPE_WORDS["sphere"]
+    }
+    assert np.allclose(np.diff(cdf[c][drawable], prepend=0.0), 1 / 8)
 
 
 def test_fitted_net_recovers_generator_tables(config, many_trials):
     """Fitting with the generating structure reproduces the config rows."""
     schema = config.schema
-    data = trials_to_dataset(many_trials, schema)
+    data = many_trials
     idx = schema.index
     parents = [() for _ in range(len(schema))]
     parents[idx("ObjVel")] = (idx("Action"), idx("Shape"))
@@ -317,6 +341,7 @@ def test_rule_constants_are_consistent(config):
     """Every word the rules can emit is grammar vocabulary; rows and templates are sound."""
     schema = config.schema
     labels = {v.name: v.labels for v in schema.variables}
+    assert world._NAMES == (ACTION_VAR, *FEATURE_VARS, *EFFECT_VARS) == schema.names[:8]
     assert set(VERB_FAMILIES) == set(ACTIONS) == set(TEMPLATES)
     assert set(SHAPE_WORDS) == set(labels["Shape"])
     assert set(COLOR_WORDS) == set(labels["Color"])
@@ -363,17 +388,16 @@ def test_config_rejects_out_of_range_settings(settings):
 
 
 # SHA-256 of ``simulate --trials 300 --trajectories-per-action 2 --seed 1234``.
-# ``trials.txt`` is in format version 2; it decodes to the same rows,
-# provenance and trajectory paths as the version-1 file it replaced, and the
-# trajectory CSVs kept their digests.
+# Pinned when the generator became columnar (one stream per block of trials,
+# effects and phrases drawn by inverse CDF), which changed every byte.
 SIMULATE_DIGESTS = {
-    "trials.txt": "5aebebb5ac5b46429c4464959e8a636e5aaddafc0ef78ff70f840e13501540ef",
-    "traj/00000.csv": "73451536317bb8a4cc73750e55f3c0a3aedd991fc32e4456578aa74924587e12",
-    "traj/00001.csv": "d8a686977a0bf5fbd36fd804b9d996c60af92b794023bba21365f16939f0bbbb",
-    "traj/00002.csv": "fdc8b4ca69448f8bde34a0d9710e51a960ed4c26791341845a175c26b9b56ce4",
-    "traj/00004.csv": "d61473f08983bfd9e62b0b1dd5617463f872c68f45d98458016f7d91209e149b",
-    "traj/00006.csv": "dfe1f20341ed37f27c3614b1f821e64c97204806345dc41a8f2f8d32e0e80624",
-    "traj/00009.csv": "518516fdbc90a63d3042fa6770fbf4481c680aaa6ded4edcf45a20536f52f940",
+    "trials.txt": "9ee26ccad4bcd75f943f087993aa9db90cc48f182663d4b31cf86379d7111919",
+    "traj/00000.csv": "da8f7286009fe66d2a18acc598688f95d9f646d6a87c4713d528d8ee79a7df0a",
+    "traj/00001.csv": "9c6d13b4aab369fd1100526240699cf92e15cadbf421c22c7f4a92b0caee9fb1",
+    "traj/00002.csv": "e7945971b6a37598eded0601bf78b2896931317267d18305d503fd7db810f840",
+    "traj/00003.csv": "9dc8c990be32280f305709df2bab98f2309e4cca0d9f23db6db1d7b49ecef243",
+    "traj/00005.csv": "622acf76e1e307528443f12e6e060c33d00c5eb11874c3f9aa83bade521fb1c7",
+    "traj/00007.csv": "6fdca4d09e71821ebc799b9b961b0a9c53c858e266f84d57868260d64d40875a",
 }
 
 
@@ -391,12 +415,10 @@ def test_simulate_output_bytes_are_pinned(tmp_path):
 
 
 # SHA-256 of ``train-bn`` and ``train-hmm --seed 7`` on that dataset, in
-# format version 2.  Against version 1, ``bn.txt`` differs only in its header
-# line, and ``hmm.txt`` only in its header and in storing each transition row
-# as ``logtrans`` (the logs) where it stored ``trans`` (their exponentials).
+# format version 2, pinned with the columnar generator's dataset.
 TRAIN_DIGESTS = {
-    "bn.txt": "18407b4af5fca4e87ce06b5bb6413bc05f4d95d0cb884cdfe03423f30d78a2eb",
-    "hmm.txt": "3c97c256902cebf2701f58b43c4f07ff170bc47e1f971baffcdfa24945bdc21a",
+    "bn.txt": "28ddb1a6dc0abc5e3a59b1cb5db4c5e6c60bc72ffe3b341a84f8f3747919a3fb",
+    "hmm.txt": "76c26b8c9bb80ea5df9e8f3d95c16ea6417bcce6c91e3375fb1baafa5466c8df",
 }
 
 
