@@ -21,7 +21,6 @@ from .bn import (
 )
 from .fusion import (
     FusionResult,
-    QuerySpec,
     SoftActionEvidence,
     confidence_sweep,
     fuse_query,

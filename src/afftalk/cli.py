@@ -29,7 +29,7 @@ from .bn import (
     greedy_structure_fit,
     query,
 )
-from .fusion import QuerySpec, SoftActionEvidence
+from .fusion import SoftActionEvidence
 from .grammar import GrammarError
 from .hmm import HmmError
 from .schema import ACTION_VAR, default_schema, layered_candidates
@@ -47,13 +47,13 @@ _LIMITS = {
     "alpha": (0.0, math.inf, "a finite number >= 0"),
     "max_parents": (0, math.inf, "a nonnegative integer"),
     "states": (1, math.inf, "a count of at least one state"),
-    "mixtures": (1, math.inf, "a count of at least one component"),
+    "mixtures": (1, 100, "a count of at least one component and at most 100"),
     "train_per_action": (1, math.inf, "a count of at least one trajectory"),
     "keep": (1, 1_000, "a count of at least one sentence and at most 1,000"),
     "grid_points": (1, 100_000, "a count of at least one point and at most 100,000"),
     "noise_std": (0.0, math.inf, "a finite number >= 0"),
     "t_min": (1, math.inf, "a count of at least one frame"),
-    "t_max": (1, math.inf, "a count of at least one frame"),
+    "t_max": (1, 1_000, "a count of at least one frame and at most 1,000"),
 }
 
 
@@ -219,8 +219,7 @@ def cmd_infer(args, config: RunConfig) -> int:
         table = query(net, infer_vars, obs)
         print(f"P({', '.join(infer_vars)} | evidence):")
     else:
-        spec = QuerySpec(infer_vars=infer_vars, obs=obs)
-        result = fusion.fuse_query(net, soft, spec)
+        result = fusion.fuse_query(net, soft, infer_vars, obs)
         table = result.table
         print(
             f"P({', '.join(infer_vars)} | evidence, gesture) "
@@ -239,9 +238,10 @@ def cmd_anticipate(args, config: RunConfig) -> int:
     obs = _parse_evidence(net.schema, args.ev)
     traj = serialize.load_trajectory(args.traj)
     curve = hmm.prefix_curve(bank, traj)
-    spec = QuerySpec(infer_vars=(args.effect_var,), obs=obs)
     predictions = [
-        fusion.fuse_query(net, SoftActionEvidence(posterior, curve.actions), spec).table
+        fusion.fuse_query(
+            net, SoftActionEvidence(posterior, curve.actions), (args.effect_var,), obs
+        ).table
         for posterior in curve.posteriors
     ]
     serialize.write_anticipation_csv(args.out, curve, predictions)
@@ -363,8 +363,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _EXIT_CODES = (
     (ImpossibleEvidenceError, 5),
-    # a directory where a file should be is a missing file too
-    ((FileNotFoundError, IsADirectoryError, NotADirectoryError), 3),
+    # a directory where a file should be, or a file where a directory
+    # should be, is a missing file too
+    ((FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError), 3),
     ((BnError, HmmError, GrammarError, WorldError, SerializeError), 4),
 )
 

@@ -5,7 +5,8 @@ vector enters network inference as a likelihood factor on the action
 variable (virtual evidence): multiply, then renormalize.  When the action is
 itself queried the factor weights the joint directly; when it is latent the
 weighted joint is summed over the action.  Both give the same marginals,
-and a uniform vector degenerates to the plain network query.
+and a uniform vector degenerates to the plain network query.  The weighted
+joint is linear in the vector, so a confidence sweep weights one query.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from .bn import (
     JointTable,
     query,
 )
+from .schema import ACTION_VAR
 
 WEIGHT_SUM_TOL = 1e-12
-DEFAULT_ACTION_VAR = "Action"
 
 __all__ = [
     "SoftActionEvidence",
-    "QuerySpec",
     "FusionResult",
     "SweepResult",
     "WordDeltaResult",
@@ -43,10 +43,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SoftActionEvidence:
-    """A probability vector over the action values, optionally labeled."""
+    """A probability vector over the action values, labeled with them."""
 
     weights: np.ndarray
-    actions: tuple[str, ...] | None = None
+    actions: tuple[str, ...]
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -54,58 +54,32 @@ class SoftActionEvidence:
             raise BnError("soft evidence must be a vector")
         if (w < 0).any():
             raise BnError("soft evidence weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(float(w.sum()) - 1.0) <= WEIGHT_SUM_TOL:  # NaN fails too
             raise BnError("soft evidence weights must sum to 1")
-        if self.actions is not None and len(self.actions) != len(w):
+        if len(self.actions) != len(w):
             raise BnError("labels and weights disagree in length")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def uniform(cls, k: int, actions=None) -> "SoftActionEvidence":
-        return cls(np.full(k, 1.0 / k), actions)
+    def uniform(cls, actions: tuple[str, ...]) -> "SoftActionEvidence":
+        return cls(np.full(len(actions), 1.0 / len(actions)), actions)
 
     @classmethod
-    def point_mass(cls, k: int, index: int, actions=None) -> "SoftActionEvidence":
-        w = np.zeros(k)
-        w[index] = 1.0
+    def point_mass(cls, actions: tuple[str, ...], action: str) -> "SoftActionEvidence":
+        w = np.zeros(len(actions))
+        w[actions.index(action)] = 1.0
         return cls(w, actions)
 
     def aligned_to(self, labels: Sequence[str]) -> np.ndarray:
-        """Weights reordered to the given label order (no-op when unlabeled)."""
-        if self.actions is None:
-            if len(self.weights) != len(labels):
-                raise BnError("soft evidence length does not match action arity")
+        """Weights reordered to the given label order."""
+        if self.actions == labels:
             return self.weights
         try:
             order = [self.actions.index(lab) for lab in labels]
         except ValueError as exc:
             raise BnError(f"soft evidence is missing an action label: {exc}") from None
         return self.weights[order]
-
-
-@dataclass(frozen=True)
-class QuerySpec:
-    """What to infer and what was observed; the action may not be observed."""
-
-    infer_vars: tuple[str, ...]
-    obs: Evidence
-    action_var: str = DEFAULT_ACTION_VAR
-
-    def validate(self, net: BayesNet) -> None:
-        if not self.infer_vars:
-            raise BnError("infer_vars must be nonempty")
-        self.obs.validate(net.schema)
-        if self.action_var in self.obs:
-            raise EvidenceError(
-                f"{self.action_var!r} cannot be observed directly; "
-                "feed it through soft evidence instead"
-            )
-        overlap = set(self.infer_vars) & {name for name, _ in self.obs.items()}
-        if overlap:
-            raise EvidenceError(
-                f"inference variables also observed: {', '.join(sorted(overlap))}"
-            )
 
 
 @dataclass(frozen=True)
@@ -120,29 +94,50 @@ class FusionResult:
     consistency: float
 
 
-def fuse_query(net: BayesNet, soft: SoftActionEvidence, spec: QuerySpec) -> FusionResult:
-    """Combined inference over ``spec.infer_vars`` given hard and soft evidence."""
-    spec.validate(net)
-    action = spec.action_var
-    weights = soft.aligned_to(net.schema.variable(action).labels)
-    asked = action in spec.infer_vars
+def _fuse(net: BayesNet, infer_vars: tuple[str, ...], obs: Evidence, weights: np.ndarray):
+    """P(infer_vars | obs) weighted along the action by ``weights``, renormalized.
+
+    ``weights`` is one vector (K,) in the action's label order, or a stack
+    (G, K) of them that all weight the same query.  Returns the variables,
+    their labels, the fused table(s) and the mass of each before
+    renormalizing.  ``query`` checks everything else about the request.
+    """
+    if not infer_vars:
+        raise BnError("infer_vars must be nonempty")
+    if ACTION_VAR in obs:
+        raise EvidenceError(
+            f"{ACTION_VAR!r} cannot be observed directly; "
+            "feed it through soft evidence instead"
+        )
+    asked = ACTION_VAR in infer_vars
     # a latent action is queried as the last axis, then summed out
-    base = query(net, tuple(spec.infer_vars) + (() if asked else (action,)), spec.obs)
+    base = query(net, infer_vars if asked else (*infer_vars, ACTION_VAR), obs)
+    lead = weights.shape[:-1]
     shape = [1] * base.probs.ndim
-    shape[base.axis(action)] = len(weights)
-    combined = base.probs * weights.reshape(shape)
-    mass = float(combined.sum())
-    if mass <= 0.0:
+    shape[base.axis(ACTION_VAR)] = weights.shape[-1]
+    combined = base.probs * weights.reshape(lead + tuple(shape))
+    mass = combined.reshape(lead + (-1,)).sum(axis=-1)
+    if np.count_nonzero(mass) < mass.size:  # a mass is never negative
         raise ImpossibleEvidenceError(
             "soft action evidence is inconsistent with the network"
         )
     if not asked:
         combined = combined.sum(axis=-1)
-    n = len(spec.infer_vars)
-    return FusionResult(
-        table=JointTable(base.variables[:n], base.labels[:n], combined / mass),
-        consistency=mass,
-    )
+    probs = combined / mass[(..., *[None] * (combined.ndim - len(lead)))]
+    n = len(infer_vars)
+    return base.variables[:n], base.labels[:n], probs, mass
+
+
+def fuse_query(
+    net: BayesNet, soft: SoftActionEvidence, infer_vars: Sequence[str], obs: Evidence
+) -> FusionResult:
+    """Combined inference over ``infer_vars`` given hard and soft evidence.
+
+    The action may be inferred but not observed.
+    """
+    weights = soft.aligned_to(net.schema.variable(ACTION_VAR).labels)
+    variables, labels, probs, mass = _fuse(net, tuple(infer_vars), obs, weights)
+    return FusionResult(JointTable(variables, labels, probs), consistency=float(mass))
 
 
 @dataclass(frozen=True)
@@ -162,19 +157,18 @@ def confidence_sweep(
     target_action: str,
     grid: Sequence[float],
     infer_vars: Sequence[str] | None = None,
-    action_var: str = DEFAULT_ACTION_VAR,
 ) -> SweepResult:
     """Fused inference while ramping the recognizer's confidence.
 
     Each grid point ``p`` puts mass ``p`` on the target action and splits the
     remainder equally over the other actions, so ``p`` must stay in
     [1/K, 1].  By default the posterior over the action itself is returned.
+    Every grid point weights the one network query.
     """
-    labels = net.schema.variable(action_var).labels
-    k = len(labels)
-    target_idx = labels.index(target_action) if target_action in labels else -1
-    if target_idx < 0:
+    actions = net.schema.variable(ACTION_VAR).labels
+    if target_action not in actions:
         raise EvidenceError(f"unknown action value {target_action!r}")
+    k = len(actions)
     lo = 1.0 / k
     grid = tuple(float(p) for p in grid)
     if not grid:
@@ -182,21 +176,13 @@ def confidence_sweep(
     for p in grid:
         if p < lo - 1e-9 or p > 1.0 + 1e-9:
             raise BnError(f"grid value {p} outside [{lo}, 1]")
-    infer = tuple(infer_vars) if infer_vars else (action_var,)
-    spec = QuerySpec(infer_vars=infer, obs=obs, action_var=action_var)
-    tables = []
-    for p in grid:
-        weights = np.full(k, (1.0 - p) / (k - 1))
-        weights[target_idx] = p
-        weights /= weights.sum()
-        tables.append(fuse_query(net, SoftActionEvidence(weights, labels), spec).table)
-    return SweepResult(
-        grid=grid,
-        variables=tables[0].variables,
-        labels=tables[0].labels,
-        posteriors=np.stack([t.probs for t in tables], axis=0),
-        target_action=target_action,
-    )
+    infer = tuple(infer_vars) if infer_vars else (ACTION_VAR,)
+    points = np.array(grid)
+    weights = np.repeat(((1.0 - points) / (k - 1))[:, None], k, axis=1)
+    weights[:, actions.index(target_action)] = points
+    weights /= weights.sum(axis=1, keepdims=True)
+    variables, labels, posteriors, _ = _fuse(net, infer, obs, weights)
+    return SweepResult(grid, variables, labels, posteriors, target_action)
 
 
 @dataclass(frozen=True)
@@ -217,7 +203,6 @@ def word_probabilities(
     obs: Evidence,
     words: Sequence[str],
     soft: SoftActionEvidence | None = None,
-    action_var: str = DEFAULT_ACTION_VAR,
 ) -> np.ndarray:
     """P(word present | obs[, soft]) for each of ``words``, in order.
 
@@ -254,8 +239,7 @@ def word_probabilities(
         if soft is None:
             joint = query(net, names, obs).probs
         else:
-            spec = QuerySpec(infer_vars=names, obs=obs, action_var=action_var)
-            joint = fuse_query(net, soft, spec).table.probs
+            joint = fuse_query(net, soft, names, obs).table.probs
     probs = np.empty(len(words))
     for k, word in enumerate(words):
         true_idx = schema.value_index(word, "true")
@@ -270,8 +254,7 @@ def word_probabilities(
         elif soft is None:
             probs[k] = query(net, (word,), obs).probs[true_idx]
         else:
-            spec = QuerySpec(infer_vars=(word,), obs=obs, action_var=action_var)
-            probs[k] = fuse_query(net, soft, spec).table.probs[true_idx]
+            probs[k] = fuse_query(net, soft, (word,), obs).table.probs[true_idx]
     return probs
 
 
@@ -280,7 +263,6 @@ def word_delta(
     obs: Evidence,
     soft: SoftActionEvidence,
     words: Sequence[str] | None = None,
-    action_var: str = DEFAULT_ACTION_VAR,
 ) -> WordDeltaResult:
     """P(word present | obs, soft) minus P(word present | obs) for each word.
 
@@ -297,6 +279,6 @@ def word_delta(
             )
     return WordDeltaResult(
         words=tuple(words),
-        baseline=word_probabilities(net, obs, words, None, action_var),
-        combined=word_probabilities(net, obs, words, soft, action_var),
+        baseline=word_probabilities(net, obs, words),
+        combined=word_probabilities(net, obs, words, soft),
     )

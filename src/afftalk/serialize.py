@@ -208,21 +208,21 @@ def load_gesture_bank(path) -> GestureBank:
             log_trans = np.array(
                 [lines.floats("logtrans", str(q), count=n_states) for q in range(n_states)]
             )
-            weights = np.zeros((n_states, n_mix))
-            means = np.zeros((n_states, n_mix, dim))
-            variances = np.zeros((n_states, n_mix, dim))
+            # the arrays grow from the rows read, never from the counts alone
+            weights, means, variances = [], [], []
             for q in range(n_states):
-                weights[q] = lines.floats("mix", str(q), count=n_mix)
+                weights.append(lines.floats("mix", str(q), count=n_mix))
                 for c in range(n_mix):
-                    means[q, c] = lines.floats("mean", str(q), str(c), count=dim)
-                    variances[q, c] = lines.floats("var", str(q), str(c), count=dim)
+                    means.append(lines.floats("mean", str(q), str(c), count=dim))
+                    variances.append(lines.floats("var", str(q), str(c), count=dim))
+            shape = (n_states, n_mix, dim)
             models.append(
                 HmmModel(
                     action_label=label,
                     log_trans=log_trans,
-                    weights=weights,
-                    means=means,
-                    variances=variances,
+                    weights=np.array(weights),
+                    means=np.array(means).reshape(shape),
+                    variances=np.array(variances).reshape(shape),
                 )
             )
         lines.fields("end", count=1)

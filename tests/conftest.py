@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from afftalk.bn import (
     greedy_structure_fit,
 )
 from afftalk.hmm import HmmModel, train_bank
-from afftalk.schema import ACTIONS, layered_candidates
+from afftalk.schema import ACTION_VAR, ACTIONS, layered_candidates
 from afftalk.world import default_config, generate_trials, sample_trajectory
 
 
@@ -82,6 +83,14 @@ def random_binary_net(rng: np.random.Generator, n_vars: int) -> BayesNet:
         n_rows = int(np.prod(shape[:-1], dtype=int))
         cpts.append(rng.dirichlet(np.ones(2), size=n_rows).reshape(shape))
     return BayesNet(schema, skeleton.parents, tuple(cpts))
+
+
+def random_action_net(rng: np.random.Generator, n_vars: int) -> BayesNet:
+    """``random_binary_net`` whose first variable is the action, ``Action``."""
+    net = random_binary_net(rng, n_vars)
+    action = replace(net.schema.variables[0], name=ACTION_VAR)
+    schema = WorldSchema((action,) + net.schema.variables[1:])
+    return BayesNet(schema, net.parents, net.cpts)
 
 
 def random_split(rng: np.random.Generator, net: BayesNet, n_obs=3, n_inf=3):

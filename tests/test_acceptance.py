@@ -23,7 +23,6 @@ from afftalk.bn import (
 )
 from afftalk.cli import main
 from afftalk.fusion import (
-    QuerySpec,
     SoftActionEvidence,
     confidence_sweep,
     fuse_query,
@@ -36,6 +35,7 @@ from afftalk.world import sample_trajectory
 
 from conftest import (
     brute_force_loglik,
+    random_action_net,
     random_binary_net,
     random_left_right_model,
     random_split,
@@ -144,33 +144,34 @@ def test_criterion_2_forward_oracle():
 
 def test_criterion_3_fusion_identities():
     rng = np.random.default_rng(3003)
+    ab = ("a", "b")
     worst = 0.0
     checked = 0
     while checked < 100:
-        net = random_binary_net(rng, int(rng.integers(4, 10)))
+        net = random_action_net(rng, int(rng.integers(4, 10)))
         infer, obs = random_split(rng, net)
-        if "X0" in obs:
+        if "Action" in obs:
             continue
         checked += 1
-        spec = QuerySpec(tuple(infer), Evidence(obs), action_var="X0")
         # uniform soft evidence changes nothing
-        uniform = fuse_query(net, SoftActionEvidence.uniform(2), spec)
+        uniform = fuse_query(net, SoftActionEvidence.uniform(ab), infer, Evidence(obs))
         plain = query(net, infer, Evidence(obs))
         worst = max(worst, float(np.abs(uniform.table.probs - plain.probs).max()))
         # a point mass equals hard conditioning when the action is latent
-        if "X0" not in infer:
+        if "Action" not in infer:
             value = int(rng.integers(2))
-            point = fuse_query(net, SoftActionEvidence.point_mass(2, value), spec)
-            hard = query(net, infer, Evidence({**obs, "X0": value}))
+            point = fuse_query(
+                net, SoftActionEvidence.point_mass(ab, ab[value]), infer, Evidence(obs)
+            )
+            hard = query(net, infer, Evidence({**obs, "Action": value}))
             worst = max(worst, float(np.abs(point.table.probs - hard.probs).max()))
         # inferring the action jointly then marginalizing matches the
         # latent-action route
-        soft = SoftActionEvidence(rng.dirichlet(np.ones(2)))
-        rest = [v for v in infer if v != "X0"]
+        soft = SoftActionEvidence(rng.dirichlet(np.ones(2)), ab)
+        rest = [v for v in infer if v != "Action"]
         if rest:
-            joint_spec = QuerySpec(("X0",) + tuple(rest), Evidence(obs), action_var="X0")
-            both = fuse_query(net, soft, joint_spec).table.marginal(rest)
-            latent = fuse_query(net, soft, QuerySpec(tuple(rest), Evidence(obs), "X0"))
+            both = fuse_query(net, soft, ["Action", *rest], Evidence(obs)).table.marginal(rest)
+            latent = fuse_query(net, soft, rest, Evidence(obs))
             worst = max(worst, float(np.abs(both.probs - latent.table.probs).max()))
     report(3, worst <= 1e-9, f"max deviation = {worst:.2e} over {checked} specs")
 
@@ -206,15 +207,11 @@ def test_criterion_4_confidence_sweep_flip(trained_net):
 
 def test_criterion_5_velocity_contrast_by_shape(trained_net):
     schema = trained_net.schema
-    point_tap = SoftActionEvidence.point_mass(
-        3, schema.value_index("Action", "tap"), schema.variable("Action").labels
-    )
+    point_tap = SoftActionEvidence.point_mass(schema.variable("Action").labels, "tap")
     values = {}
     for shape in ("sphere", "box"):
         obs = Evidence.from_labels(schema, {"Shape": shape})
-        table = fuse_query(
-            trained_net, point_tap, QuerySpec(("ObjVel",), obs)
-        ).table
+        table = fuse_query(trained_net, point_tap, ("ObjVel",), obs).table
         values[shape] = float(table.probs[schema.value_index("ObjVel", "fast")])
     margin = values["sphere"] - values["box"]
     report(
@@ -301,9 +298,7 @@ def test_criterion_9_verb_family_deltas(trained_net):
     obs = Evidence.from_labels(
         schema, {"Size": "big", "Shape": "sphere", "ObjVel": "fast"}
     )
-    point_tap = SoftActionEvidence.point_mass(
-        3, schema.value_index("Action", "tap"), schema.variable("Action").labels
-    )
+    point_tap = SoftActionEvidence.point_mass(schema.variable("Action").labels, "tap")
     result = word_delta(trained_net, obs, point_tap)
     delta = dict(zip(result.words, result.delta))
     tap_family = sum(delta[w] for w in TAP_WORDS)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -392,10 +393,12 @@ def test_config_file_controls_defaults(pipeline_dir, tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports afftalk from where this process does
     out = subprocess.run(
         [sys.executable, "-m", "afftalk.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.returncode == 0
     for sub in ("simulate", "train-bn", "train-hmm", "infer", "anticipate", "describe", "sweep"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from afftalk import fusion
 from afftalk.bn import (
     BOOL_LABELS,
     BayesNet,
@@ -13,59 +14,62 @@ from afftalk.bn import (
     query,
 )
 from afftalk.fusion import (
-    QuerySpec,
     SoftActionEvidence,
     confidence_sweep,
     fuse_query,
     word_delta,
     word_probabilities,
 )
+from afftalk.schema import ACTIONS
 
-from conftest import random_binary_net, random_split
+from conftest import random_action_net, random_split
+
+# the values of the random nets' binary action
+AB = ("a", "b")
 
 
 @pytest.fixture(scope="module")
 def action_net():
-    """Random binary net whose first variable plays the action role."""
+    """Random binary net whose first variable is the action."""
     rng = np.random.default_rng(2)
-    net = random_binary_net(rng, 8)
-    return net
-
-
-def spec_for(net, infer, obs, action="X0"):
-    return QuerySpec(infer_vars=tuple(infer), obs=Evidence(obs), action_var=action)
+    return random_action_net(rng, 8)
 
 
 def test_soft_evidence_validation():
     with pytest.raises(BnError, match="sum"):
-        SoftActionEvidence(np.array([0.5, 0.6]))
+        SoftActionEvidence(np.array([0.5, 0.6]), AB)
+    with pytest.raises(BnError, match="sum"):
+        SoftActionEvidence(np.array([np.nan, 1.0]), AB)
     with pytest.raises(BnError, match="nonnegative"):
-        SoftActionEvidence(np.array([1.5, -0.5]))
-    uniform = SoftActionEvidence.uniform(3, ("grasp", "tap", "touch"))
+        SoftActionEvidence(np.array([1.5, -0.5]), AB)
+    with pytest.raises(BnError, match="disagree in length"):
+        SoftActionEvidence(np.array([0.5, 0.5]), ACTIONS)
+    uniform = SoftActionEvidence.uniform(("grasp", "tap", "touch"))
     assert np.allclose(uniform.weights, 1 / 3)
-    point = SoftActionEvidence.point_mass(3, 1)
+    point = SoftActionEvidence.point_mass(("grasp", "tap", "touch"), "tap")
     assert point.weights[1] == 1.0
     reordered = SoftActionEvidence(
         np.array([0.2, 0.3, 0.5]), ("tap", "touch", "grasp")
     ).aligned_to(("grasp", "tap", "touch"))
     assert np.allclose(reordered, [0.5, 0.2, 0.3])
+    with pytest.raises(BnError, match="missing an action label"):
+        uniform.aligned_to(("grasp", "kick", "touch"))
 
 
 def test_action_observed_is_rejected(action_net):
-    spec = spec_for(action_net, ["X1"], {"X0": 1})
     with pytest.raises(EvidenceError, match="soft evidence"):
-        fuse_query(action_net, SoftActionEvidence.uniform(2), spec)
+        fuse_query(
+            action_net, SoftActionEvidence.uniform(AB), ["X1"], Evidence({"Action": 1})
+        )
 
 
 def test_uniform_soft_equals_plain_query(action_net):
     rng = np.random.default_rng(11)
     for _ in range(25):
         infer, obs = random_split(rng, action_net)
-        if "X0" in obs:
+        if "Action" in obs:
             continue
-        result = fuse_query(
-            action_net, SoftActionEvidence.uniform(2), spec_for(action_net, infer, obs)
-        )
+        result = fuse_query(action_net, SoftActionEvidence.uniform(AB), infer, Evidence(obs))
         plain = query(action_net, infer, Evidence(obs))
         assert np.abs(result.table.probs - plain.probs).max() <= 1e-9
 
@@ -74,30 +78,29 @@ def test_point_mass_soft_equals_hard_conditioning(action_net):
     rng = np.random.default_rng(12)
     for _ in range(25):
         infer, obs = random_split(rng, action_net)
-        if "X0" in obs or "X0" in infer:
+        if "Action" in obs or "Action" in infer:
             continue
         value = int(rng.integers(2))
         result = fuse_query(
-            action_net,
-            SoftActionEvidence.point_mass(2, value),
-            spec_for(action_net, infer, obs),
+            action_net, SoftActionEvidence.point_mass(AB, AB[value]), infer, Evidence(obs)
         )
-        hard = query(action_net, infer, Evidence({**obs, "X0": value}))
+        hard = query(action_net, infer, Evidence({**obs, "Action": value}))
         assert np.abs(result.table.probs - hard.probs).max() <= 1e-9
 
 
 def test_point_mass_with_action_inferred_is_a_point_mass(action_net):
     result = fuse_query(
         action_net,
-        SoftActionEvidence.point_mass(2, 1),
-        spec_for(action_net, ["X0", "X3"], {"X5": 0}),
+        SoftActionEvidence.point_mass(AB, "b"),
+        ["Action", "X3"],
+        Evidence({"X5": 0}),
     )
     table = result.table
-    axis = table.axis("X0")
+    axis = table.axis("Action")
     off = table.probs.take(0, axis=axis)
     assert np.allclose(off, 0.0)
     slice_on = table.probs.take(1, axis=axis)
-    conditional = query(action_net, ["X3"], Evidence({"X5": 0, "X0": 1}))
+    conditional = query(action_net, ["X3"], Evidence({"X5": 0, "Action": 1}))
     assert np.abs(slice_on - conditional.probs).max() <= 1e-9
 
 
@@ -105,27 +108,25 @@ def test_both_fusion_routes_agree(action_net):
     rng = np.random.default_rng(13)
     for _ in range(25):
         infer, obs = random_split(rng, action_net)
-        if "X0" in obs:
+        if "Action" in obs:
             continue
-        infer = [v for v in infer if v != "X0"]
+        infer = [v for v in infer if v != "Action"]
         if not infer:
             continue
-        w = rng.dirichlet(np.ones(2))
-        soft = SoftActionEvidence(w)
-        with_action = fuse_query(
-            action_net, soft, spec_for(action_net, ["X0"] + infer, obs)
-        )
-        without_action = fuse_query(action_net, soft, spec_for(action_net, infer, obs))
+        soft = SoftActionEvidence(rng.dirichlet(np.ones(2)), AB)
+        with_action = fuse_query(action_net, soft, ["Action"] + infer, Evidence(obs))
+        without_action = fuse_query(action_net, soft, infer, Evidence(obs))
         marginalized = with_action.table.marginal(infer)
         assert np.abs(marginalized.probs - without_action.table.probs).max() <= 1e-9
 
 
 def test_fuse_reports_consistency_mass(action_net):
-    spec = spec_for(action_net, ["X1"], {})
-    uniform = fuse_query(action_net, SoftActionEvidence.uniform(2), spec)
+    uniform = fuse_query(action_net, SoftActionEvidence.uniform(AB), ["X1"], Evidence.empty())
     assert uniform.consistency == pytest.approx(0.5, abs=1e-12)
-    point = fuse_query(action_net, SoftActionEvidence.point_mass(2, 0), spec)
-    prior = query(action_net, ["X0"], Evidence.empty()).probs[0]
+    point = fuse_query(
+        action_net, SoftActionEvidence.point_mass(AB, "a"), ["X1"], Evidence.empty()
+    )
+    prior = query(action_net, ["Action"], Evidence.empty()).probs[0]
     assert point.consistency == pytest.approx(prior, abs=1e-12)
 
 
@@ -142,10 +143,8 @@ def test_fuse_product_example():
 def test_sweep_endpoints_and_monotone_odds(action_net):
     obs = {"X4": 1}
     grid = np.linspace(0.5, 1.0, 21)
-    sweep = confidence_sweep(
-        action_net, Evidence(obs), "b", grid, action_var="X0"
-    )
-    plain = query(action_net, ["X0"], Evidence(obs))
+    sweep = confidence_sweep(action_net, Evidence(obs), "b", grid)
+    plain = query(action_net, ["Action"], Evidence(obs))
     assert np.abs(sweep.posteriors[0] - plain.probs).max() <= 1e-9  # p = 1/K
     assert sweep.posteriors[-1][1] == pytest.approx(1.0, abs=1e-12)  # p = 1
     interior = sweep.posteriors[:-1]
@@ -155,9 +154,46 @@ def test_sweep_endpoints_and_monotone_odds(action_net):
 
 def test_sweep_grid_validation(action_net):
     with pytest.raises(BnError, match="outside"):
-        confidence_sweep(action_net, Evidence.empty(), "b", [0.1], action_var="X0")
+        confidence_sweep(action_net, Evidence.empty(), "b", [0.1])
     with pytest.raises(EvidenceError, match="unknown action"):
-        confidence_sweep(action_net, Evidence.empty(), "zzz", [0.6], action_var="X0")
+        confidence_sweep(action_net, Evidence.empty(), "zzz", [0.6])
+
+
+def _fused_at(net, obs, target, p, infer_vars):
+    """The fused table at one grid point, built as one soft vector."""
+    labels = net.schema.variable("Action").labels
+    k = len(labels)
+    weights = np.full(k, (1.0 - p) / (k - 1))
+    weights[labels.index(target)] = p
+    weights /= weights.sum()
+    soft = SoftActionEvidence(weights, labels)
+    return fuse_query(net, soft, infer_vars or ("Action",), obs).table.probs
+
+
+def test_sweep_rows_equal_one_fused_query_per_point(trained_net, action_net, monkeypatch):
+    queries = []
+    monkeypatch.setattr(fusion, "query", lambda *a: queries.append(a) or query(*a))
+    cases = [
+        (trained_net, {}, "tap", None),
+        (trained_net, {"Size": 0, "Shape": 0, "ObjVel": 0}, "tap", None),
+        (trained_net, {}, "grasp", ("ObjVel", "Contact")),
+        (trained_net, {"Shape": 1}, "touch", ("Action", "ObjVel")),
+        (trained_net, {"Color": 2}, "tap", ("tapped", "HandVel")),
+        (action_net, {"X4": 1}, "b", ("X3", "Action", "X1")),
+        (action_net, {"X2": 0}, "a", ("X6",)),
+    ]
+    for net, labeled, target, infer_vars in cases:
+        obs = Evidence(labeled)
+        k = net.schema.variable("Action").arity
+        grid = np.linspace(1.0 / k, 1.0, 101)
+        queries.clear()
+        sweep = confidence_sweep(net, obs, target, grid, infer_vars)
+        assert len(queries) == 1
+        assert sweep.posteriors.shape[0] == len(grid)
+        for p, row in zip(sweep.grid, sweep.posteriors):
+            assert np.array_equal(row, _fused_at(net, obs, target, p, infer_vars)), (
+                labeled, infer_vars, p,
+            )
 
 
 def test_word_delta_uniform_soft_is_zero():
@@ -172,15 +208,14 @@ def test_word_delta_uniform_soft_is_zero():
     parents = greedy_structure_fit(data, config.schema, 2, layered_candidates(config.schema))
     net = fit_parameters(build_network(config.schema, parents), data, alpha=1.0)
     obs = Evidence.from_labels(net.schema, {"Shape": "sphere"})
-    result = word_delta(net, obs, SoftActionEvidence.uniform(3))
+    result = word_delta(net, obs, SoftActionEvidence.uniform(ACTIONS))
     assert np.abs(result.delta).max() <= 1e-9
     assert len(result.words) == 49
     # boolean complement: P(true) moves exactly opposite to P(false)
-    soft = SoftActionEvidence(np.array([0.2, 0.7, 0.1]))
+    soft = SoftActionEvidence(np.array([0.2, 0.7, 0.1]), ACTIONS)
     shifted = word_delta(net, obs, soft, words=("tapped", "rolls"))
     for i, word in enumerate(shifted.words):
-        spec = QuerySpec(infer_vars=(word,), obs=obs)
-        combined = fuse_query(net, soft, spec).table
+        combined = fuse_query(net, soft, (word,), obs).table
         false_idx = net.schema.value_index(word, "false")
         baseline_false = query(net, (word,), obs).probs[false_idx]
         delta_false = combined.probs[false_idx] - baseline_false
@@ -196,9 +231,9 @@ def test_word_delta_rejects_observed_words(action_net):
     net = build_network(schema, [()] * len(schema))
     obs = Evidence.from_labels(schema, {"tapped": "true"})
     with pytest.raises(EvidenceError, match="observed"):
-        word_delta(net, obs, SoftActionEvidence.uniform(3), words=("tapped",))
+        word_delta(net, obs, SoftActionEvidence.uniform(ACTIONS), words=("tapped",))
     # by default observed words are simply excluded
-    result = word_delta(net, obs, SoftActionEvidence.uniform(3))
+    result = word_delta(net, obs, SoftActionEvidence.uniform(ACTIONS))
     assert "tapped" not in result.words
 
 
@@ -209,7 +244,7 @@ def test_word_delta_keeps_one_entry_per_requested_word():
     schema = default_schema()
     net = build_network(schema, [()] * len(schema))
     words = ("rolls", "tapped", "rolls")
-    result = word_delta(net, Evidence.empty(), SoftActionEvidence.uniform(3), words=words)
+    result = word_delta(net, Evidence.empty(), SoftActionEvidence.uniform(ACTIONS), words=words)
     assert result.words == words
     assert result.baseline.shape == result.combined.shape == (3,)
     assert result.baseline[0] == result.baseline[2]
@@ -250,17 +285,17 @@ def test_word_probabilities_match_one_query_per_word():
     for labeled in cases:
         obs = Evidence(labeled)
         asked = [w for w in words if w not in labeled]
-        soft = SoftActionEvidence(rng.dirichlet(np.ones(3)))
+        soft = SoftActionEvidence(rng.dirichlet(np.ones(3)), ACTIONS)
         for weights in (None, soft):
             got = word_probabilities(net, obs, asked, weights)
             for word, p in zip(asked, got):
                 if weights is None:
                     table = query(net, (word,), obs)
                 else:
-                    table = fuse_query(net, soft, QuerySpec((word,), obs)).table
+                    table = fuse_query(net, soft, (word,), obs).table
                 assert abs(p - table.probs[1]) <= 1e-12, (labeled, word)
         plain = word_probabilities(net, obs, asked)
-        uniform = word_probabilities(net, obs, asked, SoftActionEvidence.uniform(3))
+        uniform = word_probabilities(net, obs, asked, SoftActionEvidence.uniform(ACTIONS))
         assert np.abs(plain - uniform).max() <= 1e-12
 
 
@@ -280,7 +315,7 @@ def test_word_probabilities_with_every_parent_observed():
 
 def test_word_delta_runs_one_elimination_per_query_pattern(eliminations):
     net = _word_net(np.random.default_rng(7), {"w0": ("A1",), "w1": ("A2",)})
-    soft = SoftActionEvidence(np.array([0.2, 0.5, 0.3]))
+    soft = SoftActionEvidence(np.array([0.2, 0.5, 0.3]), ACTIONS)
     word_delta(net, Evidence({"A1": 0}), soft)
     # the baseline joint is over A2; the fused one adds the action
     assert len(eliminations) == 2
@@ -288,3 +323,18 @@ def test_word_delta_runs_one_elimination_per_query_pattern(eliminations):
     word_delta(net, Evidence({"A1": 0}), soft)
     # the action already parents a word: both joints share one pattern
     assert len(eliminations) == 3
+
+
+def test_soft_evidence_that_the_network_rules_out_raises():
+    net = _word_net(np.random.default_rng(8), {"w0": ("Action",)})
+    cpts = list(net.cpts)
+    cpts[0] = np.array([0.0, 0.5, 0.5])  # grasp never happens
+    net = BayesNet(net.schema, net.parents, tuple(cpts))
+    grasp = SoftActionEvidence.point_mass(ACTIONS, "grasp")
+    with pytest.raises(ImpossibleEvidenceError, match="soft action evidence"):
+        fuse_query(net, grasp, ("w0",), Evidence.empty())
+    # only the sweep's last point, p = 1, puts all its weight on grasp
+    sweep = confidence_sweep(net, Evidence.empty(), "grasp", [1 / 3, 0.9])
+    assert sweep.posteriors[:, 0].max() == 0.0
+    with pytest.raises(ImpossibleEvidenceError, match="soft action evidence"):
+        confidence_sweep(net, Evidence.empty(), "grasp", [1 / 3, 0.9, 1.0])

@@ -135,6 +135,14 @@ def _model_without_dimensions(lines):
     return i
 
 
+def _huge_mixture_counts(lines):
+    """A model line whose counts would take terabytes; its first mix line is short."""
+    i = _first(lines, "model ")
+    _, label, states, _, _ = lines[i].split()
+    lines[i] = f"model {label} {states} 1000000 100000"
+    return _first(lines, "mix ")
+
+
 def _time_standing_still(lines):
     lines[4] = lines[3].split(",")[0] + "," + lines[4].split(",", 1)[1]
     return 4
@@ -219,6 +227,7 @@ FILE_CASES = [
     ("ragged trajectory row", "traj", _ragged_row),
     ("non-numeric trajectory cell", "traj", _traj_word),
     ("model with zero dimensions", "bank", _model_without_dimensions),
+    ("model line with huge mixture counts", "bank", _huge_mixture_counts),
     ("time column standing still", "traj", _time_standing_still),
     ("trajectory without coordinates", "traj", _no_coordinates),
     ("dataset format version 9", "dataset", _dataset_version_9),
@@ -257,6 +266,8 @@ CONFIG_CASES = [
     ("simulate --trials 1000001", None, ["--trials", "1000001"]),
     ("sweep --points 100001", None, ["--points", "100001"]),
     ("describe --k 1001", None, ["--k", "1001"]),
+    ("train-hmm --mixtures 101", None, ["--mixtures", "101"]),
+    ("config t_max 1001", '{"t_max": 1001}', []),
     ("bool for an int", '{"states": true}', []),
     ("NaN alpha", '{"alpha": NaN}', []),
     ("infinite noise", '{"noise_std": Infinity}', []),
@@ -282,6 +293,8 @@ def test_bad_config_or_flag_exits_4_before_any_work(inputs, tmp_path, text, flag
         argv += ["sweep", "--bn", inputs / "bn.txt", "--target", "tap", "--out", out]
     elif "--k" in flags:
         argv += ["describe", "--bn", inputs / "bn.txt", "--out", out]
+    elif "--mixtures" in flags:
+        argv += ["train-hmm", "--dataset", inputs / "ds", "--out", out]
     elif {"--ev", "--bank", "--traj"} & set(flags):
         argv += ["infer", "--bn", inputs / "bn.txt", "--infer", "ObjVel", "--out", out]
     else:
@@ -313,6 +326,16 @@ def test_file_that_is_not_text_exits_4(inputs, kind):
     code, err = _exit_code(_argv(kind, inputs, path))
     assert code == 4, err
     assert f"error[SerializeError]: {path}: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("per_action", ["0", "1"])
+def test_output_directory_blocked_by_a_file_exits_3(tmp_path, per_action):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    argv = ["simulate", "--out", blocker, "--trials", "30"]
+    code, err = _exit_code(argv + ["--trajectories-per-action", per_action])
+    assert code == 3, err
+    assert blocker.read_text() == "a file\n"
 
 
 def test_missing_dataset_exits_3(inputs, tmp_path):
