@@ -72,14 +72,15 @@ class SoftActionEvidence:
         return cls(w, actions)
 
     def aligned_to(self, labels: Sequence[str]) -> np.ndarray:
-        """Weights reordered to the given label order."""
+        """Weights reordered to ``labels``, which must reorder ``actions``."""
         if self.actions == labels:
             return self.weights
-        try:
-            order = [self.actions.index(lab) for lab in labels]
-        except ValueError as exc:
-            raise BnError(f"soft evidence is missing an action label: {exc}") from None
-        return self.weights[order]
+        if sorted(self.actions) != sorted(labels):
+            raise BnError(
+                f"soft evidence is missing an action label or has an extra one: "
+                f"{self.actions} against the action's {tuple(labels)}"
+            )
+        return self.weights[[self.actions.index(lab) for lab in labels]]
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,8 @@ def confidence_sweep(
 
     Each grid point ``p`` puts mass ``p`` on the target action and splits the
     remainder equally over the other actions, so ``p`` must stay in
-    [1/K, 1].  By default the posterior over the action itself is returned.
+    [1/K, 1].  With ``infer_vars`` None the posterior over the action itself
+    is returned; an empty ``infer_vars`` is an error.
     Every grid point weights the one network query.
     """
     actions = net.schema.variable(ACTION_VAR).labels
@@ -176,7 +178,7 @@ def confidence_sweep(
     for p in grid:
         if p < lo - 1e-9 or p > 1.0 + 1e-9:
             raise BnError(f"grid value {p} outside [{lo}, 1]")
-    infer = tuple(infer_vars) if infer_vars else (ACTION_VAR,)
+    infer = (ACTION_VAR,) if infer_vars is None else tuple(infer_vars)
     points = np.array(grid)
     weights = np.repeat(((1.0 - points) / (k - 1))[:, None], k, axis=1)
     weights[:, actions.index(target_action)] = points

@@ -135,8 +135,10 @@ class HmmModel:
             raise HmmError("mixture weights must sum to 1 per state")
         if (self.weights < 0).any():
             raise HmmError("mixture weights must be nonnegative")
-        if (self.variances < VAR_FLOOR - 1e-18).any():
-            raise HmmError(f"variances must stay above the floor {VAR_FLOOR}")
+        if not np.isfinite(self.means).all():
+            raise HmmError("means must be finite")
+        if not (np.isfinite(self.variances) & (self.variances >= VAR_FLOOR - 1e-18)).all():
+            raise HmmError(f"variances must be finite and stay above the floor {VAR_FLOOR}")
 
     @property
     def n_states(self) -> int:

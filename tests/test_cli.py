@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from afftalk import hmm, serialize, world
-from afftalk.cli import main
+from afftalk import cli, hmm, serialize, world
+from afftalk.cli import COMMANDS, RunConfig, main
 
 
 @pytest.fixture(scope="module")
@@ -403,3 +404,112 @@ def test_console_entry_point_runs():
     assert out.returncode == 0
     for sub in ("simulate", "train-bn", "train-hmm", "infer", "anticipate", "describe", "sweep"):
         assert sub in out.stdout
+
+
+# ---------------------------------------------------------------------------
+# the command-line surface
+
+SUBCOMMANDS = ["simulate", "train-bn", "train-hmm", "infer", "anticipate", "describe", "sweep"]
+
+# inputs each command requires; the tests below replace its handler
+REQUIRED = {
+    "simulate": ["--out", "ds"],
+    "train-bn": ["--dataset", "ds", "--out", "bn.txt"],
+    "train-hmm": ["--dataset", "ds", "--out", "hmm.txt"],
+    "describe": ["--bn", "bn.txt"],
+    "sweep": ["--bn", "bn.txt", "--target", "tap", "--out", "sweep.csv"],
+}
+
+# (command, flag, RunConfig field, value)
+CONFIG_FLAGS = [
+    ("simulate", "--trials", "trials", "7"),
+    ("simulate", "--trajectories-per-action", "trajectories_per_action", "3"),
+    ("simulate", "--seed", "seed", "5"),
+    ("train-bn", "--alpha", "alpha", "0.5"),
+    ("train-bn", "--max-parents", "max_parents", "2"),
+    ("train-hmm", "--states", "states", "3"),
+    ("train-hmm", "--mixtures", "mixtures", "3"),
+    ("train-hmm", "--per-action", "train_per_action", "5"),
+    ("train-hmm", "--seed", "seed", "9"),
+    ("describe", "--k", "keep", "3"),
+    ("describe", "--seed", "seed", "6"),
+    ("sweep", "--points", "grid_points", "7"),
+]
+
+
+def _usage(argv, capsys):
+    """The exit code and output of a request that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def _capture_config(monkeypatch, command) -> list:
+    """Replace the command's handler by one that records its arguments and config."""
+    seen = []
+
+    def handler(args, config):
+        seen.append((args, config))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), handler)
+    return seen
+
+
+def test_help_lists_every_subcommand(capsys):
+    code, out, _ = _usage(["--help"], capsys)
+    assert code == 0
+    assert re.search(r"\{(.*)\}", out).group(1).split(",") == SUBCOMMANDS
+    for command in SUBCOMMANDS:
+        assert re.search(rf"^    {command} +\w", out, re.M)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_command_help_names_every_flag_of_its_entry(command, capsys):
+    code, out, _ = _usage([command, "--help"], capsys)
+    assert code == 0
+    _, flags = COMMANDS[command]
+    assert set(re.findall(r"--[a-z-]+", out)) == {"--help", *(flag for flag, _, _ in flags)}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["infer", "--bn", "bn.txt"], "the following arguments are required: --infer"),
+        (["describe", "--bn", "bn.txt", "--points", "3"], "unrecognized arguments: --points"),
+        (["describe-all", "--bn", "bn.txt"], "invalid choice: 'describe-all'"),
+    ],
+    ids=["missing required flag", "unknown flag", "unknown command"],
+)
+def test_usage_errors_exit_2(argv, message, capsys):
+    code, _, err = _usage(argv, capsys)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "command,flag,field,value", CONFIG_FLAGS, ids=[f"{c} {f}" for c, f, _, _ in CONFIG_FLAGS]
+)
+def test_config_flag_sets_its_field(monkeypatch, command, flag, field, value):
+    seen = _capture_config(monkeypatch, command)
+    assert main([command, *REQUIRED[command], flag, value]) == 0
+    typed = type(getattr(RunConfig, field))(value)
+    assert [config for _, config in seen] == [replace(RunConfig(), **{field: typed})]
+
+
+def test_every_config_flag_of_the_table_has_a_case():
+    declared = {
+        (command, flag, field)
+        for command, (_, flags) in COMMANDS.items()
+        for flag, field, _ in flags
+        if field
+    }
+    assert declared == {case[:3] for case in CONFIG_FLAGS}
+
+
+def test_a_value_named_like_a_command_keeps_the_command_flags(monkeypatch):
+    seen = _capture_config(monkeypatch, "describe")
+    assert main(["describe", "--bn", "sweep", "--k", "3", "--traj", "infer"]) == 0
+    [(args, config)] = seen
+    assert (args.bn, args.traj, config.keep) == ("sweep", "infer", 3)

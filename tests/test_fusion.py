@@ -54,6 +54,9 @@ def test_soft_evidence_validation():
     assert np.allclose(reordered, [0.5, 0.2, 0.3])
     with pytest.raises(BnError, match="missing an action label"):
         uniform.aligned_to(("grasp", "kick", "touch"))
+    extra = SoftActionEvidence(np.array([0.1, 0.1, 0.1, 0.7]), ("grasp", "tap", "touch", "push"))
+    with pytest.raises(BnError, match="extra one"):
+        extra.aligned_to(("grasp", "tap", "touch"))
 
 
 def test_action_observed_is_rejected(action_net):

@@ -143,6 +143,26 @@ def _huge_mixture_counts(lines):
     return _first(lines, "mix ")
 
 
+def _first_model_value(lines, prefix, value):
+    """The first ``prefix`` line's last number replaced by ``value``.  Its
+    model is built, and so checked, once the model's last line is read."""
+    i = _first(lines, prefix)
+    lines[i] = lines[i].rsplit(" ", 1)[0] + " " + value
+    return i + _first(lines[i:], "model ") - 1
+
+
+def _nan_mean(lines):
+    return _first_model_value(lines, "mean ", "nan")
+
+
+def _nan_variance(lines):
+    return _first_model_value(lines, "var ", "nan")
+
+
+def _infinite_variance(lines):
+    return _first_model_value(lines, "var ", "inf")
+
+
 def _time_standing_still(lines):
     lines[4] = lines[3].split(",")[0] + "," + lines[4].split(",", 1)[1]
     return 4
@@ -228,6 +248,9 @@ FILE_CASES = [
     ("non-numeric trajectory cell", "traj", _traj_word),
     ("model with zero dimensions", "bank", _model_without_dimensions),
     ("model line with huge mixture counts", "bank", _huge_mixture_counts),
+    ("NaN mean in a bank", "bank", _nan_mean),
+    ("NaN variance in a bank", "bank", _nan_variance),
+    ("infinite variance in a bank", "bank", _infinite_variance),
     ("time column standing still", "traj", _time_standing_still),
     ("trajectory without coordinates", "traj", _no_coordinates),
     ("dataset format version 9", "dataset", _dataset_version_9),
@@ -277,6 +300,8 @@ CONFIG_CASES = [
     ("--ev naming a variable twice", None, ["--ev", "Shape=box,Shape=sphere"]),
     ("--bank without --traj", None, ["--bank", "{inputs}/hmm.txt"]),
     ("--traj without --bank", None, ["--traj", "{inputs}/traj.csv"]),
+    ("sweep --infer ,", None, ["--infer", ","]),
+    ("sweep --infer ''", None, ["--infer", ""]),
 ]
 
 
@@ -289,7 +314,7 @@ def test_bad_config_or_flag_exits_4_before_any_work(inputs, tmp_path, text, flag
     if text is not None:
         (tmp_path / "config.json").write_text(text)
         argv = ["--config", tmp_path / "config.json"]
-    if "--points" in flags:
+    if "--points" in flags or "--infer" in flags:
         argv += ["sweep", "--bn", inputs / "bn.txt", "--target", "tap", "--out", out]
     elif "--k" in flags:
         argv += ["describe", "--bn", inputs / "bn.txt", "--out", out]
