@@ -123,8 +123,11 @@ def _parse_evidence(schema, pairs) -> Evidence:
 
 
 def _parse_names(text: str) -> tuple[str, ...]:
-    """The variables named in a comma-separated ``--infer`` list."""
-    return tuple(v.strip() for v in text.split(",") if v.strip())
+    """The variables named in a comma-separated ``--infer`` list, at least one."""
+    names = tuple(v.strip() for v in text.split(",") if v.strip())
+    if not names:
+        raise BnError(f"--infer must name at least one variable, got {text!r}")
+    return names
 
 
 def _print_table(table: JointTable) -> None:
@@ -210,9 +213,9 @@ def cmd_train_hmm(args, config: RunConfig) -> int:
 
 
 def cmd_infer(args, config: RunConfig) -> int:
+    infer_vars = _parse_names(args.infer)
     net = serialize.load_bayesnet(args.bn)
     obs = _parse_evidence(net.schema, args.ev)
-    infer_vars = _parse_names(args.infer)
     soft = _load_soft(args, net.schema)
     if soft is None:
         table = query(net, infer_vars, obs)
@@ -274,11 +277,11 @@ def cmd_describe(args, config: RunConfig) -> int:
 
 
 def cmd_sweep(args, config: RunConfig) -> int:
+    infer_vars = None if args.infer is None else _parse_names(args.infer)
     net = serialize.load_bayesnet(args.bn)
     obs = _parse_evidence(net.schema, args.ev)
     arity = net.schema.variable(ACTION_VAR).arity
     grid = np.linspace(1.0 / arity, 1.0, config.grid_points)
-    infer_vars = None if args.infer is None else _parse_names(args.infer)
     sweep = fusion.confidence_sweep(net, obs, args.target, grid, infer_vars=infer_vars)
     serialize.write_sweep_csv(args.out, sweep)
     print(f"swept {config.grid_points} confidence points for {args.target!r}; wrote {args.out}")

@@ -7,13 +7,21 @@ its columns once and then holds one row of labels per trial; trajectories
 are small CSV files with a ``t,x,y,z`` header.  Results are CSV files with
 labeled header columns.  Every reader reports a malformed file as a
 ``SerializeError`` that names ``path:line``.
+
+The numeric sections (a network's CPTs, each bank model, a trajectory's
+rows) are parsed as blocks: their layout follows from what was read before
+them, and one ``float`` pass converts every number of a section that fits
+it exactly.  A section that does not fit is read again one line at a time,
+which names the line at fault.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -53,7 +61,8 @@ def _fmt(x: float) -> str:
 
 
 class _Lines:
-    """A text file read one line at a time; every failure names ``path:line``.
+    """A text file read one line at a time, or a numeric section at a time;
+    every failure names ``path:line``.
 
     Use it as a context manager: a ``ValueError`` raised inside the block,
     by a number conversion or by a model constructor, leaves it as a
@@ -64,7 +73,8 @@ class _Lines:
         self.path = path
         self.sep = sep
         try:
-            self.lines = Path(path).read_text(encoding="utf-8").splitlines()
+            with open(path, encoding="utf-8") as text:
+                self.lines = text.read().splitlines()
         except UnicodeDecodeError as exc:
             raise SerializeError(f"{path}: not UTF-8 text: {exc}") from None
         self.lineno = 0
@@ -100,6 +110,29 @@ class _Lines:
         """The ``count`` numbers that follow ``lead`` on the next line."""
         return list(map(float, self.fields(*lead, count=len(lead) + count)[len(lead):]))
 
+    def numbers(self, layout, n_lines: int) -> np.ndarray:
+        """The numbers on the next ``n_lines`` lines, flattened in file order.
+
+        ``layout`` gives each line's (lead fields, count of numbers); it may
+        be lazy.  Lines that hold exactly that, with single separators, are
+        converted in one block; otherwise they are read one at a time, so
+        the error names the line at fault.  Nothing is built from the counts
+        before the file is known to hold that many lines.
+        """
+        stop = self.lineno + n_lines
+        if stop <= len(self.lines):
+            layout = list(layout)
+            sep = self.sep or " "
+            heads = [sep.join(lead) + sep if lead else "" for lead, _ in layout]
+            rows = self.lines[self.lineno : stop]
+            if all(map(str.startswith, rows, heads)):
+                rows = list(map(str.removeprefix, rows, heads))
+                values = _numbers(rows, [count - 1 for _, count in layout], sep)
+                if values is not None:
+                    self.lineno = stop
+                    return values
+        return np.array([v for lead, count in layout for v in self.floats(*lead, count=count)])
+
     def size(self, text: str) -> int:
         """A count read from the current line, which must be positive."""
         n = int(text)
@@ -111,6 +144,22 @@ class _Lines:
         """The fields of every remaining line."""
         while self.lineno < len(self.lines):
             yield self.fields()
+
+
+def _numbers(rows: list[str], seps: list[int], sep: str) -> np.ndarray | None:
+    """Every number on ``rows``, converted in one ``float`` pass.
+
+    None unless row k holds exactly ``seps[k]`` separators and every field
+    between them is a number.  ``float`` accepts no empty field and no
+    whitespace inside one, so such rows split into the fields the line
+    reader's ``str.split`` finds, and the values are its values.
+    """
+    if list(map(str.count, rows, repeat(sep))) != seps:
+        return None
+    try:
+        return np.array(list(map(float, sep.join(rows).split(sep))))
+    except ValueError:
+        return None
 
 
 def _write_text(path, text: str) -> None:
@@ -171,15 +220,51 @@ def load_bayesnet(path) -> BayesNet:
         parents = []
         for i in range(n):
             parts = lines.fields("parents", names[i])
-            parents.append(tuple(schema.index(p) for p in parts[2:]))
-        cpts = []
-        for i in range(n):
-            n_rows, arity = map(lines.size, lines.fields("cpt", names[i], count=4)[2:])
-            table = np.array([lines.floats(count=arity) for _ in range(n_rows)])
-            shape = tuple(arities[p] for p in parents[i]) + (arities[i],)
-            cpts.append(table.reshape(shape))
+            parents.append(tuple(map(schema.index, parts[2:])))
+        shapes = [(*map(arities.__getitem__, ps), arities[i]) for i, ps in enumerate(parents)]
+        cpts = _cpt_block(lines, names, shapes)
+        if cpts is None:  # the line reader, which names the faulty line
+            cpts = []
+            for i in range(n):
+                n_rows, arity = map(lines.size, lines.fields("cpt", names[i], count=4)[2:])
+                table = np.array([lines.floats(count=arity) for _ in range(n_rows)])
+                cpts.append(table.reshape(shapes[i]))
         lines.fields("end", count=1)
     return BayesNet(schema=schema, parents=tuple(parents), cpts=tuple(cpts))
+
+
+def _cpt_block(lines: _Lines, names, shapes) -> list[np.ndarray] | None:
+    """The CPTs in one block, or None unless the section is exactly as saved.
+
+    Each CPT is a ``cpt <name> <rows> <arity>`` line, with the rows and
+    arity its parents and variable give, then one line of ``arity``
+    numbers per row.
+    """
+    start = lines.lineno
+    counts = [math.prod(shape[:-1]) for shape in shapes]
+    stop = start + len(shapes) + sum(counts)
+    if stop > len(lines.lines):
+        return None
+    section = lines.lines[start:stop]
+    rows: list[str] = []
+    seps: list[int] = []
+    at = 0
+    for name, shape, n_rows in zip(names, shapes, counts):
+        if section[at] != f"cpt {name} {n_rows} {shape[-1]}":
+            return None
+        rows += section[at + 1 : at + 1 + n_rows]
+        seps += [shape[-1] - 1] * n_rows
+        at += 1 + n_rows
+    values = _numbers(rows, seps, " ")
+    if values is None:
+        return None
+    lines.lineno = stop
+    cpts, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        cpts.append(values[at : at + size].reshape(shape))
+        at += size
+    return cpts
 
 
 def save_gesture_bank(path, bank: GestureBank) -> None:
@@ -205,28 +290,33 @@ def load_gesture_bank(path) -> GestureBank:
         for _ in range(lines.size(lines.fields("models", count=2)[1])):
             _, label, *dims = lines.fields("model", count=5)
             n_states, n_mix, dim = map(lines.size, dims)
-            log_trans = np.array(
-                [lines.floats("logtrans", str(q), count=n_states) for q in range(n_states)]
-            )
-            # the arrays grow from the rows read, never from the counts alone
-            weights, means, variances = [], [], []
-            for q in range(n_states):
-                weights.append(lines.floats("mix", str(q), count=n_mix))
-                for c in range(n_mix):
-                    means.append(lines.floats("mean", str(q), str(c), count=dim))
-                    variances.append(lines.floats("var", str(q), str(c), count=dim))
-            shape = (n_states, n_mix, dim)
+            layout = _model_layout(n_states, n_mix, dim)
+            values = lines.numbers(layout, n_states * (2 + 2 * n_mix))
+            per_state = values[n_states * n_states :].reshape(n_states, -1)
+            pairs = per_state[:, n_mix:].reshape(n_states, n_mix, 2, dim)
             models.append(
                 HmmModel(
                     action_label=label,
-                    log_trans=log_trans,
-                    weights=np.array(weights),
-                    means=np.array(means).reshape(shape),
-                    variances=np.array(variances).reshape(shape),
+                    log_trans=values[: n_states * n_states].reshape(n_states, n_states),
+                    weights=np.ascontiguousarray(per_state[:, :n_mix]),
+                    means=np.ascontiguousarray(pairs[:, :, 0]),
+                    variances=np.ascontiguousarray(pairs[:, :, 1]),
                 )
             )
         lines.fields("end", count=1)
     return GestureBank(models=tuple(models))
+
+
+def _model_layout(n_states: int, n_mix: int, dim: int):
+    """(lead fields, count) of each line after a ``model`` line, lazily, so
+    that a model line with huge counts fails on its first short line."""
+    for q in range(n_states):
+        yield ("logtrans", str(q)), n_states
+    for q in range(n_states):
+        yield ("mix", str(q)), n_mix
+        for c in range(n_mix):
+            yield ("mean", str(q), str(c)), dim
+            yield ("var", str(q), str(c)), dim
 
 
 def save_trajectory(path, traj: Trajectory) -> None:
@@ -241,7 +331,8 @@ def load_trajectory(path) -> Trajectory:
         width = len(lines.fields("t"))
         if width < 2:
             raise lines.error("expected a coordinate column after 't'")
-        table = np.array([lines.floats(count=width) for _ in lines.lines[1:]])
+        n_frames = len(lines.lines) - 1
+        table = lines.numbers([((), width)] * n_frames, n_frames).reshape(-1, width)
         if len(table) == 0:
             raise lines.error("trajectory needs a header and one frame")
         steps = np.diff(table[:, 0])

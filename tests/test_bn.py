@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afftalk import bn, serialize
 from afftalk.bn import (
@@ -102,6 +106,160 @@ def test_cpt_with_a_nan_cell_is_rejected():
             skeleton.parents,
             (np.array([0.5, 0.5]), np.array([[0.8, 0.2], [np.nan, 0.9]])),
         )
+
+
+def _chain_net_cpts():
+    """Schema, parents and valid cpts of a three-variable chain A -> B -> C."""
+    schema = WorldSchema.of([("A", ("a0", "a1")), ("B", ("b0", "b1")), ("C", ("c0", "c1", "c2"))])
+    parents = ((), (0,), (1,))
+    cpts = [
+        np.array([0.3, 0.7]),
+        np.array([[0.8, 0.2], [0.1, 0.9]]),
+        np.array([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]]),
+    ]
+    return schema, parents, cpts
+
+
+def test_first_faulty_variable_in_schema_order_is_named():
+    """A bad row sum at B and a negative entry at C: B is named, as a check
+    of one variable after another would name it."""
+    schema, parents, cpts = _chain_net_cpts()
+    cpts[1] = np.array([[0.8, 0.2], [0.1, 0.8]])
+    cpts[2] = np.array([[0.2, 0.3, 0.5], [0.6, -0.2, 0.6]])
+    with pytest.raises(BnError, match=r"^cpt rows of 'B' must sum to 1$"):
+        BayesNet(schema, parents, tuple(cpts))
+    # and a bad row sum at C after a shape fault at B names B
+    schema, parents, cpts = _chain_net_cpts()
+    cpts[1] = cpts[1].T.copy().reshape(4)
+    cpts[2] = cpts[2] * 2
+    with pytest.raises(BnError, match=r"^cpt shape \(4,\) for 'B', expected \(2, 2\)$"):
+        BayesNet(schema, parents, tuple(cpts))
+
+
+def test_negative_entry_in_a_row_that_sums_to_one_is_rejected():
+    schema, parents, cpts = _chain_net_cpts()
+    cpts[2] = np.array([[0.2, 0.3, 0.5], [1.2, -0.4, 0.2]])
+    with pytest.raises(BnError, match=r"^negative probability in cpt of 'C'$"):
+        BayesNet(schema, parents, tuple(cpts))
+
+
+def test_all_nan_row_is_rejected_as_not_summing_to_one():
+    schema, parents, cpts = _chain_net_cpts()
+    cpts[2] = np.array([[0.2, 0.3, 0.5], [np.nan, np.nan, np.nan]])
+    with pytest.raises(BnError, match=r"^cpt rows of 'C' must sum to 1$"):
+        BayesNet(schema, parents, tuple(cpts))
+
+
+def test_row_sum_off_by_2e_12_is_rejected():
+    schema, parents, cpts = _chain_net_cpts()
+    cpts[1] = np.array([[0.8, 0.2], [0.1, 0.9 + 2e-12]])
+    assert abs(cpts[1][1].sum() - 1.0) > bn.ROW_SUM_TOL
+    with pytest.raises(BnError, match=r"^cpt rows of 'B' must sum to 1$"):
+        BayesNet(schema, parents, tuple(cpts))
+    cpts[1] = np.array([[0.8, 0.2], [0.1, 0.9 + 5e-13]])
+    BayesNet(schema, parents, tuple(cpts))
+
+
+def _per_variable_fault(schema, parents, cpts):
+    """The error, as (type, message), of the checks run one variable at a
+    time before all rows were tested at once; the reference for them."""
+    n, arities = len(schema), schema.arities
+    for i, (ps, cpt) in enumerate(zip(parents, cpts)):
+        name = schema.names[i]
+        if list(ps) != sorted(set(ps)):
+            return BnError, f"parents of {name!r} must be sorted and unique"
+        if any(p < 0 or p >= n for p in ps):
+            return BnError, f"parent index out of range for {name!r}"
+        if i in ps:
+            return CycleError, f"{name!r} cannot be its own parent"
+        expected = tuple(arities[p] for p in ps) + (arities[i],)
+        if cpt.shape != expected:
+            return BnError, f"cpt shape {cpt.shape} for {name!r}, expected {expected}"
+        if (cpt < 0).any():
+            return BnError, f"negative probability in cpt of {name!r}"
+        if not (np.abs(cpt.sum(axis=-1) - 1.0) <= bn.ROW_SUM_TOL).all():
+            return BnError, f"cpt rows of {name!r} must sum to 1"
+    return None
+
+
+def test_rows_on_the_tolerance_get_the_per_variable_verdict():
+    """Rows scaled to sum to 1 +- 1e-12, where the order of the additions
+    decides: the network accepts exactly the cpts the reference accepts."""
+    rng = np.random.default_rng(3)
+    verdicts = set()
+    for arity in range(2, 11):
+        schema = WorldSchema.of([("A", ("a0", "a1")), ("B", tuple(f"b{k}" for k in range(arity)))])
+        for _ in range(40):
+            cpts = (np.array([0.5, 0.5]), rng.dirichlet(np.ones(arity), size=2))
+            cpts[1][1] *= 1.0 + rng.choice([-1e-12, 1e-12])
+            expected = _per_variable_fault(schema, ((), (0,)), cpts)
+            try:
+                BayesNet(schema, ((), (0,)), cpts)
+                found = None
+            except BnError as exc:
+                found = type(exc), str(exc)
+            assert found == expected
+            verdicts.add(found)
+    assert len(verdicts) == 2  # both sides of the tolerance were met
+
+
+_FAULTS = [None, None, "negative", "nan", "inf", "near", "scaled", "shape", "unsorted", "self"]
+
+
+@st.composite
+def checked_nets(draw):
+    """Schema, parents and cpts of a random DAG, some variables with a fault.
+
+    Arities reach 10, past the 8 where numpy's sums turn pairwise, and a
+    "near" fault moves one row's sum to within a few 1e-13 of the
+    tolerance on either side."""
+    n = draw(st.integers(1, 5))
+    arities = draw(st.lists(st.integers(2, 10), min_size=n, max_size=n))
+    schema = WorldSchema.of(
+        [(f"V{i}", tuple(f"v{k}" for k in range(a))) for i, a in enumerate(arities)]
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parents, cpts = [], []
+    for i in range(n):
+        ps = sorted(draw(st.sets(st.integers(0, i - 1), max_size=2))) if i else []
+        shape = tuple(arities[p] for p in ps) + (arities[i],)
+        cpt = rng.dirichlet(np.ones(arities[i]), size=math.prod(shape[:-1])).reshape(shape)
+        row = tuple(int(rng.integers(k)) for k in shape[:-1])
+        fault = draw(st.sampled_from(_FAULTS))
+        if fault == "negative":  # the row still sums to 1
+            cpt[row + (1,)] += cpt[row + (0,)] + 0.25
+            cpt[row + (0,)] = -0.25
+        elif fault == "nan":
+            cpt[row + (0,)] = np.nan
+        elif fault == "inf":
+            cpt[row + (0,)] = np.inf
+        elif fault == "near":
+            step = draw(st.sampled_from([-11e-13, -1e-12, -9e-13, 9e-13, 1e-12, 11e-13, 2e-12]))
+            cpt[row] *= 1.0 + step
+        elif fault == "scaled":
+            cpt[row] *= 2.0
+        elif fault == "shape":
+            cpt = cpt.reshape(-1)[:-1]
+        elif fault == "unsorted" and len(ps) == 2:
+            ps = ps[::-1]
+        elif fault == "self":
+            ps = sorted({*ps, i})
+        parents.append(tuple(ps))
+        cpts.append(cpt)
+    return schema, tuple(parents), tuple(cpts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=checked_nets())
+def test_one_pass_row_test_agrees_with_the_per_variable_checks(case):
+    schema, parents, cpts = case
+    expected = _per_variable_fault(schema, parents, cpts)
+    try:
+        BayesNet(schema, parents, cpts)
+        found = None
+    except BnError as exc:
+        found = type(exc), str(exc)
+    assert found == expected
 
 
 # ---------------------------------------------------------------------------

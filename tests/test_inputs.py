@@ -20,8 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from afftalk import serialize
 from afftalk.bn import BayesNet, Variable, WorldSchema
-from afftalk.cli import _LIMITS, RunConfig, main
+from afftalk.cli import _LIMITS, COMMANDS, RunConfig, main
 from afftalk.hmm import GestureBank, Trajectory
 from afftalk.serialize import (
     load_bayesnet,
@@ -50,6 +51,14 @@ def _exit_code(argv) -> tuple[int, str]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
     return code, err.getvalue()
+
+
+@contextlib.contextmanager
+def _line_reader_only():
+    """Every block check fails, so each numeric section is read line by line."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "_numbers", lambda *args: None)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +111,47 @@ def _cpt_cell(lines):
     return i
 
 
+def _first_table(lines):
+    """The header index and row count of the first CPT with two rows or more."""
+    return next(
+        (i, int(line.split()[2]))
+        for i, line in enumerate(lines)
+        if line.startswith("cpt ") and int(line.split()[2]) > 1
+    )
+
+
+def _cpt_rows_that_cancel_out(lines):
+    """A CPT row with one number too many, then one with one too few."""
+    i, _ = _first_table(lines)
+    first, (second, moved) = lines[i + 1], lines[i + 2].rsplit(" ", 1)
+    lines[i + 1 : i + 3] = [f"{first} {moved}", second]
+    return i + 1
+
+
+def _cpt_header_rows_off(lines):
+    """A cpt header that promises one row more than its parents give: the
+    next header is read as its last row."""
+    i, rows = _first_table(lines)
+    _, name, _, arity = lines[i].split()
+    lines[i] = f"cpt {name} {rows + 1} {arity}"
+    return i + rows + 1
+
+
+def _cpt_cut_short(lines):
+    """A CPT block without its last row: the next header is read in its place."""
+    i, rows = _first_table(lines)
+    del lines[i + rows]
+    return i + rows
+
+
+def _cut_after_a_whole_cpt(lines):
+    """A network cut off where the second CPT would begin."""
+    i = _first(lines, "cpt ")
+    i += _first(lines[i + 1 :], "cpt ") + 1
+    del lines[i:]
+    return i
+
+
 def _blank_after_header(lines):
     lines.insert(1, "")
     return 1
@@ -132,6 +182,25 @@ def _traj_word(lines):
 def _model_without_dimensions(lines):
     i = _first(lines, "model ")
     lines[i] = lines[i].rsplit(" ", 1)[0] + " 0"
+    return i
+
+
+def _ragged_mean(lines):
+    i = _first(lines, "mean ")
+    lines[i] += " 1.0"
+    return i
+
+
+def _bank_word(lines):
+    i = _first(lines, "var ")
+    lines[i] = lines[i].rsplit(" ", 1)[0] + " x"
+    return i
+
+
+def _bank_line_without_lead(lines):
+    """A ``var`` line that holds its numbers but not its ``var q c`` lead."""
+    i = _first(lines, "var ")
+    lines[i] = lines[i].split(" ", 3)[3]
     return i
 
 
@@ -241,12 +310,19 @@ def _unchanged(lines):
 # whole file)
 FILE_CASES = [
     ("non-numeric CPT cell", "bn", _cpt_cell),
+    ("adjacent CPT rows whose field counts cancel out", "bn", _cpt_rows_that_cancel_out),
+    ("cpt header whose row count disagrees with the parents", "bn", _cpt_header_rows_off),
+    ("CPT block cut one row short", "bn", _cpt_cut_short),
+    ("network cut off after a whole CPT", "bn", _cut_after_a_whole_cpt),
     ("blank line after the bayesnet header", "bn", _blank_after_header),
     ("variables x", "bn", _variables_word),
     ("bank line model grasp x 2 3", "bank", _model_word),
     ("ragged trajectory row", "traj", _ragged_row),
     ("non-numeric trajectory cell", "traj", _traj_word),
     ("model with zero dimensions", "bank", _model_without_dimensions),
+    ("ragged bank mean line", "bank", _ragged_mean),
+    ("non-numeric bank cell", "bank", _bank_word),
+    ("bank line without its lead", "bank", _bank_line_without_lead),
     ("model line with huge mixture counts", "bank", _huge_mixture_counts),
     ("NaN mean in a bank", "bank", _nan_mean),
     ("NaN variance in a bank", "bank", _nan_variance),
@@ -276,6 +352,8 @@ def test_malformed_file_exits_4_naming_path_and_line(inputs, kind, edit):
     assert code == 4, err
     where = path if index is None else f"{path}:{index + 1}"
     assert f"error[SerializeError]: {where}: " in err
+    with _line_reader_only():
+        assert _exit_code(_argv(kind, inputs, path)) == (code, err)
 
 
 # (id, config file text or None, extra flags)
@@ -302,32 +380,50 @@ CONFIG_CASES = [
     ("--traj without --bank", None, ["--traj", "{inputs}/traj.csv"]),
     ("sweep --infer ,", None, ["--infer", ","]),
     ("sweep --infer ''", None, ["--infer", ""]),
+    ("infer --infer ,", None, ["--infer", ","]),
 ]
 
 
-@pytest.mark.parametrize(
-    "text,flags", [c[1:] for c in CONFIG_CASES], ids=[c[0] for c in CONFIG_CASES]
-)
-def test_bad_config_or_flag_exits_4_before_any_work(inputs, tmp_path, text, flags):
+def _base_argv(command: str, inputs: Path, out: Path) -> list:
+    """A valid request of ``command``, which the case's flags then override."""
+    bn = inputs / "bn.txt"
+    return {
+        "simulate": ["simulate", "--out", out],
+        "train-hmm": ["train-hmm", "--dataset", inputs / "ds", "--out", out],
+        "infer": ["infer", "--bn", bn, "--infer", "ObjVel", "--out", out],
+        "describe": ["describe", "--bn", bn, "--out", out],
+        "sweep": ["sweep", "--bn", bn, "--target", "tap", "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("case", CONFIG_CASES, ids=[c[0] for c in CONFIG_CASES])
+def test_bad_config_or_flag_exits_4_before_any_work(inputs, tmp_path, case):
+    """A row runs the command its id starts with; the others run ``infer``
+    when they pass an input flag, and ``simulate`` otherwise."""
+    name, text, flags = case
+    command = name.split()[0]
+    if command not in COMMANDS:
+        command = "infer" if {"--ev", "--bank", "--traj"} & set(flags) else "simulate"
     out = tmp_path / "out"
     argv = []
     if text is not None:
         (tmp_path / "config.json").write_text(text)
         argv = ["--config", tmp_path / "config.json"]
-    if "--points" in flags or "--infer" in flags:
-        argv += ["sweep", "--bn", inputs / "bn.txt", "--target", "tap", "--out", out]
-    elif "--k" in flags:
-        argv += ["describe", "--bn", inputs / "bn.txt", "--out", out]
-    elif "--mixtures" in flags:
-        argv += ["train-hmm", "--dataset", inputs / "ds", "--out", out]
-    elif {"--ev", "--bank", "--traj"} & set(flags):
-        argv += ["infer", "--bn", inputs / "bn.txt", "--infer", "ObjVel", "--out", out]
-    else:
-        argv += ["simulate", "--out", out]
+    argv += _base_argv(command, inputs, out)
     code, err = _exit_code(argv + [f.format(inputs=inputs) for f in flags])
     assert code == 4, err
     assert "error[BnError]" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "sweep"])
+@pytest.mark.parametrize("names", [",", "", " , "])
+def test_empty_infer_list_is_rejected_before_the_network_loads(tmp_path, command, names):
+    """The network path does not exist: reading it first would exit 3."""
+    argv = _base_argv(command, tmp_path, tmp_path / "out") + ["--infer", names]
+    code, err = _exit_code(argv)
+    assert code == 4, err
+    assert f"error[BnError]: --infer must name at least one variable, got {names!r}" in err
 
 
 def test_evidence_naming_a_variable_twice_names_it(inputs):
@@ -432,6 +528,51 @@ def test_dataset_header_and_empty_dataset_errors(tmp_path):
 # ---------------------------------------------------------------------------
 # round trips
 
+
+def _assert_same_arrays(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _assert_same_models(a, b):
+    """Two loads of one file hold bitwise equal arrays."""
+    if isinstance(a, BayesNet):
+        assert a.schema == b.schema and a.parents == b.parents
+        pairs = zip(a.cpts, b.cpts, strict=True)
+    elif isinstance(a, GestureBank):
+        assert a.actions == b.actions
+        names = ("log_trans", "weights", "means", "variances")
+        pairs = [(getattr(m, k), getattr(n, k)) for m, n in zip(a.models, b.models) for k in names]
+    else:
+        assert a.frame_period == b.frame_period
+        pairs = [(a.frames, b.frames)]
+    for x, y in pairs:
+        _assert_same_arrays(x, y)
+
+
+def test_saved_models_load_in_blocks(inputs, monkeypatch):
+    """The default-seed network (10k trials, seed 1234), a bank of the
+    default size and a trajectory load without one call of the line
+    reader, into the arrays the line reader gives.  A format change that
+    sent valid files down the slow path would fail here."""
+    calls = []
+    floats = serialize._Lines.floats
+    monkeypatch.setattr(
+        serialize._Lines, "floats", lambda self, *a, **k: calls.append(a) or floats(self, *a, **k)
+    )
+    loaders = [
+        (load_bayesnet, "bn.txt"),
+        (load_gesture_bank, "hmm.txt"),
+        (load_trajectory, "traj.csv"),
+    ]
+    for load, name in loaders:
+        by_block = load(inputs / name)
+        assert calls == [], name
+        with _line_reader_only():
+            by_line = load(inputs / name)
+        assert calls, name
+        calls.clear()
+        _assert_same_models(by_block, by_line)
+
 _NAME = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=6)
 
 
@@ -471,6 +612,8 @@ def test_bayesnet_round_trip_property(tmp_path, net):
     assert loaded.parents == net.parents
     for a, b in zip(loaded.cpts, net.cpts):
         assert a.shape == b.shape and np.array_equal(a, b)
+    with _line_reader_only():
+        _assert_same_models(loaded, load_bayesnet(tmp_path / "net.txt"))
 
 
 @PROPERTY
@@ -497,6 +640,8 @@ def test_gesture_bank_round_trip_property(tmp_path, seed, n_models, n_states, n_
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.variances, b.variances)
+    with _line_reader_only():
+        _assert_same_models(loaded, load_gesture_bank(tmp_path / "bank.txt"))
 
 
 @PROPERTY
@@ -519,6 +664,8 @@ def test_trajectory_round_trip_property(tmp_path, frames, period):
     assert np.array_equal(loaded.frames, traj.frames)
     if len(traj) > 1:
         assert loaded.frame_period == period
+    with _line_reader_only():
+        _assert_same_models(loaded, load_trajectory(tmp_path / "traj.csv"))
 
 
 @settings(PROPERTY, max_examples=10)
