@@ -218,62 +218,65 @@ class BayesNet:
         n = len(self.schema)
         if len(self.parents) != n or len(self.cpts) != n:
             raise BnError("parents and cpts must match the schema length")
-        # the structure per variable, then every cpt row in one test; what
-        # that test cannot clear is checked again per variable, so the error
-        # names the first faulty variable in schema order
-        try:
-            for i in range(n):
-                self._check(i, rows=False)
-            clear = _rows_clear(self.cpts)
-        except BnError:
-            clear = False
-        if not clear:
-            for i in range(n):
-                self._check(i)
+        # the structure of every variable, then the rows of every cpt before
+        # the first structure fault at once, so the error names the first
+        # faulty variable in schema order
+        faults = list(map(self._structure_fault, range(n)))
+        first = next((i for i, fault in enumerate(faults) if fault), n)
+        faulty = _first_faulty_cpt(self.cpts[:first])
+        if faulty is not None:
+            name = self.schema.names[faulty]
+            if (self.cpts[faulty] < 0).any():
+                raise BnError(f"negative probability in cpt of {name!r}")
+            raise BnError(f"cpt rows of {name!r} must sum to 1")
+        if first < n:
+            raise faults[first]
         _toposort(self.parents)
 
-    def _check(self, i: int, rows: bool = True) -> None:
-        """Variable ``i``'s parents and cpt shape, then, with ``rows``, that
-        every row of its cpt is a distribution."""
+    def _structure_fault(self, i: int) -> BnError | None:
+        """What is wrong with variable ``i``'s parents or cpt shape, if anything."""
         ps, cpt, name = self.parents[i], self.cpts[i], self.schema.names[i]
         if list(ps) != sorted(set(ps)):
-            raise BnError(f"parents of {name!r} must be sorted and unique")
+            return BnError(f"parents of {name!r} must be sorted and unique")
         if ps and (ps[0] < 0 or ps[-1] >= len(self.schema)):  # ps is sorted
-            raise BnError(f"parent index out of range for {name!r}")
+            return BnError(f"parent index out of range for {name!r}")
         if i in ps:
-            raise CycleError(f"{name!r} cannot be its own parent")
+            return CycleError(f"{name!r} cannot be its own parent")
         arities = self.schema.arities
         expected = (*map(arities.__getitem__, ps), arities[i])
         if cpt.shape != expected:
-            raise BnError(f"cpt shape {cpt.shape} for {name!r}, expected {expected}")
-        if not rows:
-            return
-        if (cpt < 0).any():
-            raise BnError(f"negative probability in cpt of {name!r}")
-        # written so that a NaN row sum fails too
-        if not (np.abs(cpt.sum(axis=-1) - 1.0) <= ROW_SUM_TOL).all():
-            raise BnError(f"cpt rows of {name!r} must sum to 1")
+            return BnError(f"cpt shape {cpt.shape} for {name!r}, expected {expected}")
+        return None
 
     def parent_names(self, name: str) -> tuple[str, ...]:
         return tuple(self.schema.names[p] for p in self.parents[self.schema.index(name)])
 
 
-def _rows_clear(cpts: Sequence[np.ndarray]) -> bool:
-    """Whether every row of every cpt is nonnegative and sums to 1, in one test.
+def sums_to_one(sums):
+    """Whether each sum, an array or one number, lies within ``ROW_SUM_TOL``
+    of 1; a NaN sum does not."""
+    return abs(sums - 1.0) <= ROW_SUM_TOL
 
-    ``np.add.reduceat`` sums each row in an order that may differ from
-    ``sum(axis=-1)``'s, by less than 2n units in the last place for a row of
-    n numbers.  A row passes only inside the tolerance by a margin wider
-    than that, so it never passes where the per-variable test would fail.
+
+def _first_faulty_cpt(cpts: Sequence[np.ndarray]) -> int | None:
+    """The index of the first cpt with a negative entry or a row that does
+    not sum to 1, or None.
+
+    The rows of all cpts of one width are tested at once.  Stacked, each
+    row is summed as ``cpt.sum(axis=-1)`` sums it, in the same order.
     """
-    if not cpts:
-        return True
-    flat = np.concatenate(cpts, axis=None)
-    widths = np.repeat([c.shape[-1] for c in cpts], [c.size // c.shape[-1] for c in cpts])
-    sums = np.add.reduceat(flat, np.cumsum(widths) - widths)
-    margin = widths * 1e-15
-    # written so that a NaN row sum fails too
-    return not (flat < 0).any() and bool((np.abs(sums - 1.0) <= ROW_SUM_TOL - margin).all())
+    by_width: dict[int, list[int]] = {}
+    for i, cpt in enumerate(cpts):
+        by_width.setdefault(cpt.shape[-1], []).append(i)
+    faulty = []
+    for width, members in by_width.items():
+        rows = np.concatenate([cpts[i] for i in members], axis=None).reshape(-1, width)
+        bad = ~sums_to_one(rows.sum(axis=-1)) | (rows < 0).any(axis=-1)
+        if bad.any():
+            counts = [cpts[i].size // width for i in members]
+            per_cpt = np.logical_or.reduceat(bad, np.cumsum(counts) - counts)
+            faulty.append(members[int(per_cpt.argmax())])
+    return min(faulty, default=None)
 
 
 def _toposort(parents: Sequence[Sequence[int]]) -> list[int]:

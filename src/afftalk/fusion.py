@@ -24,10 +24,9 @@ from .bn import (
     ImpossibleEvidenceError,
     JointTable,
     query,
+    sums_to_one,
 )
 from .schema import ACTION_VAR
-
-WEIGHT_SUM_TOL = 1e-12
 
 __all__ = [
     "SoftActionEvidence",
@@ -54,7 +53,7 @@ class SoftActionEvidence:
             raise BnError("soft evidence must be a vector")
         if (w < 0).any():
             raise BnError("soft evidence weights must be nonnegative")
-        if not abs(float(w.sum()) - 1.0) <= WEIGHT_SUM_TOL:  # NaN fails too
+        if not sums_to_one(w.sum()):
             raise BnError("soft evidence weights must sum to 1")
         if len(self.actions) != len(w):
             raise BnError("labels and weights disagree in length")

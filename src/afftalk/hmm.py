@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .bn import ROW_SUM_TOL
+from .bn import sums_to_one
 from .fusion import SoftActionEvidence
 
 VAR_FLOOR = 1e-6
@@ -121,17 +121,16 @@ class HmmModel:
         if self.log_trans.shape != (q, q):
             raise HmmError("log_trans must be square")
         trans = np.exp(self.log_trans)
-        off_mask = ~(np.eye(q, dtype=bool) | np.eye(q, k=1, dtype=bool))
-        if (trans[off_mask] != 0.0).any():
+        band = np.count_nonzero(trans.diagonal()) + np.count_nonzero(trans.diagonal(1))
+        if np.count_nonzero(trans) != band:  # a NaN counts as nonzero
             raise HmmError("transitions outside self/next must be exactly zero")
-        # written so that a NaN row sum fails too
-        if not (np.abs(trans.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
+        if not sums_to_one(trans.sum(axis=1)).all():
             raise HmmError("transition rows must sum to 1")
         if self.weights.shape != self.means.shape[:2] or self.means.shape != self.variances.shape:
             raise HmmError("mixture arrays must share (Q, M, D) shapes")
         if self.weights.shape[0] != q:
             raise HmmError("mixture arrays must have one row per state")
-        if not (np.abs(self.weights.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
+        if not sums_to_one(self.weights.sum(axis=1)).all():
             raise HmmError("mixture weights must sum to 1 per state")
         if (self.weights < 0).any():
             raise HmmError("mixture weights must be nonnegative")
@@ -261,6 +260,34 @@ def _em_statistics(model: HmmModel, frames: np.ndarray, lengths: np.ndarray):
     return logliks, gamma, resp, xi
 
 
+def _reestimate(model: HmmModel, occupancy, resp_sum, mean_num, sq_num, trans_num) -> HmmModel:
+    """The M-step: the model refit to the expected counts of one E-step.
+
+    A transition row no transition leaves, a state no frame occupies and a
+    component with almost no weight keep their parameters; the tests are
+    written as skip tests, so a NaN count is refit, not kept.
+    """
+    row_tot = trans_num.sum(axis=1, keepdims=True)
+    trans = np.divide(trans_num, row_tot, out=np.exp(model.log_trans), where=row_tot > 0)
+    live = ~(occupancy <= 0)[:, None]
+    weights = np.divide(
+        resp_sum, resp_sum.sum(axis=1, keepdims=True), out=model.weights.copy(), where=live
+    )
+    fit = (live & ~(resp_sum < 1e-12))[:, :, None]
+    count = resp_sum[:, :, None]
+    means = np.divide(mean_num, count, out=model.means.copy(), where=fit)
+    spread = np.divide(sq_num, count, out=np.zeros_like(sq_num), where=fit) - means * means
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(trans)
+    return HmmModel(
+        action_label=model.action_label,
+        log_trans=log_trans,
+        weights=weights,
+        means=means,
+        variances=np.where(fit, np.maximum(spread, VAR_FLOOR), model.variances),
+    )
+
+
 def train_hmm(
     trajs: Sequence[Trajectory],
     n_states: int = DEFAULT_STATES,
@@ -299,38 +326,13 @@ def train_hmm(
             gain = history[-1] - history[-2]
             if gain < EM_REL_TOL * abs(history[-2]):
                 break
-        occupancy = gamma.sum(axis=0)
-        resp_sum = resp.sum(axis=0)
-        mean_num = np.einsum("tqm,td->qmd", resp, frames)
-        sq_num = np.einsum("tqm,td->qmd", resp, frames**2)
-        trans = np.exp(model.log_trans)
-        row_tot = trans_num.sum(axis=1)
-        for i in range(n_states):
-            if row_tot[i] > 0:
-                trans[i] = trans_num[i] / row_tot[i]
-        weights = model.weights.copy()
-        means = model.means.copy()
-        variances = model.variances.copy()
-        for q in range(n_states):
-            if occupancy[q] <= 0:
-                continue
-            weights[q] = resp_sum[q] / resp_sum[q].sum()
-            for m in range(n_mix):
-                if resp_sum[q, m] < 1e-12:
-                    continue
-                mu = mean_num[q, m] / resp_sum[q, m]
-                means[q, m] = mu
-                variances[q, m] = np.maximum(
-                    sq_num[q, m] / resp_sum[q, m] - mu * mu, VAR_FLOOR
-                )
-        with np.errstate(divide="ignore"):
-            log_trans = np.log(trans)
-        model = HmmModel(
-            action_label=action_label,
-            log_trans=log_trans,
-            weights=weights,
-            means=means,
-            variances=variances,
+        model = _reestimate(
+            model,
+            occupancy=gamma.sum(axis=0),
+            resp_sum=resp.sum(axis=0),
+            mean_num=np.einsum("tqm,td->qmd", resp, frames),
+            sq_num=np.einsum("tqm,td->qmd", resp, frames**2),
+            trans_num=trans_num,
         )
     else:
         capped = True

@@ -9,10 +9,12 @@ labeled header columns.  Every reader reports a malformed file as a
 ``SerializeError`` that names ``path:line``.
 
 The numeric sections (a network's CPTs, each bank model, a trajectory's
-rows) are parsed as blocks: their layout follows from what was read before
-them, and one ``float`` pass converts every number of a section that fits
-it exactly.  A section that does not fit is read again one line at a time,
-which names the line at fault.
+rows) are parsed as blocks: their layout follows from the lines before them
+and, for the CPTs, from each CPT's own header.  Each line is split as any
+other line is, so runs of spaces and tabs are accepted; the field counts and
+leads are compared with the layout once, and one ``float`` pass converts
+every number.  A section off its layout is walked one line at a time only
+to name the first faulty line.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import csv
 import io
 import math
 import os
-from itertools import repeat
+from functools import partial
+from itertools import accumulate, chain, repeat
+from operator import getitem
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -96,42 +100,62 @@ class _Lines:
         ``count``, when given, is the exact number of fields, ``lead``
         included.
         """
-        self.lineno += 1
-        if self.lineno > len(self.lines):
-            raise self.error("truncated file")
-        parts = self.lines[self.lineno - 1].split(self.sep)
-        if parts[: len(lead)] != list(lead):
+        lineno = self.lineno = self.lineno + 1
+        try:
+            parts = self.lines[lineno - 1].split(self.sep)
+        except IndexError:
+            raise self.error("truncated file") from None
+        if parts[: len(lead)] != [*lead]:
             raise self.error(f"expected a line starting {' '.join(lead)!r}")
         if count is not None and len(parts) != count:
             raise self.error(f"expected {count} fields, found {len(parts)}")
         return parts
 
-    def floats(self, *lead: str, count: int) -> list[float]:
-        """The ``count`` numbers that follow ``lead`` on the next line."""
-        return list(map(float, self.fields(*lead, count=len(lead) + count)[len(lead):]))
+    def numbers(self, layout) -> np.ndarray:
+        """The numbers of the section ``layout()`` describes, flattened in file order.
 
-    def numbers(self, layout, n_lines: int) -> np.ndarray:
-        """The numbers on the next ``n_lines`` lines, flattened in file order.
-
-        ``layout`` gives each line's (lead fields, count of numbers); it may
-        be lazy.  Lines that hold exactly that, with single separators, are
-        converted in one block; otherwise they are read one at a time, so
-        the error names the line at fault.  Nothing is built from the counts
-        before the file is known to hold that many lines.
+        ``layout()`` yields the section's runs of lines, each as (count of
+        lines, count of fields per line, the lead fields of each line or
+        None).  It is lazy, and may read lines of its own with ``fields``
+        between runs, such as a CPT's header.  The lines are split as
+        ``fields`` splits them, their field counts and leads are compared
+        with the layout in one comparison each, and all their numbers go
+        through one ``float`` pass.  A section off its layout is read again
+        one line at a time, along a second ``layout()``, only to name its
+        first faulty line.
         """
-        stop = self.lineno + n_lines
-        if stop <= len(self.lines):
-            layout = list(layout)
-            sep = self.sep or " "
-            heads = [sep.join(lead) + sep if lead else "" for lead, _ in layout]
-            rows = self.lines[self.lineno : stop]
-            if all(map(str.startswith, rows, heads)):
-                rows = list(map(str.removeprefix, rows, heads))
-                values = _numbers(rows, [count - 1 for _, count in layout], sep)
-                if values is not None:
-                    self.lineno = stop
-                    return values
-        return np.array([v for lead, count in layout for v in self.floats(*lead, count=count)])
+        start, rows, sizes, heads, text = self.lineno, [], [], [], self.lines
+        try:
+            for n_lines, width, leads in layout():
+                at = self.lineno
+                self.lineno = stop = at + n_lines
+                if stop > len(text):
+                    raise ValueError("truncated file")
+                rows += text[at:stop]
+                sizes += [width] * n_lines
+                heads += leads or [[]] * n_lines
+            fields = list(map(str.split, rows, repeat(self.sep)))
+            if list(map(len, fields)) != sizes:
+                raise ValueError("field counts off the layout")
+            if any(heads):  # compared, then left out of the numbers
+                cuts = list(map(len, heads))
+                if list(map(getitem, fields, map(slice, cuts))) != heads:
+                    raise ValueError("leads off the layout")
+                fields = map(getitem, fields, map(slice, cuts, repeat(None)))
+            return np.array(list(map(float, chain.from_iterable(fields))))
+        except ValueError as exc:
+            fault = exc
+        self.lineno = start
+        for n_lines, width, leads in layout():
+            for lead in leads or repeat((), n_lines):
+                for cell in self.fields(*lead, count=width)[len(lead) :]:
+                    float(cell)
+        raise fault
+
+    def room(self, n_lines: int) -> int:
+        """``n_lines``, cut to one past the lines left: a run is never read
+        further, so nothing is built from a count the file cannot hold."""
+        return min(n_lines, len(self.lines) - self.lineno + 1)
 
     def size(self, text: str) -> int:
         """A count read from the current line, which must be positive."""
@@ -144,22 +168,6 @@ class _Lines:
         """The fields of every remaining line."""
         while self.lineno < len(self.lines):
             yield self.fields()
-
-
-def _numbers(rows: list[str], seps: list[int], sep: str) -> np.ndarray | None:
-    """Every number on ``rows``, converted in one ``float`` pass.
-
-    None unless row k holds exactly ``seps[k]`` separators and every field
-    between them is a number.  ``float`` accepts no empty field and no
-    whitespace inside one, so such rows split into the fields the line
-    reader's ``str.split`` finds, and the values are its values.
-    """
-    if list(map(str.count, rows, repeat(sep))) != seps:
-        return None
-    try:
-        return np.array(list(map(float, sep.join(rows).split(sep))))
-    except ValueError:
-        return None
 
 
 def _write_text(path, text: str) -> None:
@@ -222,49 +230,32 @@ def load_bayesnet(path) -> BayesNet:
             parts = lines.fields("parents", names[i])
             parents.append(tuple(map(schema.index, parts[2:])))
         shapes = [(*map(arities.__getitem__, ps), arities[i]) for i, ps in enumerate(parents)]
-        cpts = _cpt_block(lines, names, shapes)
-        if cpts is None:  # the line reader, which names the faulty line
-            cpts = []
-            for i in range(n):
-                n_rows, arity = map(lines.size, lines.fields("cpt", names[i], count=4)[2:])
-                table = np.array([lines.floats(count=arity) for _ in range(n_rows)])
-                cpts.append(table.reshape(shapes[i]))
+        sizes = list(map(math.prod, shapes))
+        values = lines.numbers(partial(_cpt_layout, lines, names, shapes, sizes))
+        ends = list(accumulate(sizes))
+        cpts = map(np.ndarray.reshape, map(values.__getitem__, map(slice, [0, *ends], ends)), shapes)
         lines.fields("end", count=1)
-    return BayesNet(schema=schema, parents=tuple(parents), cpts=tuple(cpts))
+        return BayesNet(schema=schema, parents=tuple(parents), cpts=tuple(cpts))
 
 
-def _cpt_block(lines: _Lines, names, shapes) -> list[np.ndarray] | None:
-    """The CPTs in one block, or None unless the section is exactly as saved.
-
-    Each CPT is a ``cpt <name> <rows> <arity>`` line, with the rows and
-    arity its parents and variable give, then one line of ``arity``
-    numbers per row.
-    """
-    start = lines.lineno
-    counts = [math.prod(shape[:-1]) for shape in shapes]
-    stop = start + len(shapes) + sum(counts)
-    if stop > len(lines.lines):
-        return None
-    section = lines.lines[start:stop]
-    rows: list[str] = []
-    seps: list[int] = []
-    at = 0
-    for name, shape, n_rows in zip(names, shapes, counts):
-        if section[at] != f"cpt {name} {n_rows} {shape[-1]}":
-            return None
-        rows += section[at + 1 : at + 1 + n_rows]
-        seps += [shape[-1] - 1] * n_rows
-        at += 1 + n_rows
-    values = _numbers(rows, seps, " ")
-    if values is None:
-        return None
-    lines.lineno = stop
-    cpts, at = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        cpts.append(values[at : at + size].reshape(shape))
-        at += size
-    return cpts
+def _cpt_layout(lines: _Lines, names, shapes, sizes):
+    """The runs of the CPT section, read from its own headers: each CPT is a
+    ``cpt <name> <rows> <arity>`` line, then ``rows`` lines of ``arity``
+    numbers, which must fill the CPT's shape.  A header written as saved,
+    with the counts the shape gives, is taken as it stands, which is what
+    reading its fields would give."""
+    text = lines.lines
+    for name, shape, size in zip(names, shapes, sizes):
+        arity = shape[-1]
+        n_rows = size // arity
+        if text[lines.lineno : lines.lineno + 1] == [f"cpt {name} {n_rows} {arity}"]:
+            lines.lineno += 1
+        else:
+            n_rows, arity = map(lines.size, lines.fields("cpt", name, count=4)[2:])
+        yield n_rows, arity, None
+        if n_rows * arity != size:  # in numpy's words for a failed reshape
+            dims = ",".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+            raise ValueError(f"cannot reshape array of size {n_rows * arity} into shape ({dims})")
 
 
 def save_gesture_bank(path, bank: GestureBank) -> None:
@@ -290,8 +281,7 @@ def load_gesture_bank(path) -> GestureBank:
         for _ in range(lines.size(lines.fields("models", count=2)[1])):
             _, label, *dims = lines.fields("model", count=5)
             n_states, n_mix, dim = map(lines.size, dims)
-            layout = _model_layout(n_states, n_mix, dim)
-            values = lines.numbers(layout, n_states * (2 + 2 * n_mix))
+            values = lines.numbers(partial(_model_layout, lines, n_states, n_mix, dim))
             per_state = values[n_states * n_states :].reshape(n_states, -1)
             pairs = per_state[:, n_mix:].reshape(n_states, n_mix, 2, dim)
             models.append(
@@ -307,16 +297,14 @@ def load_gesture_bank(path) -> GestureBank:
     return GestureBank(models=tuple(models))
 
 
-def _model_layout(n_states: int, n_mix: int, dim: int):
-    """(lead fields, count) of each line after a ``model`` line, lazily, so
-    that a model line with huge counts fails on its first short line."""
-    for q in range(n_states):
-        yield ("logtrans", str(q)), n_states
-    for q in range(n_states):
-        yield ("mix", str(q)), n_mix
-        for c in range(n_mix):
-            yield ("mean", str(q), str(c)), dim
-            yield ("var", str(q), str(c)), dim
+def _model_layout(lines: _Lines, n_states: int, n_mix: int, dim: int):
+    """The runs of the lines after a ``model`` line, its counts cut by ``room``."""
+    states = list(map(str, range(lines.room(n_states))))
+    components = list(map(str, range(lines.room(n_mix))))
+    yield len(states), 2 + n_states, [["logtrans", q] for q in states]
+    for q in states:
+        yield 1, 2 + n_mix, [["mix", q]]
+        yield 2 * len(components), 3 + dim, [[k, q, c] for c in components for k in ("mean", "var")]
 
 
 def save_trajectory(path, traj: Trajectory) -> None:
@@ -332,7 +320,7 @@ def load_trajectory(path) -> Trajectory:
         if width < 2:
             raise lines.error("expected a coordinate column after 't'")
         n_frames = len(lines.lines) - 1
-        table = lines.numbers([((), width)] * n_frames, n_frames).reshape(-1, width)
+        table = lines.numbers(lambda: [(n_frames, width, None)]).reshape(-1, width)
         if len(table) == 0:
             raise lines.error("trajectory needs a header and one frame")
         steps = np.diff(table[:, 0])

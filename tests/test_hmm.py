@@ -160,6 +160,56 @@ def test_left_to_right_zeros_survive_training():
     assert np.allclose(trans.sum(axis=1), 1.0, atol=1e-12)
 
 
+def _reestimate_per_state(model, occupancy, resp_sum, mean_num, sq_num, trans_num):
+    """The M-step as a loop over states and components: the reference for
+    ``hmm._reestimate``, as (log transitions, weights, means, variances)."""
+    trans = np.exp(model.log_trans)
+    row_tot = trans_num.sum(axis=1)
+    for i in range(model.n_states):
+        if row_tot[i] > 0:
+            trans[i] = trans_num[i] / row_tot[i]
+    weights, means, variances = model.weights.copy(), model.means.copy(), model.variances.copy()
+    for q in range(model.n_states):
+        if occupancy[q] <= 0:
+            continue
+        weights[q] = resp_sum[q] / resp_sum[q].sum()
+        for m in range(model.n_mixtures):
+            if resp_sum[q, m] < 1e-12:
+                continue
+            mu = mean_num[q, m] / resp_sum[q, m]
+            means[q, m] = mu
+            variances[q, m] = np.maximum(sq_num[q, m] / resp_sum[q, m] - mu * mu, hmm.VAR_FLOOR)
+    with np.errstate(divide="ignore"):
+        return np.log(trans), weights, means, variances
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reestimate_matches_the_per_state_loop(seed):
+    """Expected counts with an unoccupied state, a component with no weight
+    and one below 1e-12, and a transition row no transition leaves: every
+    refit array is bitwise the loop's, and what the loop keeps is kept."""
+    rng = np.random.default_rng(seed)
+    n_states, n_mix, dim = 4, 3, 2
+    model = random_left_right_model(rng, n_states, n_mix, dim)
+    occupancy = rng.uniform(1.0, 20.0, n_states)
+    resp_sum = rng.uniform(0.5, 8.0, (n_states, n_mix))
+    mean_num = rng.normal(0.0, 3.0, (n_states, n_mix, dim))
+    sq_num = rng.uniform(5.0, 40.0, (n_states, n_mix, dim))
+    trans_num = np.exp(model.log_trans) * rng.uniform(1.0, 9.0, (n_states, 1))
+    occupancy[1] = 0.0
+    resp_sum[2, 0], resp_sum[3, 2] = 0.0, 1e-13
+    trans_num[2] = 0.0
+    counts = (occupancy, resp_sum, mean_num, sq_num, trans_num)
+    refit = hmm._reestimate(model, *counts)
+    expected = _reestimate_per_state(model, *counts)
+    for found, want in zip((refit.log_trans, refit.weights, refit.means, refit.variances), expected):
+        assert found.shape == want.shape and np.array_equal(found, want)
+    assert np.array_equal(refit.log_trans[2], model.log_trans[2])
+    assert np.array_equal(refit.weights[1], model.weights[1])
+    assert np.array_equal(refit.means[3, 2], model.means[3, 2])
+    assert np.array_equal(refit.variances[2, 0], model.variances[2, 0])
+
+
 def test_training_input_validation():
     with pytest.raises(HmmError, match="empty"):
         train_hmm([], 2, 1, seed=0)

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from afftalk import serialize
 from afftalk.bn import BayesNet, Variable, WorldSchema
 from afftalk.cli import _LIMITS, COMMANDS, RunConfig, main
 from afftalk.hmm import GestureBank, Trajectory
@@ -51,14 +50,6 @@ def _exit_code(argv) -> tuple[int, str]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
     return code, err.getvalue()
-
-
-@contextlib.contextmanager
-def _line_reader_only():
-    """Every block check fails, so each numeric section is read line by line."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(serialize, "_numbers", lambda *args: None)
-        yield
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +141,50 @@ def _cut_after_a_whole_cpt(lines):
     i += _first(lines[i + 1 :], "cpt ") + 1
     del lines[i:]
     return i
+
+
+def _huge_cpt_rows(lines):
+    """A header promising a billion rows: the next header is read as a row."""
+    i = _first(lines, "cpt Action ")
+    lines[i] = "cpt Action 1000000000 3"
+    return i + 2
+
+
+def _unsorted_parents(lines):
+    """A variable's two parents swapped.  The network is built, and so
+    checked, once its ``end`` line is read."""
+    i = next(i for i, line in enumerate(lines) if line.startswith("parents ") and line.count(" ") > 2)
+    lead, name, first, second, *rest = lines[i].split()
+    lines[i] = " ".join([lead, name, second, first, *rest])
+    return len(lines) - 1
+
+
+def _row_off_one(lines):
+    i = _first(lines, "cpt ") + 1
+    lines[i] = "0.5 " + lines[i].split(" ", 1)[1]
+    return len(lines) - 1
+
+
+def _parent_cycle(lines):
+    """The first variable with a parent made a parent of that parent too,
+    whose CPT repeats its rows over the new parent's values."""
+    names = [line.split()[1] for line in lines if line.startswith("var ")]
+    arities = [line.count(" ") - 1 for line in lines if line.startswith("var ")]
+    _, child, parent, *_ = next(
+        line.split() for line in lines if line.startswith("parents ") and line.count(" ") > 1
+    )
+    at = _first(lines, f"parents {parent}")
+    parents = sorted([*lines[at].split()[2:], child], key=names.index)
+    lines[at] = " ".join(["parents", parent, *parents])
+    head = _first(lines, f"cpt {parent} ")
+    _, _, n_rows, arity = lines[head].split()
+    shape = [arities[names.index(p)] for p in parents if p != child] + [int(arity)]
+    table = np.array([row.split() for row in lines[head + 1 : head + 1 + int(n_rows)]])
+    table = np.expand_dims(table.reshape(shape), parents.index(child))
+    table = np.repeat(table, arities[names.index(child)], axis=parents.index(child))
+    rows = [" ".join(row) for row in table.reshape(-1, int(arity))]
+    lines[head : head + 1 + int(n_rows)] = [f"cpt {parent} {len(rows)} {arity}", *rows]
+    return len(lines) - 1
 
 
 def _blank_after_header(lines):
@@ -314,6 +349,10 @@ FILE_CASES = [
     ("cpt header whose row count disagrees with the parents", "bn", _cpt_header_rows_off),
     ("CPT block cut one row short", "bn", _cpt_cut_short),
     ("network cut off after a whole CPT", "bn", _cut_after_a_whole_cpt),
+    ("cpt header with a huge row count", "bn", _huge_cpt_rows),
+    ("network with unsorted parents", "bn", _unsorted_parents),
+    ("CPT row that does not sum to 1", "bn", _row_off_one),
+    ("network with a parent cycle", "bn", _parent_cycle),
     ("blank line after the bayesnet header", "bn", _blank_after_header),
     ("variables x", "bn", _variables_word),
     ("bank line model grasp x 2 3", "bank", _model_word),
@@ -352,8 +391,6 @@ def test_malformed_file_exits_4_naming_path_and_line(inputs, kind, edit):
     assert code == 4, err
     where = path if index is None else f"{path}:{index + 1}"
     assert f"error[SerializeError]: {where}: " in err
-    with _line_reader_only():
-        assert _exit_code(_argv(kind, inputs, path)) == (code, err)
 
 
 # (id, config file text or None, extra flags)
@@ -549,29 +586,41 @@ def _assert_same_models(a, b):
         _assert_same_arrays(x, y)
 
 
-def test_saved_models_load_in_blocks(inputs, monkeypatch):
+def _spaced(lines: list[str], sep: str | None) -> list[str]:
+    """The lines with runs of spaces and tabs around their fields, and the
+    counts of ``variables``, ``models``, ``cpt`` and ``model`` lines written
+    as ``+2`` and ``02``."""
+    pads = [" ", "  ", "\t", " \t "]
+    spaced = []
+    for k, line in enumerate(lines):
+        parts = line.split(sep)
+        if parts[0] in ("variables", "models", "cpt", "model"):
+            lead = 2 if parts[0] in ("cpt", "model") else 1
+            parts[lead:] = [("+" if j % 2 else "0") + p for j, p in enumerate(parts[lead:])]
+        if sep is None:
+            line = pads[k % 3] * (k % 2) + pads[k % 4].join(parts) + pads[(k + 1) % 4] * (k % 3)
+        else:  # spaces and tabs around a trajectory's numbers
+            line = sep.join(pads[(k + j) % 4] * (j % 2) + p for j, p in enumerate(parts)) + " "
+        spaced.append(line)
+    return spaced
+
+
+def test_spaced_model_files_load_to_the_canonical_arrays(inputs, tmp_path):
     """The default-seed network (10k trials, seed 1234), a bank of the
-    default size and a trajectory load without one call of the line
-    reader, into the arrays the line reader gives.  A format change that
-    sent valid files down the slow path would fail here."""
-    calls = []
-    floats = serialize._Lines.floats
-    monkeypatch.setattr(
-        serialize._Lines, "floats", lambda self, *a, **k: calls.append(a) or floats(self, *a, **k)
-    )
+    default size and a trajectory, respaced and with their counts written
+    as ``+2`` or ``02``, load to the arrays of the files as saved."""
     loaders = [
-        (load_bayesnet, "bn.txt"),
-        (load_gesture_bank, "hmm.txt"),
-        (load_trajectory, "traj.csv"),
+        (load_bayesnet, "bn.txt", None),
+        (load_gesture_bank, "hmm.txt", None),
+        (load_trajectory, "traj.csv", ","),
     ]
-    for load, name in loaders:
-        by_block = load(inputs / name)
-        assert calls == [], name
-        with _line_reader_only():
-            by_line = load(inputs / name)
-        assert calls, name
-        calls.clear()
-        _assert_same_models(by_block, by_line)
+    for load, name, sep in loaders:
+        lines = (inputs / name).read_text().splitlines()
+        spaced = _spaced(lines, sep)
+        assert spaced != lines
+        (tmp_path / name).write_text("\n".join(spaced) + "\n")
+        _assert_same_models(load(tmp_path / name), load(inputs / name))
+
 
 _NAME = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=6)
 
@@ -612,8 +661,6 @@ def test_bayesnet_round_trip_property(tmp_path, net):
     assert loaded.parents == net.parents
     for a, b in zip(loaded.cpts, net.cpts):
         assert a.shape == b.shape and np.array_equal(a, b)
-    with _line_reader_only():
-        _assert_same_models(loaded, load_bayesnet(tmp_path / "net.txt"))
 
 
 @PROPERTY
@@ -640,8 +687,6 @@ def test_gesture_bank_round_trip_property(tmp_path, seed, n_models, n_states, n_
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.variances, b.variances)
-    with _line_reader_only():
-        _assert_same_models(loaded, load_gesture_bank(tmp_path / "bank.txt"))
 
 
 @PROPERTY
@@ -664,8 +709,6 @@ def test_trajectory_round_trip_property(tmp_path, frames, period):
     assert np.array_equal(loaded.frames, traj.frames)
     if len(traj) > 1:
         assert loaded.frame_period == period
-    with _line_reader_only():
-        _assert_same_models(loaded, load_trajectory(tmp_path / "traj.csv"))
 
 
 @settings(PROPERTY, max_examples=10)
