@@ -356,7 +356,12 @@ def fit_parameters(net: BayesNet, data: Dataset, alpha: float = 1.0) -> BayesNet
                 f"unobserved parent configuration for {net.schema.names[i]!r}; "
                 "use alpha > 0"
             )
-        cpts.append((counts + alpha) / (totals + alpha * arities[i]))
+        smoothed = totals + alpha * arities[i]
+        if not np.isfinite(smoothed).all():
+            raise BnError(
+                f"alpha={alpha!r} overflows the smoothed counts of {net.schema.names[i]!r}"
+            )
+        cpts.append((counts + alpha) / smoothed)
     return BayesNet(schema=net.schema, parents=net.parents, cpts=tuple(cpts))
 
 
@@ -606,25 +611,37 @@ def prune_barren(net: BayesNet, keep_vars: Sequence[str]) -> BayesNet:
     return BayesNet(schema=schema, parents=parents, cpts=cpts)
 
 
-def _family_loglik(rows: np.ndarray, arities, node: int, parents: Sequence[int]) -> float:
-    counts, totals = _family_counts(rows, arities, node, parents)
+def _bic(counts: np.ndarray, n: int) -> float:
+    """BIC of a family from its counts, indexed (parent values..., node
+    value), over ``n`` rows (maximum-likelihood fit)."""
+    totals = counts.sum(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(counts > 0, counts * np.log(counts / totals), 0.0)
-    return float(terms.sum())
+    q = math.prod(counts.shape[:-1])
+    penalty = 0.5 * math.log(max(n, 1)) * q * (counts.shape[-1] - 1)
+    return float(terms.sum()) - penalty
 
 
 def family_bic(
     data: Dataset, schema: WorldSchema, node: int, parents: Sequence[int]
 ) -> float:
     """BIC score of one node given a parent set (maximum-likelihood fit)."""
-    rows = data.rows
-    arities = schema.arities
-    n = len(rows)
-    q = 1
-    for p in parents:
-        q *= arities[p]
-    penalty = 0.5 * math.log(max(n, 1)) * q * (arities[node] - 1)
-    return _family_loglik(rows, arities, node, parents) - penalty
+    counts, _ = _family_counts(data.rows, schema.arities, node, parents)
+    return _bic(counts, len(data.rows))
+
+
+def _family_scorer(rows: np.ndarray, arities, node: int, candidates: Sequence[int]):
+    """``family_bic`` of ``node`` for any ascending subset of the ascending
+    ``candidates``, read from one count table over (candidates, node): a
+    family's counts are that table summed over the candidates it leaves
+    out.  The counts are integers, so the sums are exact."""
+    table, _ = _family_counts(rows, arities, node, candidates)
+
+    def score(parents: Sequence[int]) -> float:
+        left_out = tuple(k for k, c in enumerate(candidates) if c not in parents)
+        return _bic(table.sum(axis=left_out), len(rows))
+
+    return score
 
 
 def greedy_structure_fit(
@@ -638,7 +655,9 @@ def greedy_structure_fit(
     Candidates are scanned in schema order, so ties resolve to the earliest
     variable.  The caller's candidate sets must be layered (no variable may be
     a candidate of its own ancestors); the assembled structure is verified to
-    be acyclic before it is returned.
+    be acyclic before it is returned.  Each node's families are scored from
+    one count table over all its candidates, whose cells may number at most
+    ``ENUM_CAP``.
     """
     if max_parents < 0:
         raise BnError("max_parents must be >= 0")
@@ -650,17 +669,24 @@ def greedy_structure_fit(
         candidates = sorted(set(int(c) for c in candidate_parents[node]))
         if node in candidates:
             raise BnError(f"{schema.names[node]!r} cannot be its own candidate parent")
+        cells = math.prod(schema.arities[c] for c in candidates) * schema.arities[node]
+        if cells > ENUM_CAP:
+            raise StateSpaceError(
+                f"the count table of {schema.names[node]!r} over its candidate parents "
+                f"has {cells} cells, more than the cap of {ENUM_CAP}"
+            )
+        score = _family_scorer(data.rows, schema.arities, node, candidates)
         chosen: list[int] = []
-        best = family_bic(data, schema, node, ())
+        best = score(())
         while len(chosen) < max_parents:
             best_gain_parent = None
             best_score = best
             for c in candidates:
                 if c in chosen:
                     continue
-                score = family_bic(data, schema, node, sorted(chosen + [c]))
-                if score > best_score:
-                    best_score = score
+                gain_score = score(sorted(chosen + [c]))
+                if gain_score > best_score:
+                    best_score = gain_score
                     best_gain_parent = c
             if best_gain_parent is None:
                 break

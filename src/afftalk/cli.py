@@ -155,8 +155,17 @@ def _load_soft(args, schema) -> SoftActionEvidence | None:
     if not args.traj:
         raise BnError("--bank needs --traj: the bank scores a trajectory")
     bank = _load_bank(args.bank, schema)
-    traj = serialize.load_trajectory(args.traj)
-    return hmm.action_posterior(bank, traj)
+    return _score(hmm.action_posterior, bank, args.traj)
+
+
+def _score(scorer, bank, path):
+    """``scorer(bank, trajectory)`` on the trajectory file at ``path``; an
+    ``HmmError`` from scoring it names the file."""
+    traj = serialize.load_trajectory(path)
+    try:
+        return scorer(bank, traj)
+    except HmmError as exc:
+        raise HmmError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +247,7 @@ def cmd_anticipate(args, config: RunConfig) -> int:
     net = serialize.load_bayesnet(args.bn)
     bank = _load_bank(args.bank, net.schema)
     obs = _parse_evidence(net.schema, args.ev)
-    traj = serialize.load_trajectory(args.traj)
-    curve = hmm.prefix_curve(bank, traj)
+    curve = _score(hmm.prefix_curve, bank, args.traj)
     predictions = [
         fusion.fuse_query(
             net, SoftActionEvidence(posterior, curve.actions), (args.effect_var,), obs

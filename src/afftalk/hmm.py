@@ -1,8 +1,12 @@
 """Left-to-right gesture models with Gaussian-mixture emissions.
 
 One model per action, trained with Baum-Welch from a deterministic seeded
-initialization (uniform time segmentation plus per-state k-means).  States
-may only self-loop or advance, the entry state is always the first one, and
+initialization (uniform time segmentation plus per-state k-means).  The
+actions of a bank train in lockstep: each EM iteration runs one forward and
+one backward pass over the sequences of every action still training, while
+emissions, posteriors, the convergence test and the M-step stay per action,
+so each model is bitwise the one its action would get alone.  States may
+only self-loop or advance, the entry state is always the first one, and
 scoring works on arbitrary prefixes of a trajectory, which is what makes
 early recognition possible.
 """
@@ -242,22 +246,47 @@ def _initial_model(
     )
 
 
-def _em_statistics(model: HmmModel, frames: np.ndarray, lengths: np.ndarray):
-    """E-step over a frame-major batch of sequences."""
+def _emissions(model: HmmModel, frames: np.ndarray):
+    """``kernels.gmm_obs_logprob`` under one model: component and state log
+    densities of every frame.  Model and frames are finite, so an infinite
+    squared distance is an overflow, which no likelihood could survive."""
     log_wcomp, log_b = kernels.gmm_obs_logprob(
         frames, np.log(model.weights + 1e-300), model.means, model.variances
     )
-    log_alpha = kernels.log_forward(model.log_trans, log_b, lengths)
-    logliks = np.logaddexp.reduce(log_alpha[np.cumsum(lengths) - 1], axis=1)
+    if np.isneginf(log_wcomp).any():
+        raise HmmError("the trajectory's coordinates overflow the emission densities")
+    return log_wcomp, log_b
+
+
+def _bank_statistics(models: Sequence[HmmModel], frames, lengths):
+    """E-step of models with one state count, each over its own frame-major
+    batch of sequences (``frames[k]``, ``lengths[k]``).
+
+    Emissions, posteriors and transition sums are per model; one forward
+    and one backward pass cover every sequence, each with its model's
+    transitions.  Yields (log-likelihoods, gamma, resp, xi) per model, in
+    order, so that one model's posteriors are dropped before the next's.
+    """
+    log_wcomp, log_b = zip(*map(_emissions, models, frames))
+    log_b = np.concatenate(log_b)
+    seq_lengths = np.concatenate(lengths)
+    log_trans = np.repeat([model.log_trans for model in models], list(map(len, lengths)), axis=0)
+    log_alpha = kernels.log_forward(log_trans, log_b, seq_lengths)
+    logliks = np.logaddexp.reduce(log_alpha[np.cumsum(seq_lengths) - 1], axis=1)
     if not np.isfinite(logliks).all():
         raise HmmError("sequence has zero likelihood under the current model")
-    log_beta = kernels.log_backward(model.log_trans, log_b, lengths)
-    gamma = np.exp(log_alpha + log_beta - np.repeat(logliks, lengths)[:, None])
-    resp = gamma[:, :, None] * np.exp(log_wcomp - log_b[:, :, None])
-    xi = kernels.transition_xi_sum(
-        model.log_trans, log_b, log_alpha, log_beta, logliks, lengths
-    )
-    return logliks, gamma, resp, xi
+    log_beta = kernels.log_backward(log_trans, log_b, seq_lengths)
+    rows = np.cumsum([0] + [len(f) for f in frames])
+    seqs = np.cumsum([0] + list(map(len, lengths)))
+    for k, model in enumerate(models):
+        at = slice(rows[k], rows[k + 1])
+        ll = logliks[seqs[k] : seqs[k + 1]]
+        gamma = np.exp(log_alpha[at] + log_beta[at] - np.repeat(ll, lengths[k])[:, None])
+        resp = gamma[:, :, None] * np.exp(log_wcomp[k] - log_b[at, :, None])
+        xi = kernels.transition_xi_sum(
+            model.log_trans, log_b[at], log_alpha[at], log_beta[at], ll, lengths[k]
+        )
+        yield ll, gamma, resp, xi
 
 
 def _reestimate(model: HmmModel, occupancy, resp_sum, mean_num, sq_num, trans_num) -> HmmModel:
@@ -295,48 +324,9 @@ def train_hmm(
     seed: int = 0,
     action_label: str = "",
 ) -> HmmModel:
-    """Baum-Welch training, deterministic for a given seed.
-
-    Stops when the relative log-likelihood gain drops below 1e-6, or after
-    ``MAX_EM_ITERATIONS`` iterations, which the returned model records as
-    ``capped``.  Zero entries of the left-to-right transition matrix stay
-    zero, and variances never fall below the floor.
-    """
-    if not trajs:
-        raise HmmError("empty training set")
-    if n_states < 1 or n_mix < 1:
-        raise HmmError("need at least one state and one mixture component")
-    dim = trajs[0].dim
-    for traj in trajs:
-        if traj.dim != dim:
-            raise HmmError("all trajectories must share the same dimensionality")
-        if len(traj) < n_states:
-            raise HmmError(
-                f"trajectory of length {len(traj)} is shorter than {n_states} states"
-            )
-    model = _initial_model(trajs, n_states, n_mix, seed, action_label)
-    frames = np.concatenate([traj.frames for traj in trajs])
-    lengths = np.array([len(traj) for traj in trajs])
-    history: list[float] = []
-    capped = False
-    for iteration in range(MAX_EM_ITERATIONS):
-        logliks, gamma, resp, trans_num = _em_statistics(model, frames, lengths)
-        history.append(float(logliks.sum()))
-        if iteration > 0:
-            gain = history[-1] - history[-2]
-            if gain < EM_REL_TOL * abs(history[-2]):
-                break
-        model = _reestimate(
-            model,
-            occupancy=gamma.sum(axis=0),
-            resp_sum=resp.sum(axis=0),
-            mean_num=np.einsum("tqm,td->qmd", resp, frames),
-            sq_num=np.einsum("tqm,td->qmd", resp, frames**2),
-            trans_num=trans_num,
-        )
-    else:
-        capped = True
-    return replace(model, history=tuple(history), capped=capped)
+    """One model trained alone: ``train_bank`` with one action, whose seed
+    is ``seed`` itself."""
+    return train_bank({action_label: trajs}, n_states, n_mix, seed).models[0]
 
 
 def train_bank(
@@ -345,13 +335,70 @@ def train_bank(
     n_mix: int = DEFAULT_MIXTURES,
     seed: int = 0,
 ) -> GestureBank:
-    """Train one model per action; per-action seeds are offset from ``seed``."""
-    models = []
-    for offset, (label, trajs) in enumerate(trajs_by_action.items()):
-        models.append(
-            train_hmm(trajs, n_states, n_mix, seed=seed + offset, action_label=label)
+    """Baum-Welch training of one model per action, deterministic for a
+    given seed; per-action seeds are offset from ``seed`` in dict order.
+
+    Every action's training set is checked before any EM runs.  The
+    actions' EM runs in lockstep: each iteration is one E-step over every
+    action still training.  An action stops when its relative
+    log-likelihood gain drops below 1e-6, or after ``MAX_EM_ITERATIONS``
+    iterations, which its model records as ``capped``.  Each model is
+    bitwise the one its action would get trained alone.  Zero entries of
+    the left-to-right transition matrix stay zero, and variances never
+    fall below the floor.
+    """
+    if n_states < 1 or n_mix < 1:
+        raise HmmError("need at least one state and one mixture component")
+    for label, trajs in trajs_by_action.items():
+        if not trajs:
+            raise HmmError(f"action {label!r}: empty training set")
+        for traj in trajs:
+            if traj.dim != trajs[0].dim:
+                raise HmmError(
+                    f"action {label!r}: all trajectories must share the same dimensionality"
+                )
+            if len(traj) < n_states:
+                raise HmmError(
+                    f"action {label!r}: trajectory of length {len(traj)} "
+                    f"is shorter than {n_states} states"
+                )
+    sets = list(trajs_by_action.values())
+    models = [
+        _initial_model(trajs, n_states, n_mix, seed + offset, label)
+        for offset, (label, trajs) in enumerate(trajs_by_action.items())
+    ]
+    frames = [np.concatenate([traj.frames for traj in trajs]) for trajs in sets]
+    lengths = [np.array([len(traj) for traj in trajs]) for trajs in sets]
+    histories: list[list[float]] = [[] for _ in sets]
+    active = list(range(len(sets)))
+    for iteration in range(MAX_EM_ITERATIONS):
+        if not active:
+            break
+        stats = _bank_statistics(
+            [models[k] for k in active], [frames[k] for k in active], [lengths[k] for k in active]
         )
-    return GestureBank(models=tuple(models))
+        training = []
+        for k, (logliks, gamma, resp, trans_num) in zip(active, stats):
+            history = histories[k]
+            history.append(float(logliks.sum()))
+            if iteration > 0 and history[-1] - history[-2] < EM_REL_TOL * abs(history[-2]):
+                continue
+            models[k] = _reestimate(
+                models[k],
+                occupancy=gamma.sum(axis=0),
+                resp_sum=resp.sum(axis=0),
+                mean_num=np.einsum("tqm,td->qmd", resp, frames[k]),
+                sq_num=np.einsum("tqm,td->qmd", resp, frames[k] ** 2),
+                trans_num=trans_num,
+            )
+            training.append(k)
+        active = training
+    return GestureBank(
+        models=tuple(
+            replace(model, history=tuple(history), capped=k in active)
+            for k, (model, history) in enumerate(zip(models, histories))
+        )
+    )
 
 
 def _prefix_logliks(models: Sequence[HmmModel], traj: Trajectory) -> np.ndarray:
@@ -367,9 +414,7 @@ def _prefix_logliks(models: Sequence[HmmModel], traj: Trajectory) -> np.ndarray:
                 f"trajectory dimension {traj.dim} does not match model dimension {model.dim}"
             )
         log_trans[k, : model.n_states, : model.n_states] = model.log_trans
-        log_b[k, :, : model.n_states] = kernels.gmm_obs_logprob(
-            traj.frames, np.log(model.weights + 1e-300), model.means, model.variances
-        )[1]
+        log_b[k, :, : model.n_states] = _emissions(model, traj.frames)[1]
     log_alpha = kernels.log_forward(
         log_trans, log_b.reshape(-1, n_states), [len(traj)] * len(models)
     )

@@ -10,7 +10,11 @@ one two-way ``logaddexp`` per step instead of a Q-way reduction per state.
 
 * ``gmm_obs_logprob`` gives the log density of each frame under each
   mixture component, ``log_wcomp`` (F, Q, M), and under each state,
-  ``log_b`` (F, Q).
+  ``log_b`` (F, Q).  It adds the squared distances one dimension at a
+  time, each as an exact difference ``(x_d - mu_d)^2 / sigma_d^2`` over an
+  (F, Q*M) array, so a trajectory far from the origin loses nothing to
+  cancellation, and combines the components with one two-way
+  ``logaddexp`` per component.
 * ``log_forward`` gives log alpha_t(j) = log P(o_1..t, q_t = j), entering
   in state 0; ``logaddexp.reduce`` over its states is the log-likelihood
   of each prefix.
@@ -49,11 +53,24 @@ def backend() -> str:
 
 
 def gmm_obs_logprob(frames, log_weights, means, variances):
-    diff = frames[:, None, None, :] - means[None, :, :, :]
-    quad = (diff * diff / variances[None, :, :, :]).sum(axis=-1)
-    norm = np.log(variances).sum(axis=-1) + frames.shape[1] * _LOG_2PI
-    log_wcomp = log_weights[None, :, :] - 0.5 * (quad + norm[None, :, :])
-    log_b = np.logaddexp.reduce(log_wcomp, axis=-1)
+    """``log_wcomp`` (F, Q, M) and ``log_b`` (F, Q) of (F, D) frames under
+    (Q, M[, D]) mixture arrays.  A squared distance past the float range
+    is ``inf``, without a warning, which makes its component ``-inf``."""
+    n_states, n_mix, dim = means.shape
+    mu = means.reshape(-1, dim).T
+    var = variances.reshape(-1, dim).T
+    quad = np.zeros((len(frames), n_states * n_mix))
+    with np.errstate(over="ignore"):
+        for d in range(dim):
+            term = np.subtract.outer(frames[:, d], mu[d])
+            term *= term
+            term /= var[d]
+            quad += term
+    norm = np.log(variances).sum(axis=-1) + dim * _LOG_2PI
+    log_wcomp = log_weights - 0.5 * (quad.reshape(-1, n_states, n_mix) + norm)
+    log_b = log_wcomp[:, :, 0]
+    for m in range(1, n_mix):
+        log_b = np.logaddexp(log_b, log_wcomp[:, :, m])
     return log_wcomp, log_b
 
 
@@ -86,6 +103,7 @@ def log_forward(log_trans, log_obs, lengths):
         cur = np.add(log_alpha[t - 1], stay, out=log_alpha[t])
         np.logaddexp(cur[:, 1:], log_alpha[t - 1, :, :-1] + advance, out=cur[:, 1:])
         cur += log_b[t]
+    del log_b  # before the frame-major copy: a bank-wide pass peaks lower
     return log_alpha[index]
 
 
@@ -100,6 +118,7 @@ def log_backward(log_trans, log_obs, lengths):
         cur = ahead + stay
         np.logaddexp(cur[:, :-1], ahead[:, 1:] + advance, out=cur[:, :-1])
         log_beta[t] = np.where(at_end[t], 0.0, cur)
+    del log_b  # as in log_forward
     return log_beta[index]
 
 

@@ -294,7 +294,7 @@ def load_gesture_bank(path) -> GestureBank:
                 )
             )
         lines.fields("end", count=1)
-    return GestureBank(models=tuple(models))
+        return GestureBank(models=tuple(models))
 
 
 def _model_layout(lines: _Lines, n_states: int, n_mix: int, dim: int):

@@ -192,6 +192,17 @@ def random_left_right_model(
     )
 
 
+def reference_gmm_obs_logprob(frames, log_weights, means, variances):
+    """The emission kernel as one (F, Q, M, D) broadcast: the reference for
+    ``kernels.gmm_obs_logprob``, which sums the same terms one dimension at
+    a time."""
+    diff = frames[:, None, None, :] - means[None, :, :, :]
+    quad = (diff * diff / variances[None, :, :, :]).sum(axis=-1)
+    norm = np.log(variances).sum(axis=-1) + frames.shape[1] * math.log(2.0 * math.pi)
+    log_wcomp = log_weights[None, :, :] - 0.5 * (quad + norm[None, :, :])
+    return log_wcomp, np.logaddexp.reduce(log_wcomp, axis=-1)
+
+
 def _emission_density(model: HmmModel, q: int, x: np.ndarray) -> float:
     dens = 0.0
     for m in range(model.n_mixtures):

@@ -17,6 +17,7 @@ from afftalk.bn import (
     StateSpaceError,
     WorldSchema,
     build_network,
+    family_bic,
     fit_parameters,
     greedy_structure_fit,
     joint_enumerate,
@@ -576,6 +577,94 @@ def test_greedy_structure_respects_layering_on_default_schema():
             assert set(ps) <= roots
         else:
             assert set(ps) <= affordances
+
+
+def test_family_bic_by_hand():
+    """Log-likelihood sum of c * log(c / row total), minus
+    0.5 * log(n) * (parent configurations) * (arity - 1)."""
+    schema = WorldSchema.of([("A", ("x", "y")), ("B", ("u", "v", "w"))])
+    rows = np.array([[0, 0], [0, 0], [0, 1], [1, 2], [1, 2], [1, 2], [1, 0]])
+    data = Dataset(rows)
+    a_counts, b_counts = (3, 4), (3, 1, 3)
+    ll_a = sum(c * math.log(c / 7) for c in a_counts)
+    assert family_bic(data, schema, 0, ()) == pytest.approx(ll_a - 0.5 * math.log(7) * 1 * 1, rel=1e-12)
+    ll_b = sum(c * math.log(c / 7) for c in b_counts)
+    assert family_bic(data, schema, 1, ()) == pytest.approx(ll_b - 0.5 * math.log(7) * 1 * 2, rel=1e-12)
+    given_a = [(2, 3), (1, 3), (1, 4), (3, 4)]  # (count, row total) of the nonzero cells
+    ll_ba = sum(c * math.log(c / t) for c, t in given_a)
+    assert family_bic(data, schema, 1, (0,)) == pytest.approx(ll_ba - 0.5 * math.log(7) * 2 * 2, rel=1e-12)
+
+
+def _reference_greedy_fit(data, schema, max_parents, candidate_parents):
+    """Greedy forward selection that scores every family with ``family_bic``,
+    one count over all rows each: the reference for the table-based search."""
+    result = []
+    for node in range(len(schema)):
+        candidates = sorted(set(candidate_parents[node]))
+        chosen, best = [], family_bic(data, schema, node, ())
+        while len(chosen) < max_parents:
+            scores = [
+                (family_bic(data, schema, node, sorted(chosen + [c])), c)
+                for c in candidates
+                if c not in chosen
+            ]
+            top = max((score for score, _ in scores), default=-math.inf)
+            if not top > best:
+                break
+            chosen.append(next(c for score, c in scores if score == top))
+            best = top
+        result.append(tuple(sorted(chosen)))
+    return tuple(result)
+
+
+def _dependent_rows(rng, n, arities):
+    """Each column a noisy function of up to three earlier columns."""
+    rows = np.zeros((n, len(arities)), dtype=np.int64)
+    for j, a in enumerate(arities):
+        rows[:, j] = rng.integers(a, size=n)
+        sources = rng.permutation(j)[: int(rng.integers(0, 4))]
+        if len(sources):
+            copied = rows[:, sources].sum(axis=1) % a
+            keep = rng.random(n) < rng.uniform(0.3, 0.9)
+            rows[keep, j] = copied[keep]
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_table_search_scores_are_bitwise_family_bic(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    arities = tuple(int(a) for a in rng.integers(2, 5, size=7))
+    schema = WorldSchema.of([(f"X{i}", tuple(map(str, range(a)))) for i, a in enumerate(arities)])
+    data = Dataset(_dependent_rows(rng, int(rng.integers(50, 3000)), arities))
+    candidates = [rng.permutation(i)[: int(rng.integers(0, i + 1))].tolist() for i in range(7)]
+    scored = []
+    scorer = bn._family_scorer
+
+    def recording(rows, arities, node, cands):
+        score = scorer(rows, arities, node, cands)
+
+        def recorded(parents):
+            scored.append((node, tuple(parents), score(parents)))
+            return scored[-1][2]
+
+        return recorded
+
+    monkeypatch.setattr(bn, "_family_scorer", recording)
+    max_parents = int(rng.integers(1, 4))
+    parents = greedy_structure_fit(data, schema, max_parents, candidates)
+    assert len(scored) > len(schema)
+    for node, family, score in scored:
+        assert score == family_bic(data, schema, node, family)
+    assert parents == _reference_greedy_fit(data, schema, max_parents, candidates)
+    assert any(parents)
+
+
+def test_count_table_over_the_candidates_is_bounded():
+    schema = WorldSchema.of([(f"X{i}", ("a", "b")) for i in range(25)])
+    data = Dataset(np.zeros((3, 25), dtype=np.int64))
+    candidates = [list(range(1, 25))] + [[]] * 24
+    with pytest.raises(StateSpaceError, match="'X0' over its candidate parents has 33554432 cells"):
+        greedy_structure_fit(data, schema, 1, candidates)
 
 
 @pytest.mark.parametrize("n_parents", [0, 1, 3])

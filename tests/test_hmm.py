@@ -13,6 +13,7 @@ from afftalk.hmm import (
     forward_loglik,
     prefix_curve,
     preprocess,
+    train_bank,
     train_hmm,
 )
 
@@ -210,6 +211,69 @@ def test_reestimate_matches_the_per_state_loop(seed):
     assert np.array_equal(refit.variances[2, 0], model.variances[2, 0])
 
 
+def _three_actions(seed):
+    rng = np.random.default_rng(seed)
+    return {
+        label: _noisy_sequences(rng, int(rng.integers(3, 7)), int(rng.integers(12, 30)))
+        for label in ("grasp", "tap", "touch")
+    }
+
+
+def _assert_trained_alone(bank, trajs, n_states, n_mix, seed):
+    for offset, (label, model) in enumerate(zip(trajs, bank.models)):
+        alone = train_hmm(trajs[label], n_states, n_mix, seed=seed + offset, action_label=label)
+        assert model.action_label == alone.action_label == label
+        for name in ("log_trans", "weights", "means", "variances"):
+            assert np.array_equal(getattr(model, name), getattr(alone, name))
+        assert model.history == alone.history and model.capped == alone.capped
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bank_models_are_bitwise_the_models_trained_alone(seed, monkeypatch):
+    """One forward pass per EM iteration for the whole bank, and each
+    model as its action would get it alone."""
+    trajs = _three_actions(seed)
+    forward = []
+    log_forward = hmm.kernels.log_forward
+    monkeypatch.setattr(
+        hmm.kernels, "log_forward", lambda *a: forward.append(len(a[2])) or log_forward(*a)
+    )
+    bank = train_bank(trajs, 3, 2, seed=seed)
+    iterations = [len(m.history) for m in bank.models]
+    assert len(forward) == max(iterations)
+    # every sequence of an action that is still training is in the pass
+    assert forward[0] == sum(map(len, trajs.values()))
+    _assert_trained_alone(bank, trajs, 3, 2, seed)
+
+
+def test_bank_with_one_action_capped_and_one_converged(monkeypatch):
+    trajs = _three_actions(7)
+    free = [len(m.history) for m in train_bank(trajs, 3, 2, seed=4).models]
+    assert min(free) < max(free) < hmm.MAX_EM_ITERATIONS
+    monkeypatch.setattr(hmm, "MAX_EM_ITERATIONS", max(free) - 1)
+    bank = train_bank(trajs, 3, 2, seed=4)
+    assert {m.capped for m in bank.models} == {True, False}
+    _assert_trained_alone(bank, trajs, 3, 2, 4)
+
+
+def test_bank_checks_every_action_before_any_em(monkeypatch):
+    trajs = _three_actions(8)
+    trajs["touch"] = trajs["touch"] + [traj(np.zeros((2, 3)))]
+    steps = []
+    monkeypatch.setattr(hmm, "_bank_statistics", lambda *a: steps.append(a))
+    monkeypatch.setattr(hmm, "_initial_model", lambda *a: steps.append(a))
+    with pytest.raises(HmmError, match="action 'touch': trajectory of length 2 is shorter than 3 states"):
+        train_bank(trajs, 3, 2, seed=0)
+    assert steps == []
+    trajs["touch"] = []
+    with pytest.raises(HmmError, match="action 'touch': empty training set"):
+        train_bank(trajs, 3, 2, seed=0)
+    trajs["touch"] = [traj(np.zeros((5, 3))), traj(np.zeros((5, 2)))]
+    with pytest.raises(HmmError, match="action 'touch': all trajectories must share"):
+        train_bank(trajs, 3, 2, seed=0)
+    assert steps == []
+
+
 def test_training_input_validation():
     with pytest.raises(HmmError, match="empty"):
         train_hmm([], 2, 1, seed=0)
@@ -249,6 +313,33 @@ def test_forward_matches_path_enumeration():
         got = forward_loglik(model, traj(frames))
         want = brute_force_loglik(model, frames)
         assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e5])
+def test_forward_matches_path_enumeration_at_the_variance_floor(offset):
+    """Variances at ``VAR_FLOOR`` and frames near the means and 4 to 8
+    standard deviations away, far from the origin: the differences are
+    exact, so no cancellation grows with the offset."""
+    rng = np.random.default_rng(17)
+    sigma = math.sqrt(hmm.VAR_FLOOR)
+    for _ in range(30):
+        q, m, d, t = (int(rng.integers(1, k)) for k in (4, 3, 4, 6))
+        base = random_left_right_model(rng, q, m, d)
+        model = HmmModel(
+            "x",
+            base.log_trans,
+            base.weights,
+            offset + rng.normal(0.0, 10 * sigma, (q, m, d)),
+            np.full((q, m, d), hmm.VAR_FLOOR),
+        )
+        # each frame near a component of its state on a left-to-right path
+        path = np.minimum(np.cumsum(rng.integers(0, 2, t)) - 1, q - 1).clip(0)
+        centres = model.means[path, rng.integers(m, size=t)]
+        spread = np.where(rng.random((t, 1)) < 0.5, 0.5, rng.uniform(4.0, 8.0, (t, 1)))
+        frames = centres + sigma * spread * rng.choice([-1.0, 1.0], (t, d))
+        got = forward_loglik(model, traj(frames))
+        want = brute_force_loglik(model, frames)
+        assert -600.0 < want and abs(got - want) <= 1e-9 * abs(want)
 
 
 def test_short_sequences_still_score():

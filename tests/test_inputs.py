@@ -267,6 +267,15 @@ def _infinite_variance(lines):
     return _first_model_value(lines, "var ", "inf")
 
 
+def _two_models_for_one_action(lines):
+    """The second model labelled like the first.  The bank is built, and so
+    checked, once its ``end`` line is read."""
+    first, second = [i for i, line in enumerate(lines) if line.startswith("model ")][:2]
+    _, _, *counts = lines[second].split()
+    lines[second] = " ".join(["model", lines[first].split()[1], *counts])
+    return _first(lines, "end")
+
+
 def _time_standing_still(lines):
     lines[4] = lines[3].split(",")[0] + "," + lines[4].split(",", 1)[1]
     return 4
@@ -366,6 +375,7 @@ FILE_CASES = [
     ("NaN mean in a bank", "bank", _nan_mean),
     ("NaN variance in a bank", "bank", _nan_variance),
     ("infinite variance in a bank", "bank", _infinite_variance),
+    ("bank with two models for one action", "bank", _two_models_for_one_action),
     ("time column standing still", "traj", _time_standing_still),
     ("trajectory without coordinates", "traj", _no_coordinates),
     ("dataset format version 9", "dataset", _dataset_version_9),
@@ -494,6 +504,29 @@ def test_output_directory_blocked_by_a_file_exits_3(tmp_path, per_action):
     code, err = _exit_code(argv + ["--trajectories-per-action", per_action])
     assert code == 3, err
     assert blocker.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("command", ["anticipate", "infer"])
+def test_coordinates_that_overflow_the_emissions_exit_4_naming_the_file(inputs, command):
+    """Squared distances past the float range: named as the cause, with no
+    numpy warning (which the test run turns into an error, and so exit 1)."""
+    path = inputs / "bad" / "huge.csv"
+    path.write_text("t,x,y,z\n0,1e300,1e300,1e300\n0.1,1e300,1e300,1e300\n")
+    argv = [command, "--bn", inputs / "bn.txt", "--bank", inputs / "hmm.txt", "--traj", path]
+    extra = ["--out", inputs / "bad" / "huge-out.csv"] if command == "anticipate" else []
+    code, err = _exit_code(argv + extra + (["--infer", "ObjVel"] if command == "infer" else []))
+    assert code == 4, err
+    message = "the trajectory's coordinates overflow the emission densities"
+    assert f"error[HmmError]: {path}: {message}" in err
+    assert not (inputs / "bad" / "huge-out.csv").exists()
+
+
+def test_alpha_that_overflows_the_smoothed_counts_exits_4_naming_it(inputs, tmp_path):
+    out = tmp_path / "bn.txt"
+    code, err = _exit_code(["train-bn", "--dataset", inputs / "ds", "--out", out, "--alpha", "1e308"])
+    assert code == 4, err
+    assert "error[BnError]: alpha=1e+308 overflows the smoothed counts of 'Action'" in err
+    assert not out.exists()
 
 
 def test_missing_dataset_exits_3(inputs, tmp_path):

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from afftalk import kernels
-from afftalk.hmm import HmmError, _em_statistics
+from afftalk.hmm import HmmError, _bank_statistics
 
-from conftest import brute_force_posteriors, random_left_right_model
+from conftest import brute_force_posteriors, random_left_right_model, reference_gmm_obs_logprob
 
 
 def _batch_statistics(model, seqs):
     """Per-sequence (log-likelihood, gamma) and the summed xi for one batch."""
     frames = np.concatenate(seqs)
     lengths = np.array([len(s) for s in seqs])
-    logliks, gamma, _, xi = _em_statistics(model, frames, lengths)
+    [(logliks, gamma, _, xi)] = _bank_statistics([model], [frames], [lengths])
     return logliks, np.split(gamma, np.cumsum(lengths)[:-1]), xi
 
 
@@ -80,8 +80,49 @@ def test_forward_handles_all_minus_inf_rows_without_nan():
     prefix = np.logaddexp.reduce(log_alpha, axis=1)
     assert np.isfinite(prefix[0]) and np.isneginf(prefix[1:3]).all()
     assert np.isfinite(prefix[3:]).all()
-    # a frame no state can emit: its squared distance overflows to inf
+    # a frame no state can emit: its squared distance overflows to inf,
+    # which is named as the cause, without a warning
     frames = np.zeros((6, 2))
     frames[2] = 1e200
-    with np.errstate(over="ignore"), pytest.raises(HmmError, match="zero likelihood"):
-        _em_statistics(model, frames, np.array([4, 2]))
+    with pytest.raises(HmmError, match="coordinates overflow the emission densities"):
+        list(_bank_statistics([model], [frames], [np.array([4, 2])]))
+
+
+def _random_mixtures(rng, dim):
+    """Frames and (log weights, means, variances) of a random shape, some
+    variances at the floor and coordinates offset far from the origin."""
+    q, m, f = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 301))
+    offset = rng.choice([0.0, 1e3, 1e5])
+    means = offset + rng.normal(0.0, 2.0, (q, m, dim))
+    variances = rng.uniform(1e-6, 3.0, (q, m, dim))
+    variances[rng.random((q, m, dim)) < 0.2] = 1e-6
+    frames = offset + rng.normal(0.0, 3.0, (f, dim))
+    log_weights = np.log(rng.dirichlet(np.ones(m), size=q))
+    return frames, log_weights, means, variances
+
+
+def test_emissions_are_bitwise_the_broadcast_kernel_up_to_four_dimensions():
+    rng = np.random.default_rng(15)
+    for dim in (1, 2, 3, 4):
+        for _ in range(60):
+            args = _random_mixtures(rng, dim)
+            for found, want in zip(kernels.gmm_obs_logprob(*args), reference_gmm_obs_logprob(*args)):
+                assert found.shape == want.shape and np.array_equal(found, want)
+
+
+def test_emissions_match_the_broadcast_kernel_up_to_ten_dimensions():
+    # from eight terms on, numpy sums a row pairwise, in another order
+    rng = np.random.default_rng(16)
+    for dim in range(5, 11):
+        for _ in range(20):
+            args = _random_mixtures(rng, dim)
+            for found, want in zip(kernels.gmm_obs_logprob(*args), reference_gmm_obs_logprob(*args)):
+                assert np.allclose(found, want, rtol=1e-12, atol=0.0)
+
+
+def test_emission_overflow_is_minus_inf_without_a_warning():
+    means, variances = np.zeros((2, 2, 3)), np.full((2, 2, 3), 1e-6)
+    frames = np.array([[0.0, 0.0, 0.0], [1e300, 0.0, 0.0], [1e200, -1e200, 1e200]])
+    log_wcomp, log_b = kernels.gmm_obs_logprob(frames, np.log(np.full((2, 2), 0.5)), means, variances)
+    assert np.isfinite(log_wcomp[0]).all() and np.isfinite(log_b[0]).all()
+    assert np.isneginf(log_wcomp[1:]).all() and np.isneginf(log_b[1:]).all()
