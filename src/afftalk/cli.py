@@ -136,25 +136,16 @@ def _print_table(table: JointTable) -> None:
         print(f"  {' '.join(labels):<{width}}  {p:.6f}")
 
 
-def _load_bank(path, schema) -> hmm.GestureBank:
-    """The gesture bank at ``path``, whose actions must be the schema's."""
-    bank = serialize.load_gesture_bank(path)
-    actions = schema.variable(ACTION_VAR).labels
-    if bank.actions != actions:
-        raise BnError(
-            f"bank actions {bank.actions} do not match the schema {actions}"
-        )
-    return bank
-
-
-def _load_soft(args, schema) -> SoftActionEvidence | None:
+def _load_soft(args) -> SoftActionEvidence | None:
+    """The gesture's action posterior, labeled in the bank's order; fusion
+    checks the labels against the network's."""
     if not args.traj and not args.bank:
         return None
     if not args.bank:
         raise BnError("--traj needs --bank to score the trajectory")
     if not args.traj:
         raise BnError("--bank needs --traj: the bank scores a trajectory")
-    bank = _load_bank(args.bank, schema)
+    bank = serialize.load_gesture_bank(args.bank)
     return _score(hmm.action_posterior, bank, args.traj)
 
 
@@ -206,9 +197,6 @@ def cmd_train_hmm(args, config: RunConfig) -> int:
         label = labels[data.rows[row, action_idx]]
         if len(by_action[label]) < config.train_per_action:
             by_action[label].append(serialize.load_trajectory(path))
-    for label, trajs in by_action.items():
-        if not trajs:
-            raise HmmError(f"dataset has no trajectories for action {label!r}")
     bank = hmm.train_bank(
         by_action, n_states=config.states, n_mix=config.mixtures, seed=config.seed
     )
@@ -225,7 +213,7 @@ def cmd_infer(args, config: RunConfig) -> int:
     infer_vars = _parse_names(args.infer)
     net = serialize.load_bayesnet(args.bn)
     obs = _parse_evidence(net.schema, args.ev)
-    soft = _load_soft(args, net.schema)
+    soft = _load_soft(args)
     if soft is None:
         table = query(net, infer_vars, obs)
         print(f"P({', '.join(infer_vars)} | evidence):")
@@ -245,7 +233,7 @@ def cmd_infer(args, config: RunConfig) -> int:
 
 def cmd_anticipate(args, config: RunConfig) -> int:
     net = serialize.load_bayesnet(args.bn)
-    bank = _load_bank(args.bank, net.schema)
+    bank = serialize.load_gesture_bank(args.bank)
     obs = _parse_evidence(net.schema, args.ev)
     curve = _score(hmm.prefix_curve, bank, args.traj)
     predictions = [
@@ -264,17 +252,10 @@ def cmd_anticipate(args, config: RunConfig) -> int:
 def cmd_describe(args, config: RunConfig) -> int:
     net = serialize.load_bayesnet(args.bn)
     obs = _parse_evidence(net.schema, args.ev)
-    soft = _load_soft(args, net.schema)
-    observed = dict(obs.items())
-    unobserved = [w for w in net.schema.word_variables() if w not in observed]
-    inferred = fusion.word_probabilities(net, obs, unobserved, soft)
-    word_probs: dict[str, float] = {}
-    for word in net.schema.word_variables():
-        if word in observed:
-            true_idx = net.schema.value_index(word, "true")
-            word_probs[word] = 1.0 if observed[word] == true_idx else 0.0
-        else:
-            word_probs[word] = float(inferred[unobserved.index(word)])
+    soft = _load_soft(args)
+    words = net.schema.word_variables()
+    probs = fusion.word_probabilities(net, obs, words, soft)
+    word_probs = dict(zip(words, probs.tolist()))
     result = grammar_mod.kbest(grammar_mod.default_grammar(), word_probs, config.keep)
     for rank, (sentence, score) in enumerate(result.entries, 1):
         print(f"{rank:2d}  {score: .5f}  {sentence.text}")

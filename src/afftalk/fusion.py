@@ -71,7 +71,9 @@ class SoftActionEvidence:
         return cls(w, actions)
 
     def aligned_to(self, labels: Sequence[str]) -> np.ndarray:
-        """Weights reordered to ``labels``, which must reorder ``actions``."""
+        """The weights in the order of ``labels``.  This is the one check of
+        a gesture's labels: ``actions`` must be exactly ``labels``, in any
+        order."""
         if self.actions == labels:
             return self.weights
         if sorted(self.actions) != sorted(labels):
@@ -207,6 +209,10 @@ def word_probabilities(
 ) -> np.ndarray:
     """P(word present | obs[, soft]) for each of ``words``, in order.
 
+    An observed word's probability is its evidence: 1.0 if observed
+    present, 0.0 if observed absent.  ``soft`` must carry exactly the
+    action's labels, in any order, whether or not a query needs it.
+
     Without ``soft`` this is the plain network query.  A word with no child
     and no word parent depends on the evidence only through its parents, so
     one joint query over the unobserved parents of all such words serves
@@ -215,6 +221,9 @@ def word_probabilities(
     over its own parents.  Any other word gets its own query.
     """
     schema = net.schema
+    if soft is not None:
+        labels = schema.variable(ACTION_VAR).labels
+        soft = SoftActionEvidence(soft.aligned_to(labels), labels)
     observed = dict(obs.items())
     word_vars = set(schema.word_variables())
     has_child = {p for ps in net.parents for p in ps}
@@ -244,7 +253,9 @@ def word_probabilities(
     probs = np.empty(len(words))
     for k, word in enumerate(words):
         true_idx = schema.value_index(word, "true")
-        if word in joint_words:
+        if word in observed:
+            probs[k] = float(observed[word] == true_idx)
+        elif word in joint_words:
             i = schema.index(word)
             ps = net.parents[i]
             slicer = tuple(observed.get(schema.names[p], slice(None)) for p in ps)

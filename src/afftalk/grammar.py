@@ -174,32 +174,25 @@ def _parse_rhs(rhs: str, lineno: int) -> tuple[tuple, ...]:
     return tuple(tuple(alt) for alt in alternatives)
 
 
-def _walk_terminals(items, out: list[str], seen: set[str]) -> None:
+def _leaves(items):
+    """The words and rule references of ``items`` in order, with every
+    optional group opened."""
     for item in items:
-        if isinstance(item, str):
-            if item not in seen:
-                seen.add(item)
-                out.append(item)
-        elif isinstance(item, Opt):
-            _walk_terminals(item.items, out, seen)
-
-
-def _referenced(items):
-    for item in items:
-        if isinstance(item, Ref):
-            yield item.name
-        elif isinstance(item, Opt):
-            yield from _referenced(item.items)
+        if isinstance(item, Opt):
+            yield from _leaves(item.items)
+        else:
+            yield item
 
 
 def _check_rules(rules: dict[str, tuple]) -> None:
-    for name, alternatives in rules.items():
-        for alt in alternatives:
-            for ref in _referenced(alt):
-                if ref not in rules:
-                    raise GrammarError(
-                        f"undefined nonterminal <{ref}> referenced from <{name}>"
-                    )
+    referenced = {
+        name: [leaf.name for alt in alts for leaf in _leaves(alt) if isinstance(leaf, Ref)]
+        for name, alts in rules.items()
+    }
+    for name, refs in referenced.items():
+        for ref in refs:
+            if ref not in rules:
+                raise GrammarError(f"undefined nonterminal <{ref}> referenced from <{name}>")
     # Acyclic reference graph guarantees a finite language.
     state: dict[str, int] = {}  # 1 = on stack, 2 = done
 
@@ -209,9 +202,8 @@ def _check_rules(rules: dict[str, tuple]) -> None:
         if state.get(name) == 1:
             raise GrammarError(f"recursive rule <{name}> is not supported")
         state[name] = 1
-        for alt in rules[name]:
-            for ref in _referenced(alt):
-                visit(ref)
+        for ref in referenced[name]:
+            visit(ref)
         state[name] = 2
 
     for name in rules:
@@ -238,11 +230,9 @@ def load_grammar(text: str) -> Grammar:
     if not rules:
         raise GrammarError("grammar has no rules")
     _check_rules(rules)
-    vocab: list[str] = []
-    seen: set[str] = set()
-    for alternatives in rules.values():
-        for alt in alternatives:
-            _walk_terminals(alt, vocab, seen)
+    leaves = (leaf for alts in rules.values() for alt in alts for leaf in _leaves(alt))
+    # the words in first-appearance order: the schema's word order
+    vocab = dict.fromkeys(leaf for leaf in leaves if isinstance(leaf, str))
     start = next(iter(rules))
     return Grammar(rules=rules, start=start, vocabulary=tuple(vocab))
 
@@ -299,12 +289,14 @@ def score_sentence(sentence: Sentence, word_probs: dict[str, float]) -> float:
     The logs are summed with ``math.fsum``, which rounds the exact sum once,
     so sentences that permute the same words score the same.
     """
-    logs = []
-    for word in sentence.words:
-        if word not in word_probs:
-            raise GrammarError(f"word {word!r} is outside the scoring vocabulary")
-        logs.append(math.log(max(word_probs[word], PROB_FLOOR)))
-    return math.fsum(logs) / len(sentence.words)
+    return math.fsum(_word_log(w, word_probs) for w in sentence.words) / len(sentence.words)
+
+
+def _word_log(word: str, word_probs: dict[str, float]) -> float:
+    """The log of ``word``'s probability, floored at ``PROB_FLOOR``."""
+    if word not in word_probs:
+        raise GrammarError(f"word {word!r} is outside the scoring vocabulary")
+    return math.log(max(word_probs[word], PROB_FLOOR))
 
 
 def nbest(
@@ -399,9 +391,7 @@ def kbest(grammar: Grammar, word_probs: dict[str, float], k: int) -> NBestList:
 
     def item(it) -> _ByLength:
         if isinstance(it, str):
-            if it not in word_probs:
-                raise GrammarError(f"word {it!r} is outside the scoring vocabulary")
-            return {1: {(it,): _exact(math.log(max(word_probs[it], PROB_FLOOR)))}}
+            return {1: {(it,): _exact(_word_log(it, word_probs))}}
         if isinstance(it, Opt):
             return {**sequence(it.items), 0: {(): 0}}
         if it.name not in rules:

@@ -3,7 +3,8 @@
 The passes work on a batch of N sequences stored frame-major: the rows of
 all sequences concatenated into one ``(sum(lengths), Q)`` array, with
 ``lengths`` giving each sequence's frame count.  Inside, they pad to
-``(T_max, N, Q)`` and step every sequence at once.  Transitions are
+``(T_max, N, Q)`` and step every sequence at once; the backward pass pads
+end-aligned, so that every sequence ends on its last step.  Transitions are
 left-to-right (``HmmModel`` validates this), so a step combines each state
 only with its neighbour: a diagonal term plus a shifted superdiagonal term,
 one two-way ``logaddexp`` per step instead of a Q-way reduction per state.
@@ -80,11 +81,15 @@ def _band(log_trans):
     return np.diagonal(log_trans, 0, -2, -1), np.diagonal(log_trans, 1, -2, -1)
 
 
-def _padded(rows, lengths):
+def _padded(rows, lengths, end_aligned):
     """Frame-major ``rows`` as a zero-padded (T_max, N, Q) array, plus the
-    (time, sequence) index of every row, which maps the padding back."""
+    (time, sequence) index of every row, which maps the padding back.
+    Every sequence starts on the first step, or, ``end_aligned``, ends on
+    the last."""
     lengths = np.asarray(lengths)
     starts = np.cumsum(lengths) - lengths
+    if end_aligned:
+        starts -= lengths.max() - lengths
     seq = np.repeat(np.arange(len(lengths)), lengths)
     time = np.arange(len(rows)) - starts[seq]
     out = np.zeros((lengths.max(), len(lengths), rows.shape[1]))
@@ -96,7 +101,7 @@ def log_forward(log_trans, log_obs, lengths):
     """Log alpha, frame-major.  ``log_trans`` is (Q, Q), or (N, Q, Q) to
     give each sequence its own transitions."""
     stay, advance = _band(log_trans)
-    log_b, index = _padded(log_obs, lengths)
+    log_b, index = _padded(log_obs, lengths, end_aligned=False)
     log_alpha = np.full_like(log_b, -np.inf)
     log_alpha[0, :, 0] = log_b[0, :, 0]
     for t in range(1, len(log_b)):
@@ -108,16 +113,15 @@ def log_forward(log_trans, log_obs, lengths):
 
 
 def log_backward(log_trans, log_obs, lengths):
-    """Log beta, frame-major; zero on each sequence's last frame."""
+    """Log beta, frame-major; zero on each sequence's last frame.  The
+    padding is end-aligned, so every sequence ends on the last step."""
     stay, advance = _band(log_trans)
-    log_b, index = _padded(log_obs, lengths)
-    at_end = np.arange(len(log_b))[:, None, None] >= np.asarray(lengths)[None, :, None] - 1
+    log_b, index = _padded(log_obs, lengths, end_aligned=True)
     log_beta = np.zeros_like(log_b)
     for t in range(len(log_b) - 2, -1, -1):
         ahead = log_b[t + 1] + log_beta[t + 1]
-        cur = ahead + stay
+        cur = np.add(ahead, stay, out=log_beta[t])
         np.logaddexp(cur[:, :-1], ahead[:, 1:] + advance, out=cur[:, :-1])
-        log_beta[t] = np.where(at_end[t], 0.0, cur)
     del log_b  # as in log_forward
     return log_beta[index]
 

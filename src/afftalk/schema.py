@@ -27,18 +27,11 @@ AFFORDANCE_VARIABLES: tuple[tuple[str, tuple[str, ...]], ...] = (
 )
 
 
-def affordance_schema(words) -> WorldSchema:
-    """Schema with the affordance variables plus one boolean per word."""
-    pairs = list(AFFORDANCE_VARIABLES)
-    for word in words:
-        pairs.append((word, BOOL_LABELS))
-    return WorldSchema.of(pairs)
-
-
 def default_schema(grammar: Grammar | None = None) -> WorldSchema:
     """Affordance variables plus the 49 grammar words as boolean variables."""
     grammar = grammar or default_grammar()
-    return affordance_schema(grammar.vocabulary)
+    words = [(word, BOOL_LABELS) for word in grammar.vocabulary]
+    return WorldSchema.of([*AFFORDANCE_VARIABLES, *words])
 
 
 def layered_candidates(schema: WorldSchema) -> tuple[tuple[int, ...], ...]:

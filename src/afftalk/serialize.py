@@ -370,7 +370,8 @@ def read_dataset(directory, schema: WorldSchema) -> tuple[Dataset, dict[int, str
     with _Lines(path) as lines:
         _check_header(lines, "dataset")
         lines.fields("provenance")
-        provenance = lines.lines[1][len("provenance ") :]
+        # the text after the field and its one separator
+        provenance = lines.lines[1].lstrip()[len("provenance ") :]
         header = lines.fields()
         if header != columns:
             raise lines.error(_column_error(header, columns))

@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from afftalk import cli, hmm, serialize, world
@@ -199,23 +200,27 @@ def test_anticipate_runs_one_elimination_for_all_frames(pipeline_dir, tmp_path, 
     assert len(eliminations) == 1
 
 
-def test_bank_with_other_actions_than_the_schema_exit_code(pipeline_dir, tmp_path, capsys):
+def _saved_bank(pipeline_dir, path, models) -> str:
+    """The pipeline's bank with its models replaced by ``models(bank)``,
+    saved at ``path``."""
     bank = serialize.load_gesture_bank(pipeline_dir / "models/hmm.txt")
-    push = hmm.HmmModel(
-        "push",
-        bank.models[0].log_trans,
-        bank.models[0].weights,
-        bank.models[0].means,
-        bank.models[0].variances,
-    )
-    serialize.save_gesture_bank(
-        tmp_path / "hmm4.txt", hmm.GestureBank(models=bank.models + (push,))
-    )
+    serialize.save_gesture_bank(path, hmm.GestureBank(models=models(bank)))
+    return str(path)
+
+
+def _with_push(bank):
+    """The bank's models plus a fourth action the network does not have."""
+    first = bank.models[0]
+    push = hmm.HmmModel("push", first.log_trans, first.weights, first.means, first.variances)
+    return bank.models + (push,)
+
+
+def test_bank_with_other_actions_than_the_schema_exit_code(pipeline_dir, tmp_path, capsys):
     common = [
         "--bn",
         str(pipeline_dir / "models/bn.txt"),
         "--bank",
-        str(tmp_path / "hmm4.txt"),
+        _saved_bank(pipeline_dir, tmp_path / "hmm4.txt", _with_push),
         "--traj",
         _somewhere_with_traj(pipeline_dir),
     ]
@@ -224,6 +229,62 @@ def test_bank_with_other_actions_than_the_schema_exit_code(pipeline_dir, tmp_pat
     assert "push" in capsys.readouterr().err
     assert not (tmp_path / "anticipate.csv").exists()
     assert main(["infer", *common, "--infer", "ObjVel"]) == 4
+
+
+def test_describe_with_every_word_observed_checks_the_bank(pipeline_dir, tmp_path, capsys):
+    net = serialize.load_bayesnet(pipeline_dir / "models/bn.txt")
+    every_word = ",".join(f"{w}=false" for w in net.schema.word_variables())
+    common = ["describe", "--bn", str(pipeline_dir / "models/bn.txt"), "--ev", every_word]
+    traj = ["--traj", _somewhere_with_traj(pipeline_dir)]
+    assert main([*common, "--bank", str(pipeline_dir / "models/hmm.txt"), *traj]) == 0
+    capsys.readouterr()
+    four = _saved_bank(pipeline_dir, tmp_path / "hmm4.txt", _with_push)
+    assert main([*common, "--bank", four, *traj]) == 4
+    assert "push" in capsys.readouterr().err
+
+
+def _csv_columns(path) -> dict[str, list[str]]:
+    """A result CSV's cells, one list per header name."""
+    lines = [line.split(",") for line in Path(path).read_text().splitlines()]
+    return {name: column for name, *column in zip(*lines)}
+
+
+def test_bank_in_another_action_order_serves(pipeline_dir, tmp_path):
+    bn = str(pipeline_dir / "models/bn.txt")
+    traj = _somewhere_with_traj(pipeline_dir)
+    banks = {
+        "schema": str(pipeline_dir / "models/hmm.txt"),
+        "reversed": _saved_bank(pipeline_dir, tmp_path / "hmm_rev.txt", lambda b: b.models[::-1]),
+    }
+    for name, bank in banks.items():
+        common = ["--bn", bn, "--bank", bank, "--traj", traj, "--ev", "Shape=sphere"]
+        out = str(tmp_path / f"infer_{name}.csv")
+        assert main(["infer", *common, "--infer", "Action,ObjVel", "--out", out]) == 0
+        out = str(tmp_path / f"anticipate_{name}.csv")
+        assert main(["anticipate", *common, "--out", out]) == 0
+    for kind in ("infer", "anticipate"):
+        want = _csv_columns(tmp_path / f"{kind}_schema.csv")
+        got = _csv_columns(tmp_path / f"{kind}_reversed.csv")
+        assert set(got) == set(want)
+        for name, column in want.items():
+            if name in ("Action", "ObjVel", "t"):  # labels and frame numbers
+                assert got[name] == column
+            else:
+                diff = np.abs(np.array(got[name], float) - np.array(column, float))
+                assert diff.max() <= 1e-12, (kind, name)
+    assert list(_csv_columns(tmp_path / "anticipate_reversed.csv"))[1:4] == [
+        "score_touch", "score_tap", "score_grasp"
+    ]
+
+
+def test_train_hmm_without_trajectories_names_the_action(tmp_path, capsys):
+    dataset = str(tmp_path / "dataset")
+    simulate = ["simulate", "--out", dataset, "--trials", "30", "--trajectories-per-action", "0"]
+    assert main(simulate) == 0
+    capsys.readouterr()
+    assert main(["train-hmm", "--dataset", dataset, "--out", str(tmp_path / "hmm.txt")]) == 4
+    assert "action 'grasp': empty training set" in capsys.readouterr().err
+    assert not (tmp_path / "hmm.txt").exists()
 
 
 def test_train_hmm_reports_em_iterations_and_caps(pipeline_dir, tmp_path, capsys, monkeypatch):

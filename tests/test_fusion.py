@@ -316,6 +316,26 @@ def test_word_probabilities_with_every_parent_observed():
         word_probabilities(impossible, obs, ("w0", "w1"))
 
 
+def test_word_probabilities_of_observed_words_are_their_evidence():
+    net = _word_net(np.random.default_rng(8), WORD_PARENTS)
+    obs = Evidence({"w0": 1, "w3": 0, "A1": 1})
+    soft = SoftActionEvidence(np.array([0.2, 0.5, 0.3]), ACTIONS)
+    reordered = SoftActionEvidence(np.array([0.3, 0.2, 0.5]), ("touch", "grasp", "tap"))
+    for weights in (None, soft, reordered):
+        got = word_probabilities(net, obs, ("w0", "w1", "w3", "w5"), weights)
+        assert got[0] == 1.0 and got[2] == 0.0
+        for word, p in zip(("w1", "w5"), got[[1, 3]]):
+            if weights is None:
+                table = query(net, (word,), obs)
+            else:
+                table = fuse_query(net, soft, (word,), obs).table
+            assert abs(p - table.probs[1]) <= 1e-12, word
+    # the gesture's labels are checked even when every word asked is observed
+    stray = SoftActionEvidence(np.array([0.25, 0.25, 0.25, 0.25]), (*ACTIONS, "push"))
+    with pytest.raises(BnError, match="push"):
+        word_probabilities(net, obs, ("w0", "w3"), stray)
+
+
 def test_word_delta_runs_one_elimination_per_query_pattern(eliminations):
     net = _word_net(np.random.default_rng(7), {"w0": ("A1",), "w1": ("A2",)})
     soft = SoftActionEvidence(np.array([0.2, 0.5, 0.3]), ACTIONS)

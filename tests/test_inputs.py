@@ -7,6 +7,7 @@ uncaught error) or 0 (silently accepted).
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import re
@@ -549,6 +550,28 @@ def test_every_config_field_but_the_version_has_a_range():
     assert set(_LIMITS) == {f.name for f in fields(RunConfig)} - {"version"}
 
 
+def test_readme_config_table_matches_the_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = readme[readme.index("| key ") :].splitlines()[2:]
+    table = {}
+    for line in itertools.takewhile(lambda row: row.startswith("|"), rows):
+        key, default, _, flag, commands = (cell.strip() for cell in line.strip("|").split("|"))
+        name = re.match(r"`(\w+)`", key).group(1)
+        table[name] = (default, flag.strip("`"), re.findall(r"`([\w-]+)`", commands))
+    assert list(table) == [f.name for f in fields(RunConfig)]
+    for f in fields(RunConfig):
+        default, flag, commands = table[f.name]
+        assert default == str(f.default), f.name
+        declared = [
+            (command, given)
+            for command, (_, flags) in COMMANDS.items()
+            for given, field, _ in flags
+            if field == f.name
+        ]
+        assert {given for _, given in declared} == ({flag} if flag else set()), f.name
+        assert [command for command, _ in declared] == commands, f.name
+
+
 def test_dataset_errors_name_the_line_and_variable(tmp_path):
     schema = default_config().schema
     write_dataset(tmp_path, *generate_trials(default_config(), 3, seed=1), schema)
@@ -593,6 +616,16 @@ def test_dataset_header_and_empty_dataset_errors(tmp_path):
         path.write_text("".join(line + "\n" for line in text))
         with pytest.raises(SerializeError, match=re.escape(f"{path}{message}")):
             read_dataset(tmp_path, schema)
+
+
+def test_dataset_provenance_after_leading_whitespace(tmp_path):
+    schema = default_config().schema
+    write_dataset(tmp_path, *generate_trials(default_config(), 3, seed=1), schema)
+    path = tmp_path / "trials.txt"
+    lines = path.read_text().splitlines()
+    for line in ("  provenance synthetic world seed=1", "\tprovenance\tsynthetic world seed=1"):
+        path.write_text("\n".join([lines[0], line, *lines[2:]]) + "\n")
+        assert read_dataset(tmp_path, schema)[0].provenance == "synthetic world seed=1"
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,25 @@ def test_sequence_statistics_ignore_batch_companions():
     assert np.allclose(shuffled[2], batch[2], rtol=1e-12, atol=0.0)
 
 
+def test_backward_of_each_sequence_is_bitwise_its_backward_alone():
+    rng = np.random.default_rng(15)
+    lengths = rng.permutation([1, 1, 2, 5, 9, 13, 17, 17])
+    seqs = [rng.normal(-3.0, 2.0, (n, 4)) for n in lengths]
+    models = [random_left_right_model(rng, 4, 1, 1) for _ in lengths]
+    log_obs = np.concatenate(seqs)
+    shared = kernels.log_backward(models[0].log_trans, log_obs, lengths)
+    stacked = np.stack([m.log_trans for m in models])
+    own = kernels.log_backward(stacked, log_obs, lengths)
+    split = np.cumsum(lengths)[:-1]
+    for seq, model, got_shared, got_own in zip(
+        seqs, models, np.split(shared, split), np.split(own, split)
+    ):
+        alone = kernels.log_backward(models[0].log_trans, seq, [len(seq)])
+        assert np.array_equal(got_shared, alone)
+        assert np.array_equal(got_own, kernels.log_backward(model.log_trans, seq, [len(seq)]))
+        assert not got_own[-1].any()  # zero on the last frame
+
+
 def test_forward_keeps_wide_emission_ranges_exact():
     # states emit thousands of nats apart, as tight variances can make
     # them; the oracle is the unbanded log-domain recursion, one sequence
