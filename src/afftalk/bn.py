@@ -166,9 +166,6 @@ class Evidence:
     def items(self):
         return self.assignments.items()
 
-    def __len__(self):
-        return len(self.assignments)
-
 
 @dataclass(frozen=True)
 class Dataset:

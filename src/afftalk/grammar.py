@@ -15,6 +15,7 @@ on.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
@@ -78,12 +79,6 @@ class Sentence:
     def text(self) -> str:
         return " ".join(self.words)
 
-    def __len__(self):
-        return len(self.words)
-
-    def __iter__(self):
-        return iter(self.words)
-
 
 @dataclass(frozen=True)
 class Grammar:
@@ -110,68 +105,49 @@ class NBestList:
         return len(self.entries)
 
 
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z'-]*")
 _NAME_RE = re.compile(r"<([A-Za-z_][A-Za-z0-9_'-]*)>")
-
-
-def _tokenize(rhs: str, lineno: int) -> list[tuple[str, str]]:
-    tokens = []
-    i = 0
-    while i < len(rhs):
-        c = rhs[i]
-        if c.isspace():
-            i += 1
-        elif c == "<":
-            end = rhs.find(">", i)
-            if end < 0:
-                raise GrammarError(f"line {lineno}: unterminated '<'")
-            name = rhs[i + 1 : end].strip()
-            if not name:
-                raise GrammarError(f"line {lineno}: empty nonterminal name")
-            tokens.append(("ref", name))
-            i = end + 1
-        elif c in "[]|":
-            tokens.append((c, c))
-            i += 1
-        else:
-            m = _WORD_RE.match(rhs, i)
-            if m is None:
-                raise GrammarError(f"line {lineno}: unexpected character {c!r}")
-            tokens.append(("word", m.group()))
-            i = m.end()
-    return tokens
+# A token after any whitespace: a rule reference, a word, a bracket or bar, or
+# a bad token (a '<' that no '>' follows, or any other character).
+_TOKEN_RE = re.compile(r"\s*(?:(<[^>]*>)|([A-Za-z][A-Za-z'-]*)|([][|])|(\S))")
 
 
 def _parse_rhs(rhs: str, lineno: int) -> tuple[tuple, ...]:
     alternatives: list[list] = [[]]
-    stack: list[list] = []
-    current = alternatives[0]
-    for kind, value in _tokenize(rhs, lineno):
-        if kind == "ref":
-            current.append(Ref(value))
-        elif kind == "word":
-            current.append(value)
-        elif kind == "[":
-            stack.append(current)
-            current = []
-        elif kind == "]":
-            if not stack:
-                raise GrammarError(f"line {lineno}: unmatched ']'")
-            group = tuple(current)
-            if not group:
-                raise GrammarError(f"line {lineno}: empty optional group")
-            current = stack.pop()
-            current.append(Opt(group))
-        else:  # '|'
-            if stack:
-                raise GrammarError(f"line {lineno}: '|' inside an optional group")
+    groups = [alternatives[0]]  # the alternative, then each open optional group
+    faults = []  # bracket and bar faults; after one, only a bad token matters
+    for ref, word, symbol, bad in _TOKEN_RE.findall(rhs):
+        if bad == "<":
+            raise GrammarError(f"line {lineno}: unterminated '<'")
+        if bad:
+            raise GrammarError(f"line {lineno}: unexpected character {bad!r}")
+        if ref:
+            if not (name := ref[1:-1].strip()):
+                raise GrammarError(f"line {lineno}: empty nonterminal name")
+            groups[-1].append(Ref(name))
+        elif word:
+            groups[-1].append(word)
+        elif symbol == "[":
+            groups.append([])
+        elif symbol == "]":
+            if len(groups) == 1:
+                faults.append("unmatched ']'")
+            elif not groups[-1]:
+                faults.append("empty optional group")
+            else:
+                group = tuple(groups.pop())
+                groups[-1].append(Opt(group))
+        elif symbol == "|":
+            if len(groups) > 1:
+                faults.append("'|' inside an optional group")
             alternatives.append([])
-            current = alternatives[-1]
-    if stack:
-        raise GrammarError(f"line {lineno}: unmatched '['")
-    if any(not alt for alt in alternatives):
-        raise GrammarError(f"line {lineno}: empty alternative")
-    return tuple(tuple(alt) for alt in alternatives)
+            groups = [alternatives[-1]]
+    if len(groups) > 1:
+        faults.append("unmatched '['")
+    if not all(alternatives):
+        faults.append("empty alternative")
+    if faults:
+        raise GrammarError(f"line {lineno}: {faults[0]}")
+    return tuple(map(tuple, alternatives))
 
 
 def _leaves(items):
@@ -237,16 +213,11 @@ def load_grammar(text: str) -> Grammar:
     return Grammar(rules=rules, start=start, vocabulary=tuple(vocab))
 
 
-_default_cache: Grammar | None = None
-
-
+@functools.cache
 def default_grammar() -> Grammar:
     """The description grammar bundled with the package (49 terminal words)."""
-    global _default_cache
-    if _default_cache is None:
-        text = resources.files("afftalk").joinpath("data/grammar.txt").read_text("utf-8")
-        _default_cache = load_grammar(text)
-    return _default_cache
+    text = resources.files(__package__).joinpath("data/grammar.txt").read_text("utf-8")
+    return load_grammar(text)
 
 
 def _expand(grammar: Grammar, items, rng: random.Random, out: list[str]) -> None:
@@ -440,35 +411,20 @@ def derivable(grammar: Grammar, sentence) -> bool:
     if not words:
         return False
 
-    memo: dict[tuple[str, int], frozenset[int]] = {}
+    @functools.cache
+    def ends(name: str, pos: int) -> frozenset[int]:
+        """Where a match of rule ``name`` starting at ``pos`` can end."""
+        return frozenset().union(*(sequence(alt, {pos}) for alt in grammar.rules[name]))
 
-    def rule_ends(name: str, pos: int) -> frozenset[int]:
-        key = (name, pos)
-        if key not in memo:
-            out: set[int] = set()
-            for alt in grammar.rules[name]:
-                out |= seq_ends(alt, pos)
-            memo[key] = frozenset(out)
-        return memo[key]
-
-    def item_ends(item, pos: int) -> set[int]:
-        if isinstance(item, str):
-            if pos < len(words) and words[pos] == item:
-                return {pos + 1}
-            return set()
-        if isinstance(item, Ref):
-            return set(rule_ends(item.name, pos))
-        return {pos} | seq_ends(item.items, pos)
-
-    def seq_ends(items, pos: int) -> set[int]:
-        current = {pos}
+    def sequence(items, starts: set[int]) -> set[int]:
+        """Where a match of ``items`` starting at any of ``starts`` can end."""
         for item in items:
-            nxt: set[int] = set()
-            for p in current:
-                nxt |= item_ends(item, p)
-            current = nxt
-            if not current:
-                break
-        return current
+            if isinstance(item, str):
+                starts = {p + 1 for p in starts if p < len(words) and words[p] == item}
+            elif isinstance(item, Ref):
+                starts = {end for p in starts for end in ends(item.name, p)}
+            else:
+                starts = starts | sequence(item.items, starts)
+        return starts
 
-    return len(words) in rule_ends(grammar.start, 0)
+    return len(words) in ends(grammar.start, 0)

@@ -79,15 +79,19 @@ def preprocess(raw: Trajectory, torso: np.ndarray) -> Trajectory:
     The result is translation invariant and scale invariant; its largest
     frame norm is exactly one, except for the degenerate case where the hand
     never leaves the torso (all-zero frames, division skipped).  Running the
-    function twice (with a zero torso the second time) changes nothing.
+    function twice (with a zero torso the second time) changes nothing.  A
+    peak distance that overflows raises ``HmmError``.
     """
     torso = np.asarray(torso, dtype=np.float64)
     if torso.shape != raw.frames.shape:
         raise HmmError(
             f"torso positions {torso.shape} must match frames {raw.frames.shape}"
         )
-    centered = raw.frames - torso
-    peak = float(np.sqrt((centered * centered).sum(axis=1)).max())
+    with np.errstate(over="ignore"):
+        centered = raw.frames - torso
+        peak = float(np.sqrt((centered * centered).sum(axis=1)).max())
+    if not np.isfinite(peak):
+        raise HmmError("trajectory overflows: its peak distance from the torso is not finite")
     if peak > 0.0:
         centered = centered / peak
     return Trajectory(frames=centered, frame_period=raw.frame_period)

@@ -8,7 +8,7 @@ bundled description grammar.
 from __future__ import annotations
 
 from .bn import BOOL_LABELS, WorldSchema
-from .grammar import Grammar, default_grammar
+from .grammar import default_grammar
 
 ACTION_VAR = "Action"
 ACTIONS = ("grasp", "tap", "touch")
@@ -27,10 +27,9 @@ AFFORDANCE_VARIABLES: tuple[tuple[str, tuple[str, ...]], ...] = (
 )
 
 
-def default_schema(grammar: Grammar | None = None) -> WorldSchema:
+def default_schema() -> WorldSchema:
     """Affordance variables plus the 49 grammar words as boolean variables."""
-    grammar = grammar or default_grammar()
-    words = [(word, BOOL_LABELS) for word in grammar.vocabulary]
+    words = [(word, BOOL_LABELS) for word in default_grammar().vocabulary]
     return WorldSchema.of([*AFFORDANCE_VARIABLES, *words])
 
 

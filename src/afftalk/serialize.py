@@ -321,8 +321,6 @@ def load_trajectory(path) -> Trajectory:
             raise lines.error("expected a coordinate column after 't'")
         n_frames = len(lines.lines) - 1
         table = lines.numbers(lambda: [(n_frames, width, None)]).reshape(-1, width)
-        if len(table) == 0:
-            raise lines.error("trajectory needs a header and one frame")
         steps = np.diff(table[:, 0])
         # written so that a NaN time fails too; frame k sits on line k + 2
         stalled = np.flatnonzero(~(steps > 0))

@@ -12,6 +12,8 @@ import pytest
 from afftalk import cli, hmm, serialize, world
 from afftalk.cli import COMMANDS, RunConfig, main
 
+from conftest import random_left_right_model
+
 
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
@@ -275,6 +277,39 @@ def test_bank_in_another_action_order_serves(pipeline_dir, tmp_path):
     assert list(_csv_columns(tmp_path / "anticipate_reversed.csv"))[1:4] == [
         "score_touch", "score_tap", "score_grasp"
     ]
+
+
+def test_bank_of_unequal_state_counts_scores_each_model_as_alone(pipeline_dir, tmp_path):
+    """Bank scoring pads the 3-state models to 5 states; every prefix still
+    scores bitwise as each model does alone, also after a save and load."""
+    rng = np.random.default_rng(17)
+    models = tuple(
+        random_left_right_model(rng, q, 2, 3, label=action)
+        for q, action in zip((3, 5, 3), ("grasp", "tap", "touch"))
+    )
+    path = _saved_bank(pipeline_dir, tmp_path / "hmm353.txt", lambda bank: models)
+    bank = serialize.load_gesture_bank(path)
+    for loaded, model in zip(bank.models, models):
+        assert loaded.action_label == model.action_label
+        for name in ("log_trans", "weights", "means", "variances"):
+            assert np.array_equal(getattr(loaded, name), getattr(model, name))
+    traj = _somewhere_with_traj(pipeline_dir)
+    full = serialize.load_trajectory(traj)
+    curve = hmm.prefix_curve(bank, full)
+    for t in range(1, len(full) + 1):
+        prefix = hmm.Trajectory(full.frames[:t])
+        alone = np.array([hmm.forward_loglik(model, prefix) for model in bank.models])
+        assert np.array_equal(curve.log_liks[t - 1], alone), t
+        weights = hmm.action_posterior(bank, prefix).weights
+        assert np.array_equal(weights, hmm._normalise(alone)), t
+        assert np.array_equal(weights, curve.posteriors[t - 1]), t
+    out = tmp_path / "anticipate.csv"
+    bn = str(pipeline_dir / "models/bn.txt")
+    assert main(["anticipate", "--bn", bn, "--bank", path, "--traj", traj, "--out", str(out)]) == 0
+    columns = _csv_columns(out)
+    for k, action in enumerate(bank.actions):
+        assert np.array_equal(np.array(columns[f"score_{action}"], float), curve.scores[:, k])
+        assert np.array_equal(np.array(columns[f"post_{action}"], float), curve.posteriors[:, k])
 
 
 def test_train_hmm_without_trajectories_names_the_action(tmp_path, capsys):

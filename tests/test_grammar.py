@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -35,6 +36,40 @@ def test_syntax_errors_carry_line_numbers():
         load_grammar("<x> ::= a\n<y> ::= [b\n")
     with pytest.raises(GrammarError, match="line 1"):
         load_grammar("<x> := a")
+
+
+# (grammar text, the whole message of the error it raises)
+PARSER_ERRORS = {
+    "unterminated '<'": ("<x> ::= a\n<y> ::= b <c", "line 2: unterminated '<'"),
+    "empty nonterminal name": ("<x> ::= a < > b", "line 1: empty nonterminal name"),
+    "unexpected character": ("\n<x> ::= a 1", "line 2: unexpected character '1'"),
+    "unmatched ']'": ("<x> ::= a ]", "line 1: unmatched ']'"),
+    "empty optional group": ("<x> ::= a [ ] b", "line 1: empty optional group"),
+    "'|' inside an optional group": ("<x> ::= [a | b]", "line 1: '|' inside an optional group"),
+    "empty alternative": ("# comment\n\n<x> ::= a | | b", "line 3: empty alternative"),
+    "rule without alternatives": ("<x> ::=", "line 1: empty alternative"),
+    "unmatched '['": ("<x> ::= a\n<y> ::= [b", "line 2: unmatched '['"),
+    "expected '::='": ("<x> := a", "line 1: expected '::=' in rule"),
+    "rule name must look like <name>": ("x ::= a", "line 1: rule name must look like <name>"),
+    "duplicate rule": ("<x> ::= a\n<y> ::= b\n<x> ::= c", "line 3: duplicate rule <x>"),
+    "grammar has no rules": ("# only a comment\n\n", "grammar has no rules"),
+    # a bad token anywhere on a line outranks any bracket or bar fault on it
+    "bad token after a bracket fault": ("<x> ::= a ] $", "line 1: unexpected character '$'"),
+    "unterminated '<' after a bracket fault": ("<x> ::= [a | b <c", "line 1: unterminated '<'"),
+    "empty name after an empty alternative": ("<x> ::= | a <  >", "line 1: empty nonterminal name"),
+    # bracket and bar faults in the order they occur, then the ends of the line
+    "unmatched ']' before an open group": ("<x> ::= ] [a | b", "line 1: unmatched ']'"),
+    "'|' in a group that stays open": ("<x> ::= [a | b", "line 1: '|' inside an optional group"),
+    "empty group before an empty alternative": ("<x> ::= [ ] |", "line 1: empty optional group"),
+    "open group before an empty alternative": ("<x> ::= | [a", "line 1: unmatched '['"),
+}
+
+
+@pytest.mark.parametrize("text,message", PARSER_ERRORS.values(), ids=PARSER_ERRORS)
+def test_parser_errors_name_their_line(text, message):
+    with pytest.raises(GrammarError) as info:
+        load_grammar(text)
+    assert str(info.value) == message
 
 
 def test_recursive_rules_rejected():
@@ -166,6 +201,18 @@ def _random_grammar(rng: random.Random) -> str:
             alts.append(" ".join(items))
         lines.append(f"<r{i}> ::= " + " | ".join(alts))
     return "\n".join(lines)
+
+
+def test_derivable_equals_the_enumerated_language():
+    rng = random.Random(2005)
+    for text in [*SMALL_GRAMMARS.values(), *(_random_grammar(rng) for _ in range(60))]:
+        g = load_grammar(text)
+        language = _language(g)
+        # every member, however long, and every sequence of up to four words
+        assert all(derivable(g, words) for words in language), text
+        for n in range(5):
+            for words in itertools.product(g.vocabulary, repeat=n):
+                assert derivable(g, words) == (words in language), (text, words)
 
 
 @pytest.mark.parametrize("text", SMALL_GRAMMARS.values(), ids=SMALL_GRAMMARS)

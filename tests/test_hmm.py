@@ -64,6 +64,14 @@ def test_preprocess_errors():
         Trajectory(frames=np.array([[np.nan, 0, 0]]))
 
 
+def test_preprocess_names_an_overflowing_peak():
+    with pytest.raises(HmmError, match="overflows"):
+        preprocess(traj(np.full((4, 3), 1e200)), np.zeros((4, 3)))
+    # finite frames and torso whose difference overflows
+    with pytest.raises(HmmError, match="overflows"):
+        preprocess(traj(np.full((4, 3), 1e308)), np.full((4, 3), -1e308))
+
+
 # ---------------------------------------------------------------------------
 # model validation
 

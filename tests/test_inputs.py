@@ -287,6 +287,11 @@ def _no_coordinates(lines):
     return 0
 
 
+def _no_frames(lines):
+    del lines[1:]
+    return 0
+
+
 def _dataset_version_9(lines):
     lines[0] = "afftalk-model 9 dataset"
     return 0
@@ -379,6 +384,7 @@ FILE_CASES = [
     ("bank with two models for one action", "bank", _two_models_for_one_action),
     ("time column standing still", "traj", _time_standing_still),
     ("trajectory without coordinates", "traj", _no_coordinates),
+    ("trajectory without frames", "traj", _no_frames),
     ("dataset format version 9", "dataset", _dataset_version_9),
     ("dataset without a header", "dataset", _dataset_without_header),
     ("dataset without trial records", "dataset", _dataset_without_records),
@@ -462,6 +468,27 @@ def test_bad_config_or_flag_exits_4_before_any_work(inputs, tmp_path, case):
     assert code == 4, err
     assert "error[BnError]" in err
     assert not out.exists()
+
+
+def test_simulate_with_overflowing_noise_exits_4_writing_nothing(tmp_path):
+    (tmp_path / "config.json").write_text('{"noise_std": 1e200}')
+    out = tmp_path / "out"
+    code, err = _exit_code(["--config", tmp_path / "config.json", "simulate", "--out", out])
+    assert code == 4, err
+    assert "error[HmmError]: trajectory overflows" in err
+    assert not out.exists()
+
+
+def test_simulate_with_large_finite_noise_still_writes_unit_trajectories(tmp_path):
+    (tmp_path / "config.json").write_text('{"noise_std": 1e150}')
+    out = tmp_path / "out"
+    argv = ["--config", tmp_path / "config.json", "simulate", "--out", out, "--trials", "30"]
+    assert _exit_code(argv) == (0, "")
+    paths = sorted((out / "traj").glob("*.csv"))
+    assert len(paths) == 30
+    for path in paths:
+        frames = load_trajectory(path).frames
+        assert np.sqrt((frames * frames).sum(axis=1)).max() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("command", ["infer", "sweep"])
