@@ -10,9 +10,11 @@ else.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -362,22 +364,33 @@ def _run_config(args) -> RunConfig:
     return config
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def _parser(names) -> argparse.ArgumentParser:
+    """The parser of the commands ``names``, each with its flags."""
     parser = argparse.ArgumentParser(
         prog="afftalk",
         description="Affordance/word network with gesture fusion and verbal descriptions.",
     )
     parser.add_argument("--config", help="JSON config file (see README for keys)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, flags) in COMMANDS.items():
+    for name in names:
+        help_line, flags = COMMANDS[name]
         command = sub.add_parser(name, help=help_line)
-        # flags only for the commands argv names; a flag value that equals a
-        # command's name just adds that command's flags too
-        if name in argv:
-            for flag, _, kwargs in flags:
-                command.add_argument(flag, **kwargs)
-    args = parser.parse_args(argv)
+        for flag, _, kwargs in flags:
+            command.add_argument(flag, **kwargs)
+    return parser
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the commands argv names can run (a flag value that equals a
+    # command's name just adds that command), so a request builds only their
+    # subparsers.  Help and usage errors, whose text may list every command,
+    # come from the parser of all seven.
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            args = _parser([name for name in COMMANDS if name in argv]).parse_args(argv)
+    except SystemExit:
+        args = _parser(COMMANDS).parse_args(argv)
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args, _run_config(args))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -260,7 +261,12 @@ def score_sentence(sentence: Sentence, word_probs: dict[str, float]) -> float:
     The logs are summed with ``math.fsum``, which rounds the exact sum once,
     so sentences that permute the same words score the same.
     """
-    return math.fsum(_word_log(w, word_probs) for w in sentence.words) / len(sentence.words)
+    return _mean([_word_log(w, word_probs) for w in sentence.words])
+
+
+def _mean(logs: list[float]) -> float:
+    """A sentence's score from its word logs: ``score_sentence``'s formula."""
+    return math.fsum(logs) / len(logs)
 
 
 def _word_log(word: str, word_probs: dict[str, float]) -> float:
@@ -343,6 +349,60 @@ def _cut(candidates: dict[tuple[str, ...], int], k: int) -> dict[tuple[str, ...]
     return kept
 
 
+def _join(left: _ByLength, right: _ByLength, k: int) -> _ByLength:
+    """Every concatenation of a left and a right candidate that ``_cut`` could
+    keep, cut to ``k`` per length.
+
+    Each (left length, right length) part is joined through a sorted frontier
+    (Huang & Chiang 2005, Algorithm 1): it finds the part's ``k``-th best
+    pair sum and forms only the pairs within ``TIE_MARGIN`` of it.  A pair
+    below that has ``k`` distinct sequences of its own part that surely
+    outrank it, and so does every candidate it outranks; dropping it changes
+    no candidate's survival in the union's ``_cut``.
+    """
+    joined: _ByLength = {}
+    by_sum = {n: _by_sum(c) for n, c in right.items()}
+    for n1, left_cands in left.items():
+        lhs = _by_sum(left_cands)
+        for n2, rhs in by_sum.items():
+            into = joined.setdefault(n1 + n2, {})
+            floor = _pair_floor(lhs, rhs, k)
+            for w1, s1 in lhs:
+                least = floor - s1  # the least right sum to pair with s1
+                if rhs[0][1] < least:
+                    break
+                for w2, s2 in rhs:
+                    if s2 < least:
+                        break
+                    into[w1 + w2] = s1 + s2
+    return {n: _cut(c, k) for n, c in joined.items()}
+
+
+def _by_sum(candidates: dict[tuple[str, ...], int]) -> list:
+    """The (words, exact sum) candidates, the largest sum first."""
+    return sorted(candidates.items(), key=operator.itemgetter(1), reverse=True)
+
+
+def _pair_floor(lhs: list, rhs: list, k: int) -> int:
+    """The least pair sum ``s1 + s2`` that ``_cut`` could keep, for two
+    candidate lists sorted by ``_by_sum``: ``TIE_MARGIN`` below the ``k``-th
+    largest pair sum, or the least pair sum when there are at most ``k``.
+
+    A frontier pops the pairs in order of their sums: pair (i, j) enters after
+    (i, j - 1), and pair (i, 0) after (i - 1, 0), each no worse than it.
+    """
+    if len(lhs) * len(rhs) <= k:
+        return lhs[-1][1] + rhs[-1][1]
+    frontier = [(-lhs[0][1] - rhs[0][1], 0, 0)]
+    for _ in range(k):
+        negated, i, j = heapq.heappop(frontier)
+        if j == 0 and i + 1 < len(lhs):
+            heapq.heappush(frontier, (-lhs[i + 1][1] - rhs[0][1], i + 1, 0))
+        if j + 1 < len(rhs):
+            heapq.heappush(frontier, (-lhs[i][1] - rhs[j + 1][1], i, j + 1))
+    return -negated - _EXACT_MARGIN
+
+
 def kbest(grammar: Grammar, word_probs: dict[str, float], k: int) -> NBestList:
     """The ``k`` best sentences of the grammar's whole language, exactly.
 
@@ -354,15 +414,19 @@ def kbest(grammar: Grammar, word_probs: dict[str, float], k: int) -> NBestList:
     distinct better sentence (k-best derivations; Huang & Chiang 2005).  The
     rules are acyclic, so the program is finite.  Sums are kept exact as
     integers, so summation order cannot reorder candidates; the survivors
-    of every length are rescored with ``score_sentence`` and merged.
+    of every length are rescored with ``score_sentence``'s formula and
+    merged.  Each word's log is taken once, when the program first meets it.
     """
     if k < 1:
         raise GrammarError("need k >= 1")
+    logs: dict[str, float] = {}
     rules: dict[str, _ByLength] = {}
 
     def item(it) -> _ByLength:
         if isinstance(it, str):
-            return {1: {(it,): _exact(_word_log(it, word_probs))}}
+            if it not in logs:
+                logs[it] = _word_log(it, word_probs)
+            return {1: {(it,): _exact(logs[it])}}
         if isinstance(it, Opt):
             return {**sequence(it.items), 0: {(): 0}}
         if it.name not in rules:
@@ -374,28 +438,19 @@ def kbest(grammar: Grammar, word_probs: dict[str, float], k: int) -> NBestList:
         return rules[it.name]
 
     def sequence(items) -> _ByLength:
-        current: _ByLength = {0: {(): 0}}
-        for it in items:
-            right = item(it)
-            joined: _ByLength = {}
-            for n1, left_cands in current.items():
-                for n2, right_cands in right.items():
-                    into = joined.setdefault(n1 + n2, {})
-                    for w1, s1 in left_cands.items():
-                        for w2, s2 in right_cands.items():
-                            into[w1 + w2] = s1 + s2
-            current = {n: _cut(c, k) for n, c in joined.items()}
+        current = item(items[0])
+        for it in items[1:]:
+            current = _join(current, item(it), k)
         return current
 
-    sentences = [
-        Sentence(words)
+    scored = [
+        (Sentence(words), _mean([logs[w] for w in words]))
         for length, cands in item(Ref(grammar.start)).items()
         if length
         for words in cands
     ]
-    if not sentences:
+    if not scored:
         raise GrammarError("grammar produced an empty sentence")
-    scored = [(s, score_sentence(s, word_probs)) for s in sentences]
     scored.sort(key=lambda entry: _ranked(*entry))
     return NBestList(entries=tuple(scored[:k]), n_generated=len(scored))
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -609,3 +610,110 @@ def test_a_value_named_like_a_command_keeps_the_command_flags(monkeypatch):
     assert main(["describe", "--bn", "sweep", "--k", "3", "--traj", "infer"]) == 0
     [(args, config)] = seen
     assert (args.bn, args.traj, config.keep) == ("sweep", "infer", 3)
+
+
+# Every kind of request the parser ends or hands on: help at both levels, a
+# bare call, unknown commands and flags, missing and bad values, abbreviations,
+# and flag values named like a command.
+ARGV_SURFACE = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "infer"],
+    ["--help", "simulate"],
+    ["infer", "-h"],
+    ["sweep", "--help"],
+    ["train-bn", "-h", "simulate"],
+    ["describe-all", "--bn", "bn.txt"],
+    ["-h", "describe-all"],
+    ["-x"],
+    ["--config"],
+    ["--config", "infer"],
+    ["--config", "infer", "infer"],
+    ["--config=infer", "infer", "-h"],
+    ["--conf", "x", "infer"],
+    ["infer", "--inf", "A"],
+    ["infer", "--bogus"],
+    ["infer", "extra"],
+    ["infer", "infer"],
+    *([command] for command in SUBCOMMANDS),
+    ["describe", "--n", "3"],
+    ["describe", "--bn", "bn.txt", "--k", "x"],
+    ["describe", "--bn", "bn.txt", "--k"],
+    ["train-bn", *REQUIRED["train-bn"], "--alpha", "0.5.1"],
+    ["sweep", *REQUIRED["sweep"], "--points", "2.5"],
+    ["simulate", "--out", "infer"],
+    ["infer", "simulate"],
+    ["infer", "--bn", "sweep", "--infer", "describe", "--bogus"],
+    ["train-hmm", "--states"],
+    ["train-hmm", *REQUIRED["train-hmm"], "--states", "3", "--mixtures", "2"],
+    ["--config", "c.json", "describe", "--bn", "bn.txt", "--traj", "anticipate"],
+]
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The parser of all seven commands, each with every flag of its entry."""
+    parser = argparse.ArgumentParser(
+        prog="afftalk",
+        description="Affordance/word network with gesture fusion and verbal descriptions.",
+    )
+    parser.add_argument("--config", help="JSON config file (see README for keys)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, _, kwargs in flags:
+            command.add_argument(flag, **kwargs)
+    return parser
+
+
+def _recorded(monkeypatch) -> list:
+    """Replace every handler by one that records its arguments."""
+    seen = []
+    for command in COMMANDS:
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), lambda a, c: seen.append(a) or 0)
+    monkeypatch.setattr(cli, "_run_config", lambda args: None)
+    return seen
+
+
+@pytest.mark.parametrize("argv", ARGV_SURFACE, ids=lambda argv: " ".join(argv) or "(none)")
+def test_argv_surface_matches_the_parser_of_every_command(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = _recorded(monkeypatch)
+    try:
+        expected = (0, vars(_reference_parser().parse_args(argv)))
+    except SystemExit as exc:
+        expected = (exc.code, None)
+    reference = capsys.readouterr()
+    try:
+        got = (main(argv), vars(seen[0]) if seen else None)
+    except SystemExit as exc:
+        got = (exc.code, None)
+    out = capsys.readouterr()
+    assert got == expected
+    assert (out.out, out.err) == (reference.out, reference.err)
+
+
+@pytest.mark.parametrize(
+    "argv,built",
+    [
+        (["infer", "--bn", "bn.txt", "--infer", "ObjVel"], 1),
+        (["describe", "--bn", "sweep", "--traj", "infer"], 3),
+        (["--help"], 7),
+        ([], 7),
+    ],
+    ids=["one command", "values named like commands", "top-level help", "no command"],
+)
+def test_a_request_builds_the_subparsers_of_the_commands_it_names(argv, built, monkeypatch):
+    _recorded(monkeypatch)
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(
+        argparse._SubParsersAction,
+        "add_parser",
+        lambda self, name, **kw: calls.append(name) or add_parser(self, name, **kw),
+    )
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert len(calls) == built

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from afftalk import grammar
 from afftalk.bn import Evidence
 from afftalk.fusion import word_probabilities
 from afftalk.grammar import (
@@ -279,6 +280,52 @@ def test_kbest_rejects_bad_requests():
         kbest(g, {"a": 0.5, "b": 0.5}, 0)
     with pytest.raises(GrammarError, match="outside"):
         kbest(g, {"a": 0.5}, 1)
+
+
+def _random_tables(rng: random.Random, values: dict[str, int]):
+    """Candidate tables by length, each sequence summing its words' values."""
+    tables = {}
+    for n in rng.sample(range(4), rng.randint(1, 3)):
+        sequences = list(itertools.product(values, repeat=n))
+        chosen = rng.sample(sequences, min(len(sequences), rng.randint(1, 9)))
+        tables[n] = {words: sum(values[w] for w in words) for words in chosen}
+    return tables
+
+
+def test_frontier_join_equals_the_full_join_then_the_cut():
+    margin = grammar._EXACT_MARGIN
+    rng = random.Random(19)
+    for _ in range(400):
+        # equal values tie exactly; values up to three steps of a third of
+        # the margin apart tie within it, and four steps apart do not
+        base = -rng.randint(1, 3) * 5 * margin
+        values = {w: base - rng.randint(-4, 4) * (margin // 3) for w in "abcd"}
+        if rng.random() < 0.3:
+            values = {w: values["a"] for w in values}
+        left, right = _random_tables(rng, values), _random_tables(rng, values)
+        full = {}
+        for (n1, lhs), (n2, rhs) in itertools.product(left.items(), right.items()):
+            into = full.setdefault(n1 + n2, {})
+            for (w1, s1), (w2, s2) in itertools.product(lhs.items(), rhs.items()):
+                into[w1 + w2] = s1 + s2
+            pair_sums = sorted((s1 + s2 for s1 in lhs.values() for s2 in rhs.values()), reverse=True)
+            for k in range(1, len(pair_sums) + 2):
+                floor = grammar._pair_floor(grammar._by_sum(lhs), grammar._by_sum(rhs), k)
+                kth = pair_sums[k - 1] - margin if k < len(pair_sums) else pair_sums[-1]
+                assert floor == kth
+        for k in range(1, max(map(len, full.values())) + 2):
+            expected = {n: grammar._cut(c, k) for n, c in full.items()}
+            assert grammar._join(left, right, k) == expected, (left, right, k)
+
+
+def test_kbest_names_the_first_unscorable_word_it_meets():
+    # the vocabulary lists b, a, c; the program meets c first, in <x>
+    g = load_grammar("<s> ::= <x> b | a\n<x> ::= c")
+    assert g.vocabulary == ("b", "a", "c")
+    with pytest.raises(GrammarError, match="word 'c' is outside"):
+        kbest(g, {"b": 0.5}, 3)
+    with pytest.raises(GrammarError, match="word 'a' is outside"):
+        kbest(g, {"b": 0.5, "c": 0.5}, 3)
 
 
 def test_sampled_sentences_never_beat_the_exact_list(trained_net):
