@@ -569,13 +569,8 @@ def joint_enumerate(
     """
     infer_idx, obs_idx = _validated_query(net, infer_vars, obs)
     arities = net.schema.arities
-    total = 1
-    for a in arities:
-        total *= a
-        if total > cap:
-            raise StateSpaceError(
-                f"joint state space exceeds cap of {cap} states"
-            )
+    if math.prod(arities) > cap:
+        raise StateSpaceError(f"joint state space exceeds cap of {cap} states")
     joint = np.ones(arities)
     n = len(net.schema)
     for i, ps in enumerate(net.parents):

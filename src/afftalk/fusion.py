@@ -150,7 +150,6 @@ class SweepResult:
     variables: tuple[str, ...]
     labels: tuple[tuple[str, ...], ...]
     posteriors: np.ndarray  # (len(grid), *table shape)
-    target_action: str
 
 
 def confidence_sweep(
@@ -185,7 +184,7 @@ def confidence_sweep(
     weights[:, actions.index(target_action)] = points
     weights /= weights.sum(axis=1, keepdims=True)
     variables, labels, posteriors, _ = _fuse(net, infer, obs, weights)
-    return SweepResult(grid, variables, labels, posteriors, target_action)
+    return SweepResult(grid, variables, labels, posteriors)
 
 
 @dataclass(frozen=True)
@@ -224,19 +223,20 @@ def word_probabilities(
     if soft is not None:
         labels = schema.variable(ACTION_VAR).labels
         soft = SoftActionEvidence(soft.aligned_to(labels), labels)
+
+    def ask(names: tuple[str, ...]) -> np.ndarray:
+        """The posterior over ``names``, weighted by ``soft`` when given."""
+        if soft is None:
+            return query(net, names, obs).probs
+        return fuse_query(net, soft, names, obs).table.probs
+
     observed = dict(obs.items())
-    word_vars = set(schema.word_variables())
     has_child = {p for ps in net.parents for p in ps}
-
-    def by_joint(word: str) -> bool:
-        i = schema.index(word)
-        return (
-            word not in observed
-            and i not in has_child
-            and not any(schema.names[p] in word_vars for p in net.parents[i])
-        )
-
-    joint_words = {w for w in words if by_joint(w)}
+    word_columns = set(schema.word_columns)
+    joint_words = {
+        w for w, i in zip(words, map(schema.index, words))
+        if w not in observed and i not in has_child and word_columns.isdisjoint(net.parents[i])
+    }
     free = {
         p for w in joint_words for p in net.parents[schema.index(w)]
         if schema.names[p] not in observed
@@ -245,11 +245,7 @@ def word_probabilities(
         joint_words = set()
     axes = sorted(free)  # ascending schema order, like CPT parent axes
     if joint_words:
-        names = tuple(schema.names[v] for v in axes)
-        if soft is None:
-            joint = query(net, names, obs).probs
-        else:
-            joint = fuse_query(net, soft, names, obs).table.probs
+        joint = ask(tuple(schema.names[v] for v in axes))
     probs = np.empty(len(words))
     for k, word in enumerate(words):
         true_idx = schema.value_index(word, "true")
@@ -263,10 +259,8 @@ def word_probabilities(
             kept = {axes.index(p) for p in ps if schema.names[p] not in observed}
             drop = tuple(a for a in range(len(axes)) if a not in kept)
             probs[k] = float((joint.sum(axis=drop) * cpt).sum())
-        elif soft is None:
-            probs[k] = query(net, (word,), obs).probs[true_idx]
         else:
-            probs[k] = fuse_query(net, soft, (word,), obs).table.probs[true_idx]
+            probs[k] = ask((word,))[true_idx]
     return probs
 
 

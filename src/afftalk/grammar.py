@@ -335,15 +335,15 @@ def _cut(candidates: dict[tuple[str, ...], int], k: int) -> dict[tuple[str, ...]
     near = [c for c in candidates.items() if c[1] >= floor]
     ranked = sorted(near, key=lambda c: (-c[1], c[0]))
     kept = {}
-    above = 0  # candidates whose sum beats the current one by over the margin
+    # sums that beat the current one by over the margin; all exceed the k-th
+    # largest sum, as the current one is at least the floor, so fewer than k do
+    above = 0
     tie_start = 0  # first candidate whose sum equals the current one
     for i, (words, total) in enumerate(ranked):
         while ranked[above][1] > total + _EXACT_MARGIN:
             above += 1
         if total != ranked[tie_start][1]:
             tie_start = i
-        if above >= k:
-            break
         if above + i - tie_start < k:
             kept[words] = total
     return kept
@@ -449,8 +449,6 @@ def kbest(grammar: Grammar, word_probs: dict[str, float], k: int) -> NBestList:
         if length
         for words in cands
     ]
-    if not scored:
-        raise GrammarError("grammar produced an empty sentence")
     scored.sort(key=lambda entry: _ranked(*entry))
     return NBestList(entries=tuple(scored[:k]), n_generated=len(scored))
 

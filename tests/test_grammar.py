@@ -148,6 +148,16 @@ def test_empty_sentence_rejected():
     assert not derivable(g, [])
 
 
+def test_only_the_sampler_can_meet_the_empty_sentence():
+    """Every alternative and optional group is nonempty, so every rule derives
+    a nonempty sentence, but a sample may skip every optional group."""
+    g = load_grammar("<s> ::= [a] [b]")
+    with pytest.raises(GrammarError, match="grammar produced an empty sentence"):
+        generate_sentences(g, 5, 1)
+    result = kbest(g, {"a": 0.5, "b": 0.25}, 10)
+    assert [s.text for s, _ in result.entries] == ["a", "a b", "b"]
+
+
 def _language(grammar):
     """Every word sequence the grammar derives, by plain expansion."""
 
@@ -236,10 +246,7 @@ def test_kbest_equals_brute_force_on_random_grammars():
     rng = random.Random(2005)
     for _ in range(60):
         g = load_grammar(_random_grammar(rng))
-        if not _language(g):
-            with pytest.raises(GrammarError, match="empty sentence"):
-                kbest(g, {w: 0.5 for w in g.vocabulary}, 3)
-            continue
+        assert _language(g), "every loaded grammar derives a nonempty sentence"
         probs = {w: rng.choice([0.0, 0.2, 0.2, 0.7, rng.random()]) for w in g.vocabulary}
         k = rng.randint(1, 12)
         assert list(kbest(g, probs, k).entries) == _brute_force_top(g, probs, k)

@@ -159,6 +159,20 @@ def test_single_point_sequences_converge_to_that_point():
     assert np.abs(model.means[0, 0] - point).max() <= 1e-6
 
 
+def test_one_frame_per_state_reseeds_empty_clusters_and_components():
+    """Four frames for four states of two components: each state's k-means
+    sees one point, so its second cluster is reseeded and its second
+    component starts empty, with weight 1e-3 and the state's variance."""
+    frames = [[0.0, 0.0, 0.0], [0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 1.0]]
+    bank = train_bank({"grasp": [traj(frames)]}, n_states=4, n_mix=2, seed=0)
+    again = train_bank({"grasp": [traj(frames)]}, n_states=4, n_mix=2, seed=0)
+    (model,) = bank.models
+    assert np.allclose(model.weights, [[1 / 1.001, 1e-3 / 1.001]] * 4, rtol=0, atol=1e-12)
+    assert (model.variances == hmm.VAR_FLOOR).all()
+    for name in ("log_trans", "weights", "means", "variances"):
+        assert getattr(model, name).tobytes() == getattr(again.models[0], name).tobytes()
+
+
 def test_left_to_right_zeros_survive_training():
     rng = np.random.default_rng(5)
     model = train_hmm(_noisy_sequences(rng, 6, 20), 4, 2, seed=1)

@@ -248,11 +248,14 @@ def _huge_mixture_counts(lines):
     return _first(lines, "mix ")
 
 
-def _first_model_value(lines, prefix, value):
-    """The first ``prefix`` line's last number replaced by ``value``.  Its
-    model is built, and so checked, once the model's last line is read."""
+def _first_model_value(lines, prefix, value, field=-1):
+    """The first ``prefix`` line's number at ``field`` (the last by default)
+    replaced by ``value``.  Its model is built, and so checked, once the
+    model's last line is read."""
     i = _first(lines, prefix)
-    lines[i] = lines[i].rsplit(" ", 1)[0] + " " + value
+    fields = lines[i].split(" ")
+    fields[field] = value
+    lines[i] = " ".join(fields)
     return i + _first(lines[i:], "model ") - 1
 
 
@@ -266,6 +269,29 @@ def _nan_variance(lines):
 
 def _infinite_variance(lines):
     return _first_model_value(lines, "var ", "inf")
+
+
+def _mixture_row_off_one(lines):
+    return _first_model_value(lines, "mix ", "0.5")
+
+
+def _transition_row_off_one(lines):
+    """The first state stays with probability 1 and still moves on."""
+    return _first_model_value(lines, "logtrans ", "0", field=2)
+
+
+def _negative_mixture_weight(lines):
+    """The first state's weights -1, 2, 0, ...: they still sum to 1."""
+    i = _first(lines, "mix ")
+    n_mix = len(lines[i].split()) - 2
+    lines[i] = " ".join(["mix", "0", "-1", "2"] + ["0"] * (n_mix - 2))
+    return i + _first(lines[i:], "model ") - 1
+
+
+def _repeated_label(lines):
+    i = _first(lines, "var Color ")
+    lines[i] = "var Color blue blue green1 green2"
+    return i
 
 
 def _two_models_for_one_action(lines):
@@ -382,6 +408,10 @@ FILE_CASES = [
     ("NaN variance in a bank", "bank", _nan_variance),
     ("infinite variance in a bank", "bank", _infinite_variance),
     ("bank with two models for one action", "bank", _two_models_for_one_action),
+    ("bank mixture row that does not sum to 1", "bank", _mixture_row_off_one),
+    ("bank transition row that does not sum to 1", "bank", _transition_row_off_one),
+    ("negative mixture weight", "bank", _negative_mixture_weight),
+    ("network var line that repeats a label", "bn", _repeated_label),
     ("time column standing still", "traj", _time_standing_still),
     ("trajectory without coordinates", "traj", _no_coordinates),
     ("trajectory without frames", "traj", _no_frames),
@@ -430,6 +460,8 @@ CONFIG_CASES = [
     ("t_min above t_max", '{"t_min": 30, "t_max": 20}', []),
     ("unsupported version", '{"version": 2}', []),
     ("--ev naming a variable twice", None, ["--ev", "Shape=box,Shape=sphere"]),
+    ("--ev token without =", None, ["--ev", "Shape"]),
+    ("infer --infer naming a variable twice", None, ["--infer", "Color,Color"]),
     ("--bank without --traj", None, ["--bank", "{inputs}/hmm.txt"]),
     ("--traj without --bank", None, ["--traj", "{inputs}/traj.csv"]),
     ("sweep --infer ,", None, ["--infer", ","]),
@@ -508,6 +540,23 @@ def test_evidence_naming_a_variable_twice_names_it(inputs):
     assert "'Shape' twice" in err
 
 
+def test_evidence_label_outside_the_schema_and_empty_evidence_tokens(inputs):
+    """An unknown label exits 4 listing the variable's labels; empty tokens
+    between commas are skipped."""
+    argv = ["infer", "--bn", inputs / "bn.txt", "--infer", "ObjVel", "--ev"]
+    code, err = _exit_code([*argv, "Color=purple"])
+    assert code == 4, err
+    choices = "(choices: blue, yellow, green1, green2)"
+    assert f"error[EvidenceError]: variable 'Color' has no value 'purple' {choices}" in err
+    stdout = []
+    for ev in (",Color=blue,", "Color=blue"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([str(a) for a in [*argv, ev]]) == 0
+        stdout.append(out.getvalue())
+    assert stdout[0] == stdout[1]
+
+
 @pytest.mark.parametrize("kind", ["bn", "bank", "traj", "config"])
 @pytest.mark.parametrize("missing", ["absent", ".", "bn.txt/below"])
 def test_missing_input_file_exits_3(inputs, kind, missing):
@@ -534,19 +583,37 @@ def test_output_directory_blocked_by_a_file_exits_3(tmp_path, per_action):
     assert blocker.read_text() == "a file\n"
 
 
+def _scoring(command: str, inputs: Path, path: Path) -> list:
+    """``command`` scoring the trajectory at ``path`` against the bank;
+    ``anticipate`` writes its CSV beside it, as ``<stem>-out.csv``."""
+    argv = [command, "--bn", inputs / "bn.txt", "--bank", inputs / "hmm.txt", "--traj", path]
+    if command == "anticipate":
+        return argv + ["--out", path.with_name(f"{path.stem}-out.csv")]
+    return argv + ["--infer", "ObjVel"]
+
+
 @pytest.mark.parametrize("command", ["anticipate", "infer"])
 def test_coordinates_that_overflow_the_emissions_exit_4_naming_the_file(inputs, command):
     """Squared distances past the float range: named as the cause, with no
     numpy warning (which the test run turns into an error, and so exit 1)."""
     path = inputs / "bad" / "huge.csv"
     path.write_text("t,x,y,z\n0,1e300,1e300,1e300\n0.1,1e300,1e300,1e300\n")
-    argv = [command, "--bn", inputs / "bn.txt", "--bank", inputs / "hmm.txt", "--traj", path]
-    extra = ["--out", inputs / "bad" / "huge-out.csv"] if command == "anticipate" else []
-    code, err = _exit_code(argv + extra + (["--infer", "ObjVel"] if command == "infer" else []))
+    code, err = _exit_code(_scoring(command, inputs, path))
     assert code == 4, err
     message = "the trajectory's coordinates overflow the emission densities"
     assert f"error[HmmError]: {path}: {message}" in err
     assert not (inputs / "bad" / "huge-out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["anticipate", "infer"])
+def test_trajectory_of_another_dimension_than_the_bank_exits_4_naming_the_file(inputs, command):
+    path = inputs / "bad" / "flat.csv"
+    path.write_text("t,x,y\n0,0.1,0.2\n0.1,0.3,0.4\n0.2,0.5,0.6\n")
+    code, err = _exit_code(_scoring(command, inputs, path))
+    assert code == 4, err
+    message = "trajectory dimension 2 does not match model dimension 3"
+    assert f"error[HmmError]: {path}: {message}" in err
+    assert not (inputs / "bad" / "flat-out.csv").exists()
 
 
 def test_alpha_that_overflows_the_smoothed_counts_exits_4_naming_it(inputs, tmp_path):
