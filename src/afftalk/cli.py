@@ -10,11 +10,10 @@ else.
 from __future__ import annotations
 
 import argparse
-import io
+import functools
 import json
 import math
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -364,16 +363,17 @@ def _run_config(args) -> RunConfig:
     return config
 
 
-def _parser(names) -> argparse.ArgumentParser:
-    """The parser of the commands ``names``, each with its flags."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command, each with its flags; built once per
+    process, since parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="afftalk",
         description="Affordance/word network with gesture fusion and verbal descriptions.",
     )
     parser.add_argument("--config", help="JSON config file (see README for keys)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_line, flags = COMMANDS[name]
+    for name, (help_line, flags) in COMMANDS.items():
         command = sub.add_parser(name, help=help_line)
         for flag, _, kwargs in flags:
             command.add_argument(flag, **kwargs)
@@ -381,16 +381,7 @@ def _parser(names) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # Only the commands argv names can run (a flag value that equals a
-    # command's name just adds that command), so a request builds only their
-    # subparsers.  Help and usage errors, whose text may list every command,
-    # come from the parser of all seven.
-    try:
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            args = _parser([name for name in COMMANDS if name in argv]).parse_args(argv)
-    except SystemExit:
-        args = _parser(COMMANDS).parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args, _run_config(args))

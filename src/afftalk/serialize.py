@@ -180,10 +180,26 @@ def _write_lines(path, lines: Sequence[str]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_csv(path, header: list[str], rows) -> None:
+def _csv(rows) -> str:
     text = io.StringIO()
-    csv.writer(text).writerows([header, *rows])
-    _write_text(path, text.getvalue())
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    _write_text(path, _csv([header, *rows]))
+
+
+def _write_numeric_csv(path, header: list[str], table) -> None:
+    """The header as ``csv.writer`` writes it, quoting labels that need it,
+    then the rows of a numeric table, ended with CRLF as ``csv.writer`` does."""
+    _write_text(path, _csv([header]) + _numeric_rows(table, "\r\n"))
+
+
+def _numeric_rows(table, end: str) -> str:
+    """The rows of a 2-D numeric table, comma-separated, each ended by ``end``."""
+    row = ",".join(["%.17g"] * table.shape[1]) + end  # "%.17g" % x == _fmt(x)
+    return "".join(map(row.__mod__, map(tuple, table.tolist())))
 
 
 def _header(kind: str) -> str:
@@ -310,8 +326,7 @@ def _model_layout(lines: _Lines, n_states: int, n_mix: int, dim: int):
 def save_trajectory(path, traj: Trajectory) -> None:
     header = "t," + ",".join("xyz"[d] if traj.dim <= 3 else f"d{d}" for d in range(traj.dim))
     table = np.column_stack([np.arange(len(traj)) * traj.frame_period, traj.frames])
-    frame = ",".join(["%.17g"] * table.shape[1])  # what ``_fmt`` writes per value
-    _write_lines(path, [header, *(frame % tuple(row) for row in table.tolist())])
+    _write_text(path, header + "\n" + _numeric_rows(table, "\n"))
 
 
 def load_trajectory(path) -> Trajectory:
@@ -424,27 +439,19 @@ def write_anticipation_csv(path, curve: PrefixCurve, predictions: Sequence[Joint
     header += [f"score_{a}" for a in curve.actions]
     header += [f"post_{a}" for a in curve.actions]
     header += [f"{effect.variables[0]}={lab}" for lab in effect.labels[0]]
-    rows = (
-        [str(t)] + [_fmt(v) for v in (*scores, *posterior, *table.vector())]
-        for t, (scores, posterior, table) in enumerate(
-            zip(curve.scores, curve.posteriors, predictions), 1
-        )
-    )
-    _write_csv(path, header, rows)
+    columns = [np.arange(1, len(predictions) + 1), curve.scores, curve.posteriors]
+    columns.append([table.vector() for table in predictions])
+    _write_numeric_csv(path, header, np.column_stack(columns))
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> None:
     """One row per grid point; probability columns carry value labels."""
-    cells = list(np.ndindex(*sweep.posteriors.shape[1:]))
     columns = ["confidence"]
-    for idx in cells:
+    for idx in np.ndindex(*sweep.posteriors.shape[1:]):
         pairs = zip(sweep.variables, sweep.labels, idx)
         columns.append("_".join(f"{var}={labels[i]}" for var, labels, i in pairs))
-    rows = (
-        [_fmt(p)] + [_fmt(float(sweep.posteriors[g][idx])) for idx in cells]
-        for g, p in enumerate(sweep.grid)
-    )
-    _write_csv(path, columns, rows)
+    by_point = sweep.posteriors.reshape(len(sweep.grid), -1)  # cells in ``ndindex`` order
+    _write_numeric_csv(path, columns, np.column_stack([sweep.grid, by_point]))
 
 
 def write_nbest_csv(path, nbest_list: NBestList) -> None:

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 from dataclasses import replace
@@ -15,6 +17,7 @@ from afftalk.bn import (
 )
 from afftalk.hmm import HmmModel, train_bank
 from afftalk.schema import ACTION_VAR, ACTIONS, layered_candidates
+from afftalk.serialize import _fmt
 from afftalk.world import default_config, generate_trials, sample_trajectory
 
 
@@ -249,3 +252,37 @@ def brute_force_posteriors(model: HmmModel, frames: np.ndarray):
         for a, b in zip(path[:-1], path[1:]):
             xi[a, b] += p
     return gamma / total, xi / total
+
+
+def _reference_csv(header, rows) -> bytes:
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    return text.getvalue().encode()
+
+
+def reference_anticipation_csv(curve, predictions) -> bytes:
+    """An anticipation CSV as ``csv.writer`` writes it with ``_fmt`` per cell."""
+    effect = predictions[0]
+    header = ["t", *(f"score_{a}" for a in curve.actions), *(f"post_{a}" for a in curve.actions)]
+    header += [f"{effect.variables[0]}={lab}" for lab in effect.labels[0]]
+    rows = [
+        [str(t), *(_fmt(v) for v in (*scores, *posterior, *table.vector()))]
+        for t, (scores, posterior, table) in enumerate(
+            zip(curve.scores, curve.posteriors, predictions), 1
+        )
+    ]
+    return _reference_csv(header, rows)
+
+
+def reference_sweep_csv(sweep) -> bytes:
+    """A sweep CSV as ``csv.writer`` writes it with ``_fmt`` per cell."""
+    cells = list(np.ndindex(*sweep.posteriors.shape[1:]))
+    header = ["confidence"] + [
+        "_".join(f"{var}={labels[i]}" for var, labels, i in zip(sweep.variables, sweep.labels, idx))
+        for idx in cells
+    ]
+    rows = [
+        [_fmt(p), *(_fmt(float(sweep.posteriors[g][idx])) for idx in cells)]
+        for g, p in enumerate(sweep.grid)
+    ]
+    return _reference_csv(header, rows)

@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from afftalk import cli, hmm, serialize, world
+from afftalk import cli, fusion, hmm, serialize, world
+from afftalk.bn import Evidence
 from afftalk.cli import COMMANDS, RunConfig, main
+from afftalk.fusion import SoftActionEvidence
 
-from conftest import random_left_right_model
+from conftest import random_left_right_model, reference_anticipation_csv, reference_sweep_csv
 
 
 @pytest.fixture(scope="module")
@@ -372,6 +374,40 @@ def test_sweep_csv(pipeline_dir):
     assert len(lines) == 26
 
 
+def test_numeric_csvs_of_the_pipeline_equal_csv_writer_with_fmt_per_cell(pipeline_dir, tmp_path):
+    bn_path, bank_path = pipeline_dir / "models/bn.txt", pipeline_dir / "models/hmm.txt"
+    net, bank = serialize.load_bayesnet(bn_path), serialize.load_gesture_bank(bank_path)
+    trajs = sorted((pipeline_dir / "dataset" / "traj").glob("*.csv"))
+    out = tmp_path / "result.csv"
+    for traj, effect, labeled in [
+        (trajs[0], "ObjVel", {}),
+        (trajs[17], "Contact", {"Shape": "sphere"}),
+        (trajs[-1], "HandVel", {"Size": "small", "Color": "blue"}),
+    ]:
+        argv = ["anticipate", "--bn", str(bn_path), "--bank", str(bank_path), "--traj", str(traj)]
+        argv += [f"--ev={name}={label}" for name, label in labeled.items()]
+        assert main([*argv, "--effect-var", effect, "--out", str(out)]) == 0
+        obs = Evidence.from_labels(net.schema, labeled)
+        curve = hmm.prefix_curve(bank, serialize.load_trajectory(traj))
+        predictions = [
+            fusion.fuse_query(net, SoftActionEvidence(p, curve.actions), (effect,), obs).table
+            for p in curve.posteriors
+        ]
+        assert len(curve) >= 10
+        assert out.read_bytes() == reference_anticipation_csv(curve, predictions)
+    for target, infer, points, labeled in [
+        ("tap", None, 25, {"Size": "small", "Shape": "sphere", "ObjVel": "slow"}),
+        ("grasp", "Action,Contact,ObjVel", 37, {}),
+    ]:
+        argv = ["sweep", "--bn", str(bn_path), "--target", target, "--points", str(points)]
+        argv += [f"--ev={name}={label}" for name, label in labeled.items()]
+        assert main([*argv, *(["--infer", infer] if infer else []), "--out", str(out)]) == 0
+        obs = Evidence.from_labels(net.schema, labeled)
+        infer_vars = infer and infer.split(",")
+        sweep = fusion.confidence_sweep(net, obs, target, np.linspace(1 / 3, 1, points), infer_vars)
+        assert out.read_bytes() == reference_sweep_csv(sweep)
+
+
 def test_sweep_runs_one_elimination_for_all_points(pipeline_dir, tmp_path, eliminations):
     out = tmp_path / "sweep.csv"
     common = ["sweep", "--bn", str(pipeline_dir / "models/bn.txt"), "--target", "tap"]
@@ -651,6 +687,12 @@ ARGV_SURFACE = [
 ]
 
 
+SERVED_BEFORE = [
+    "--config", "c.json", "infer", "--bn", "b.txt", "--infer", "A", "--ev", "A=1", "--ev", "B=2",
+    "--bank", "h.txt", "--traj", "t.csv", "--out", "o.csv",
+]
+
+
 def _reference_parser() -> argparse.ArgumentParser:
     """The parser of all seven commands, each with every flag of its entry."""
     parser = argparse.ArgumentParser(
@@ -679,6 +721,10 @@ def _recorded(monkeypatch) -> list:
 def test_argv_surface_matches_the_parser_of_every_command(argv, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     seen = _recorded(monkeypatch)
+    # the process's one parser has served a request that set every flag of a
+    # command, so a value it left behind would show in the namespace below
+    main(SERVED_BEFORE)
+    seen.clear()
     try:
         expected = (0, vars(_reference_parser().parse_args(argv)))
     except SystemExit as exc:
@@ -693,17 +739,27 @@ def test_argv_surface_matches_the_parser_of_every_command(argv, monkeypatch, cap
     assert (out.out, out.err) == (reference.out, reference.err)
 
 
-@pytest.mark.parametrize(
-    "argv,built",
-    [
-        (["infer", "--bn", "bn.txt", "--infer", "ObjVel"], 1),
-        (["describe", "--bn", "sweep", "--traj", "infer"], 3),
-        (["--help"], 7),
-        ([], 7),
-    ],
-    ids=["one command", "values named like commands", "top-level help", "no command"],
-)
-def test_a_request_builds_the_subparsers_of_the_commands_it_names(argv, built, monkeypatch):
+# One request per kind the parser sees: a command, flag values named like
+# commands, help at the top level, no command, a command's help and a usage error.
+FIRST_REQUESTS = {
+    "one command": ["infer", "--bn", "bn.txt", "--infer", "ObjVel"],
+    "values named like commands": ["describe", "--bn", "sweep", "--traj", "infer"],
+    "top-level help": ["--help"],
+    "no command": [],
+    "command help": ["sweep", "--help"],
+    "usage error": ["describe", "--bn", "bn.txt", "--points", "3"],
+}
+
+
+def _request(argv) -> None:
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+
+
+@pytest.mark.parametrize("first", FIRST_REQUESTS.values(), ids=FIRST_REQUESTS)
+def test_the_first_request_builds_every_subparser_and_later_ones_none(first, monkeypatch, capsys):
     _recorded(monkeypatch)
     calls = []
     add_parser = argparse._SubParsersAction.add_parser
@@ -712,8 +768,9 @@ def test_a_request_builds_the_subparsers_of_the_commands_it_names(argv, built, m
         "add_parser",
         lambda self, name, **kw: calls.append(name) or add_parser(self, name, **kw),
     )
-    try:
-        main(argv)
-    except SystemExit:
-        pass
-    assert len(calls) == built
+    cli._parser.cache_clear()
+    _request(first)
+    assert calls == SUBCOMMANDS
+    for argv in [*FIRST_REQUESTS.values(), *ARGV_SURFACE]:
+        _request(argv)
+    assert calls == SUBCOMMANDS

@@ -1,12 +1,16 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from afftalk.bn import Dataset, Evidence, build_network, fit_parameters, query
-from afftalk.hmm import Trajectory, train_bank
+from afftalk.bn import Dataset, Evidence, JointTable, build_network, fit_parameters, query
+from afftalk.fusion import SweepResult
+from afftalk.hmm import PrefixCurve, Trajectory, train_bank
 from afftalk.serialize import (
     SerializeError,
+    _fmt,
+    _numeric_rows,
     load_bayesnet,
     load_gesture_bank,
     load_trajectory,
@@ -14,11 +18,13 @@ from afftalk.serialize import (
     save_bayesnet,
     save_gesture_bank,
     save_trajectory,
+    write_anticipation_csv,
     write_dataset,
+    write_sweep_csv,
 )
 from afftalk.world import default_config, generate_trials, sample_trajectory
 
-from conftest import random_binary_net
+from conftest import random_binary_net, reference_anticipation_csv, reference_sweep_csv
 
 
 def test_bayesnet_round_trip_is_exact(tmp_path):
@@ -116,6 +122,63 @@ def test_trajectory_bytes_equal_per_value_formatting(tmp_path):
         ]
         save_trajectory(tmp_path / "traj.csv", traj)
         assert (tmp_path / "traj.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+# values whose text is easy to get wrong: signs of zero and infinity, NaN,
+# the smallest subnormal, the largest double, a rounded sum, whole numbers
+SPECIAL_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308,
+    0.1 + 0.2, 1 / 3, 1.0, 10.0, -7.0, 2.0**53, 2.0**53 + 2, 1e16, 1e17, 123456789012345678.0,
+]
+
+
+def test_the_row_template_writes_what_fmt_writes():
+    values = SPECIAL_FLOATS + np.random.default_rng(8).normal(0, 1e3, 200).tolist()
+    for x in values:
+        assert _fmt(x) == "%.17g" % x
+        assert _fmt(np.float64(x)) == "%.17g" % np.float64(x) == _fmt(x)
+    table = np.array(values).reshape(-1, 3)
+    expected = "".join(",".join(map(_fmt, row)) + "\r\n" for row in table)
+    assert _numeric_rows(table, "\r\n") == expected
+
+
+def test_numeric_csvs_equal_csv_writer_with_fmt_per_cell(tmp_path):
+    """Hand-built results, with labels csv must quote and ``t`` past 9."""
+    rng = np.random.default_rng(13)
+    n = 12
+    scores = rng.normal(-20, 30, (n, 3))
+    scores[0] = [-np.inf, 5e-324, 1e-300]
+    scores[9] = [-0.0, -np.inf, 1.7976931348623157e308]
+    posteriors = rng.dirichlet(np.ones(3), n)
+    posteriors[1] = [1.0, 0.0, 5e-324]
+    curve = PrefixCurve(
+        actions=("grasp", "a,b", 'say "tap"'),
+        log_liks=scores,
+        scores=scores,
+        posteriors=posteriors,
+    )
+    effects = rng.dirichlet(np.ones(2), n)
+    effects[3] = [1e-300, 1.0]
+    predictions = [JointTable(("ObjVel",), (("slow", "a,b"),), p) for p in effects]
+    write_anticipation_csv(tmp_path / "anticipate.csv", curve, predictions)
+    assert (tmp_path / "anticipate.csv").read_bytes() == reference_anticipation_csv(
+        curve, predictions
+    )
+    header = (tmp_path / "anticipate.csv").read_bytes().split(b"\r\n")[0]
+    assert b',"score_a,b","score_say ""tap""",' in header and header.endswith(b',"ObjVel=a,b"')
+
+    grid = (*np.linspace(1 / 3, 1, 10).tolist(), 5e-324, 0.1 + 0.2)
+    cells = rng.dirichlet(np.ones(6), len(grid))
+    cells[0, :3] = [-np.inf, 1e-300, -0.0]
+    sweep = SweepResult(
+        grid=grid,
+        variables=("Action", "Contact"),
+        labels=(("grasp", "a,b", "touch"), ("yes", "no")),
+        posteriors=cells.reshape(len(grid), 3, 2),
+    )
+    write_sweep_csv(tmp_path / "sweep.csv", sweep)
+    assert (tmp_path / "sweep.csv").read_bytes() == reference_sweep_csv(sweep)
+    assert b',"Action=a,b_Contact=yes",' in (tmp_path / "sweep.csv").read_bytes()
 
 
 def test_dataset_round_trip(tmp_path):
