@@ -188,16 +188,25 @@ def cmd_train_bn(args, config: RunConfig) -> int:
     return 0
 
 
-def cmd_train_hmm(args, config: RunConfig) -> int:
+def _training_trajectories(dataset, per_action: int) -> dict[str, list]:
+    """The first ``per_action`` trajectories of each action, in row order.
+
+    The dataset's rows are dropped on return, before any model is trained.
+    """
     schema = default_schema()
-    data, traj_paths = serialize.read_dataset(args.dataset, schema)
+    data, traj_paths = serialize.read_dataset(dataset, schema)
     action_idx = schema.index(ACTION_VAR)
     labels = schema.variable(ACTION_VAR).labels
     by_action: dict[str, list] = {label: [] for label in labels}
     for row, path in sorted(traj_paths.items()):
         label = labels[data.rows[row, action_idx]]
-        if len(by_action[label]) < config.train_per_action:
+        if len(by_action[label]) < per_action:
             by_action[label].append(serialize.load_trajectory(path))
+    return by_action
+
+
+def cmd_train_hmm(args, config: RunConfig) -> int:
+    by_action = _training_trajectories(args.dataset, config.train_per_action)
     bank = hmm.train_bank(
         by_action, n_states=config.states, n_mix=config.mixtures, seed=config.seed
     )

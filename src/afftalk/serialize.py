@@ -24,7 +24,7 @@ import io
 import math
 import os
 from functools import partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import getitem
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -38,6 +38,8 @@ from .hmm import GestureBank, HmmModel, PrefixCurve, Trajectory
 
 MAGIC = "afftalk-model"
 FORMAT_VERSION = 2
+# Dataset rows labelled, or decoded, at a time.
+_BLOCK = 1024
 
 __all__ = [
     "SerializeError",
@@ -357,27 +359,40 @@ def write_dataset(
 
     The file is the header, a ``provenance`` line, the column line, then one
     row per trial: its labels in column order and its trajectory path or ``-``.
+    The rows are labelled and written a block at a time, so the text held
+    does not grow with the row count.  A trajectory key that is not a row
+    number raises before any file is written.
     """
-    directory = Path(directory)
-    labels = np.array([label for v in schema.variables for label in v.labels], dtype=object)
-    table = np.full((len(data), len(schema) + 1), "-", dtype=object)
-    table[:, :-1] = labels[data.rows + np.cumsum([0, *schema.arities[:-1]])]
+    directory, n = Path(directory), len(data)
+    for row in trajectories:
+        if not 0 <= row < n:
+            message = f"trajectory key {row} is not a row of the {n}-row dataset"
+            raise SerializeError(f"{directory}: {message}")
+    paths = {row: f"traj/{row:05d}.csv" for row in trajectories}
     for row, trajectory in trajectories.items():
-        table[row, -1] = f"traj/{row:05d}.csv"
-        save_trajectory(directory / table[row, -1], trajectory)
+        save_trajectory(directory / paths[row], trajectory)
+    labels = np.array([label for v in schema.variables for label in v.labels], dtype=object)
+    offsets = np.cumsum([0, *schema.arities[:-1]])
     records = [_header("dataset"), f"provenance {data.provenance}", " ".join(_columns(schema))]
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / "trials.txt", "w", encoding="utf-8", newline="") as out:
         out.write("\n".join(records) + "\n")
-        for start in range(0, len(table), 1024):  # in chunks, which bounds the text held
-            out.writelines(" ".join(row) + "\n" for row in table[start : start + 1024].tolist())
+        for start in range(0, n, _BLOCK):
+            block = labels[data.rows[start : start + _BLOCK] + offsets].tolist()
+            out.writelines(
+                f"{' '.join(fields)} {paths.get(row, '-')}\n"
+                for row, fields in enumerate(block, start)
+            )
 
 
 def read_dataset(directory, schema: WorldSchema) -> tuple[Dataset, dict[int, str]]:
-    """Rows as value indices plus the trajectory paths keyed by row number."""
+    """Rows as value indices plus the trajectory paths keyed by row number.
+
+    The rows are decoded into an array sized from the file's line count, a
+    block at a time, so no list of every row is built.
+    """
     codes = [{label: k for k, label in enumerate(v.labels)} for v in schema.variables]
     columns = _columns(schema)
-    rows = []
     traj_paths: dict[int, str] = {}
     path = Path(directory) / "trials.txt"
     with _Lines(path) as lines:
@@ -388,16 +403,20 @@ def read_dataset(directory, schema: WorldSchema) -> tuple[Dataset, dict[int, str
         header = lines.fields()
         if header != columns:
             raise lines.error(_column_error(header, columns))
-        for parts in lines.rest():
-            row = list(map(dict.get, codes, parts))
-            if len(parts) != len(columns) or None in row:
-                raise lines.error(_row_error(parts, row, columns))
-            if parts[-1] != "-":
-                traj_paths[len(rows)] = os.path.join(str(directory), parts[-1])
-            rows.append(row)
-    if not rows:
+        rows = np.empty((len(lines.lines) - lines.lineno, len(schema)), dtype=np.int64)
+        for start in range(0, len(rows), _BLOCK):
+            block = []
+            for parts in islice(lines.rest(), _BLOCK):
+                row = list(map(dict.get, codes, parts))
+                if len(parts) != len(columns) or None in row:
+                    raise lines.error(_row_error(parts, row, columns))
+                if parts[-1] != "-":
+                    traj_paths[start + len(block)] = os.path.join(str(directory), parts[-1])
+                block.append(row)
+            rows[start : start + len(block)] = block
+    if not len(rows):
         raise SerializeError(f"{path}: no trial records")
-    return Dataset(rows=np.asarray(rows, dtype=np.int64), provenance=provenance), traj_paths
+    return Dataset(rows=rows, provenance=provenance), traj_paths
 
 
 def _column_error(header: list[str], columns: list[str]) -> str:

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from afftalk import cli, fusion, hmm, serialize, world
-from afftalk.bn import Evidence
+from afftalk.bn import Dataset, Evidence
 from afftalk.cli import COMMANDS, RunConfig, main
 from afftalk.fusion import SoftActionEvidence
 
@@ -349,6 +350,26 @@ def test_train_hmm_reports_em_iterations_and_caps(pipeline_dir, tmp_path, capsys
     report = capsys.readouterr().out.splitlines()[1:]
     assert len(report) == 3
     assert all(line.endswith(" EM iterations") for line in report)
+
+
+def test_no_dataset_is_alive_while_the_bank_trains(pipeline_dir, tmp_path, monkeypatch):
+    def datasets():
+        return [o for o in gc.get_objects() if isinstance(o, Dataset)]
+
+    earlier = datasets()  # held, so that no new object takes one of their ids
+    known = set(map(id, earlier))
+    alive = []
+    train_bank = hmm.train_bank
+
+    def spy(*args, **kwargs):
+        alive.append([d for d in datasets() if id(d) not in known])
+        return train_bank(*args, **kwargs)
+
+    monkeypatch.setattr(hmm, "train_bank", spy)
+    dataset = str(pipeline_dir / "dataset")
+    argv = ["train-hmm", "--dataset", dataset, "--out", str(tmp_path / "hmm.txt")]
+    assert main([*argv, "--per-action", "2", "--states", "2", "--mixtures", "1"]) == 0
+    assert alive == [[]]
 
 
 def test_sweep_csv(pipeline_dir):

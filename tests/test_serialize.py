@@ -1,4 +1,7 @@
 import math
+import os
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +11,7 @@ from afftalk.bn import Dataset, Evidence, JointTable, build_network, fit_paramet
 from afftalk.fusion import SweepResult
 from afftalk.hmm import PrefixCurve, Trajectory, train_bank
 from afftalk.serialize import (
+    _BLOCK,
     SerializeError,
     _fmt,
     _numeric_rows,
@@ -201,6 +205,114 @@ def test_dataset_round_trip(tmp_path):
         labels = [v.labels[k] for v, k in zip(config.schema.variables, row)]
         traj = f"traj/{i:05d}.csv" if i in trajectories else "-"
         assert line.split() == [*labels, traj]
+
+
+def _dataset_oracle(data: Dataset, paths: dict[int, str], schema) -> str:
+    """``trials.txt`` written one row at a time: its labels, then its path or ``-``."""
+    lines = ["afftalk-model 2 dataset", f"provenance {data.provenance}"]
+    lines.append(" ".join([*schema.names, "traj"]))
+    for i, row in enumerate(data.rows.tolist()):
+        labels = [v.labels[k] for v, k in zip(schema.variables, row)]
+        lines.append(" ".join([*labels, paths.get(i, "-")]))
+    return "".join(line + "\n" for line in lines)
+
+
+def _around_block_edges(n: int) -> list[int]:
+    """Rows on both sides of every block boundary below ``n``, and the last row."""
+    return sorted({*(r for b in range(_BLOCK, n, _BLOCK) for r in (b - 1, b)), n - 1})
+
+
+def _placed(drawn: dict, keys: list[int]) -> dict:
+    """The drawn trajectories in turn, keyed by ``keys``."""
+    return {row: list(drawn.values())[i % len(drawn)] for i, row in enumerate(keys)}
+
+
+def test_write_dataset_over_several_blocks_equals_a_per_row_oracle(tmp_path):
+    config = default_config()
+    data, drawn = generate_trials(config, 2500, seed=11, trajectories_per_action=1)
+    keys = _around_block_edges(2500)
+    assert keys == [1023, 1024, 2047, 2048, 2499]
+    write_dataset(tmp_path, data, _placed(drawn, keys), config.schema)
+    paths = {row: f"traj/{row:05d}.csv" for row in keys}
+    oracle = _dataset_oracle(data, paths, config.schema).encode()
+    assert (tmp_path / "trials.txt").read_bytes() == oracle
+    assert sorted(p.name for p in (tmp_path / "traj").iterdir()) == [f"{k:05d}.csv" for k in keys]
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+def test_dataset_round_trip_at_block_edges(tmp_path, n):
+    config = default_config()
+    data, drawn = generate_trials(config, n, seed=n, trajectories_per_action=1)
+    keys = [0, *_around_block_edges(n)]
+    write_dataset(tmp_path, data, _placed(drawn, keys), config.schema)
+    loaded, traj_paths = read_dataset(tmp_path, config.schema)
+    assert loaded.rows.dtype == np.int64 and loaded.rows.shape == (n, len(config.schema))
+    assert np.array_equal(loaded.rows, data.rows)
+    assert loaded.provenance == data.provenance
+    assert traj_paths == {row: os.path.join(str(tmp_path), f"traj/{row:05d}.csv") for row in keys}
+
+
+def test_dataset_errors_in_the_third_block_name_their_own_line(tmp_path):
+    schema = default_config().schema
+    write_dataset(tmp_path, *generate_trials(default_config(), 2500, seed=4), schema)
+    path = tmp_path / "trials.txt"
+    lines = path.read_text().splitlines()
+    # row i sits on line i + 4; rows 2048 to 2499 are the third block
+    for row, edit, message in [
+        (2053, lambda p: [*p[:3], "cone", *p[4:]], "unknown label 'cone' for variable 'Shape'"),
+        (2499, lambda p: p[:-1], "row ends before column 'traj': expected 58 fields, found 57"),
+    ]:
+        text = list(lines)
+        text[row + 3] = " ".join(edit(text[row + 3].split()))
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(SerializeError, match=re.escape(f"{path}:{row + 4}: {message}")):
+            read_dataset(tmp_path, schema)
+
+
+@pytest.mark.parametrize("key", [-1, 5, 6])
+def test_write_dataset_rejects_trajectory_keys_outside_the_rows(tmp_path, key):
+    config = default_config()
+    data, drawn = generate_trials(config, 5, seed=2, trajectories_per_action=1)
+    trajectory = next(iter(drawn.values()))
+    message = f"ds: trajectory key {key} is not a row of the 5-row dataset"
+    with pytest.raises(SerializeError, match=re.escape(message)):
+        write_dataset(tmp_path / "ds", data, {0: trajectory, key: trajectory}, config.schema)
+    assert not (tmp_path / "ds").exists()
+
+
+def _traced(call):
+    """``call()``'s result, and the bytes ``tracemalloc`` saw held after it and at its peak."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_dataset_holds_one_block_whatever_the_row_count(tmp_path):
+    config = default_config()
+    peaks = []
+    for n in (2 * _BLOCK, 16 * _BLOCK):
+        data, _ = generate_trials(config, n, seed=5)
+        _, (_, peak) = _traced(lambda: write_dataset(tmp_path / str(n), data, {}, config.schema))
+        peaks.append(peak)
+    # one block's labels as an object table
+    assert peaks[1] - peaks[0] < _BLOCK * (len(config.schema) + 1) * 8
+
+
+def test_read_dataset_holds_one_block_beyond_its_rows_and_text(tmp_path):
+    config = default_config()
+    beyond = []
+    for n in (2 * _BLOCK, 16 * _BLOCK):
+        directory = tmp_path / str(n)
+        write_dataset(directory, *generate_trials(config, n, seed=5), config.schema)
+        trials = directory / "trials.txt"
+        _, (text, _) = _traced(lambda: trials.read_text(encoding="utf-8").splitlines())
+        (loaded, _), (_, peak) = _traced(lambda: read_dataset(directory, config.schema))
+        beyond.append(peak - loaded.rows.nbytes - text)
+    # one block of decoded rows as int64
+    assert beyond[1] - beyond[0] < _BLOCK * len(config.schema) * 8
 
 
 def test_read_dataset_missing_file(tmp_path):
