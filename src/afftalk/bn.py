@@ -33,6 +33,7 @@ __all__ = [
     "build_network",
     "fit_parameters",
     "query",
+    "sums_to_one",
     "joint_enumerate",
     "prune_barren",
     "greedy_structure_fit",
@@ -57,7 +58,7 @@ class ImpossibleEvidenceError(BnError):
 
 
 class StateSpaceError(BnError):
-    """The full joint is too large for exhaustive enumeration."""
+    """A table the request needs would hold more than ``ENUM_CAP`` cells."""
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -416,7 +417,14 @@ class _Factor:
 
 def _product(factors: list[_Factor], arities: Sequence[int]) -> _Factor:
     union: list[int] = sorted({v for f in factors for v in f.vars})
-    out = np.ones(tuple(arities[v] for v in union))
+    dims = tuple(arities[v] for v in union)
+    cells = math.prod(dims)
+    if cells > ENUM_CAP:
+        raise StateSpaceError(
+            f"a factor over {len(union)} variables has {cells} cells, "
+            f"more than the cap of {ENUM_CAP}"
+        )
+    out = np.ones(dims)
     for f in factors:
         shape = tuple(arities[v] if v in set(f.vars) else 1 for v in union)
         out = out * f.table.reshape(shape)
@@ -523,10 +531,11 @@ def query(net: BayesNet, infer_vars: Sequence[str], obs: Evidence) -> JointTable
     the elimination; the barren rest sums to one.  Its latent variables are
     eliminated in min-degree order with ties broken by schema position, so
     results are deterministic.  Evidence with zero probability raises
-    ``ImpossibleEvidenceError`` rather than returning a silent uniform.
-    The answer is read-only, and ``net`` keeps the last one, so asking the
-    same (query variables, evidence) again in a row, as every frame or grid
-    point of a fused query does, costs a lookup.
+    ``ImpossibleEvidenceError`` rather than returning a silent uniform, and
+    a factor of more than ``ENUM_CAP`` cells raises ``StateSpaceError``
+    before it is allocated.  The answer is read-only, and ``net`` keeps the
+    last one, so asking the same (query variables, evidence) again in a row,
+    as every frame or grid point of a fused query does, costs a lookup.
     """
     infer_idx, obs_idx = _validated_query(net, infer_vars, obs)
     key = (tuple(infer_idx), tuple(sorted(obs_idx.items())))

@@ -11,18 +11,21 @@ joint is linear in the vector, so a confidence sweep weights one query.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .bn import (
+    ENUM_CAP,
     BayesNet,
     BnError,
     Evidence,
     EvidenceError,
     ImpossibleEvidenceError,
     JointTable,
+    StateSpaceError,
     query,
     sums_to_one,
 )
@@ -102,7 +105,9 @@ def _fuse(net: BayesNet, infer_vars: tuple[str, ...], obs: Evidence, weights: np
     ``weights`` is one vector (K,) in the action's label order, or a stack
     (G, K) of them that all weight the same query.  Returns the variables,
     their labels, the fused table(s) and the mass of each before
-    renormalizing.  ``query`` checks everything else about the request.
+    renormalizing.  More than ``ENUM_CAP`` weighted cells raise
+    ``StateSpaceError`` before any is allocated; ``query`` checks everything
+    else about the request.
     """
     if not infer_vars:
         raise BnError("infer_vars must be nonempty")
@@ -115,6 +120,11 @@ def _fuse(net: BayesNet, infer_vars: tuple[str, ...], obs: Evidence, weights: np
     # a latent action is queried as the last axis, then summed out
     base = query(net, infer_vars if asked else (*infer_vars, ACTION_VAR), obs)
     lead = weights.shape[:-1]
+    cells = math.prod(lead) * base.probs.size
+    if cells > ENUM_CAP:
+        raise StateSpaceError(
+            f"the weighted tables have {cells} cells, more than the cap of {ENUM_CAP}"
+        )
     shape = [1] * base.probs.ndim
     shape[base.axis(ACTION_VAR)] = weights.shape[-1]
     combined = base.probs * weights.reshape(lead + tuple(shape))

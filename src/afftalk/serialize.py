@@ -40,6 +40,8 @@ MAGIC = "afftalk-model"
 FORMAT_VERSION = 2
 # Dataset rows labelled, or decoded, at a time.
 _BLOCK = 1024
+# Every float is written with 17 significant digits, so it reads back exactly.
+_FLOAT_SPEC = ".17g"
 
 __all__ = [
     "SerializeError",
@@ -63,7 +65,7 @@ class SerializeError(ValueError):
 
 
 def _fmt(x: float) -> str:
-    return format(x, ".17g")
+    return format(x, _FLOAT_SPEC)
 
 
 class _Lines:
@@ -200,7 +202,7 @@ def _write_numeric_csv(path, header: list[str], table) -> None:
 
 def _numeric_rows(table, end: str) -> str:
     """The rows of a 2-D numeric table, comma-separated, each ended by ``end``."""
-    row = ",".join(["%.17g"] * table.shape[1]) + end  # "%.17g" % x == _fmt(x)
+    row = ",".join(["%" + _FLOAT_SPEC] * table.shape[1]) + end
     return "".join(map(row.__mod__, map(tuple, table.tolist())))
 
 

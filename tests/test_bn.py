@@ -393,6 +393,24 @@ def test_enumeration_respects_state_space_cap():
         joint_enumerate(net, ["X0"], Evidence.empty(), cap=2**9)
 
 
+def test_query_refuses_a_factor_over_the_cap_before_allocating_it(monkeypatch):
+    """The answer and every elimination step are held to ``ENUM_CAP``
+    cells: numpy's MemoryError would escape as a stray exit 1."""
+    schema = WorldSchema.of([(f"X{i}", ("a", "b")) for i in range(25)])
+    roots = build_network(schema, [()] * 25)
+    with pytest.raises(StateSpaceError, match="over 25 variables has 33554432 cells"):
+        query(roots, schema.names, Evidence.empty())
+    monkeypatch.setattr(bn, "ENUM_CAP", 2**12)
+    assert query(roots, schema.names[:12], Evidence.empty()).probs.size == 2**12
+    with pytest.raises(StateSpaceError, match="has 8192 cells, more than the cap of 4096"):
+        query(roots, schema.names[:13], Evidence.empty())
+    # a latent hub: summing X0 out of its 12 children takes 2**13 cells,
+    # though the answer over the children has 2**12
+    hub = build_network(schema, [(), *[(0,)] * 12, *[()] * 12])
+    with pytest.raises(StateSpaceError, match="over 13 variables has 8192 cells"):
+        query(hub, schema.names[1:13], Evidence.empty())
+
+
 def test_schema_order_does_not_change_answers():
     rng = np.random.default_rng(77)
     for _ in range(10):

@@ -560,6 +560,31 @@ def test_console_entry_point_runs():
         assert sub in out.stdout
 
 
+@pytest.mark.parametrize(
+    "module, imports",
+    [
+        ("afftalk", []),
+        ("afftalk.bn", []),
+        ("afftalk.kernels", []),
+        ("afftalk.grammar", []),
+        ("afftalk.cli", ["bn", "fusion", "grammar", "hmm", "kernels", "schema", "serialize", "world"]),
+    ],
+)
+def test_a_module_loads_only_the_package_modules_it_imports(module, imports):
+    """The package root imports nothing, so the lower layers load alone.
+    Checked in a child, since this process already holds every module."""
+    probe = f"import sys, {module}; print(*sorted(n for n in sys.modules if n.startswith('afftalk.')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == sorted({module, *(f"afftalk.{m}" for m in imports)} - {"afftalk"})
+
+
 # ---------------------------------------------------------------------------
 # the command-line surface
 

@@ -9,6 +9,7 @@ from afftalk.bn import (
     Evidence,
     EvidenceError,
     ImpossibleEvidenceError,
+    StateSpaceError,
     WorldSchema,
     build_network,
     query,
@@ -160,6 +161,15 @@ def test_sweep_grid_validation(action_net):
         confidence_sweep(action_net, Evidence.empty(), "b", [0.1])
     with pytest.raises(EvidenceError, match="unknown action"):
         confidence_sweep(action_net, Evidence.empty(), "zzz", [0.6])
+
+
+def test_sweep_refuses_weighted_tables_over_the_cap(action_net, monkeypatch):
+    """One grid point's table has 2 * 2 cells, the action's and X1's."""
+    monkeypatch.setattr(fusion, "ENUM_CAP", 40)
+    grid = np.linspace(0.5, 1.0, 10)
+    assert confidence_sweep(action_net, Evidence.empty(), "b", grid, ("X1",)).posteriors.shape == (10, 2)
+    with pytest.raises(StateSpaceError, match="have 44 cells, more than the cap of 40"):
+        confidence_sweep(action_net, Evidence.empty(), "b", np.linspace(0.5, 1.0, 11), ("X1",))
 
 
 def _fused_at(net, obs, target, p, infer_vars):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from afftalk.bn import BayesNet, Variable, WorldSchema
+from afftalk.bn import ENUM_CAP, BayesNet, Variable, WorldSchema
 from afftalk.cli import _LIMITS, COMMANDS, RunConfig, main
 from afftalk.hmm import GestureBank, Trajectory
 from afftalk.serialize import (
@@ -531,6 +531,25 @@ def test_empty_infer_list_is_rejected_before_the_network_loads(tmp_path, command
     code, err = _exit_code(argv)
     assert code == 4, err
     assert f"error[BnError]: --infer must name at least one variable, got {names!r}" in err
+
+
+@pytest.mark.parametrize(
+    "command, n_words, flags, error",
+    [
+        ("infer", 40, [], "a factor over 30 variables has 1610612736 cells"),
+        ("sweep", 18, ["--points", "100000"], "the weighted tables have 78643200000 cells"),
+    ],
+    ids=["infer 40 words", "sweep 18 words at 100,000 points"],
+)
+def test_tables_over_the_cap_exit_4_before_they_are_allocated(inputs, tmp_path, command, n_words, flags, error):
+    """Answering these would take tables of 12 GiB and 586 GiB: numpy's
+    MemoryError would escape as a stray exit 1."""
+    words = load_bayesnet(inputs / "bn.txt").schema.word_variables()
+    argv = _base_argv(command, inputs, tmp_path / "out") + flags
+    code, err = _exit_code(argv + ["--infer", ",".join(words[:n_words])])
+    assert code == 4, err
+    assert f"error[StateSpaceError]: {error}, more than the cap of {ENUM_CAP}\n" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_evidence_naming_a_variable_twice_names_it(inputs):
