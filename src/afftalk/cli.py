@@ -132,7 +132,9 @@ def _parse_names(text: str) -> tuple[str, ...]:
 
 
 def _print_table(table: JointTable) -> None:
-    width = max(len(" ".join(labels)) for labels, _ in table.iter_cells())
+    # every combination of labels is a cell, so the widest cell's labels
+    # are each variable's longest label
+    width = len(" ".join(max(labels, key=len) for labels in table.labels))
     for labels, p in table.iter_cells():
         print(f"  {' '.join(labels):<{width}}  {p:.6f}")
 

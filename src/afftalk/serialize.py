@@ -14,7 +14,9 @@ and, for the CPTs, from each CPT's own header.  Each line is split as any
 other line is, so runs of spaces and tabs are accepted; the field counts and
 leads are compared with the layout once, and one ``float`` pass converts
 every number.  A section off its layout is walked one line at a time only
-to name the first faulty line.
+to name the first faulty line.  Dataset rows are decoded a block at a time
+in the same spirit: a block as ``write_dataset`` writes it is decoded from
+bytes, and any other block is walked one row at a time.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from operator import getitem
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bn import BayesNet, Dataset, JointTable, Variable, WorldSchema
+from .bn import BOOL_LABELS, BayesNet, Dataset, JointTable, Variable, WorldSchema
 from .fusion import SweepResult
 from .grammar import NBestList
 from .hmm import GestureBank, HmmModel, PrefixCurve, Trajectory
@@ -40,6 +42,8 @@ MAGIC = "afftalk-model"
 FORMAT_VERSION = 2
 # Dataset rows labelled, or decoded, at a time.
 _BLOCK = 1024
+# Numeric CSV cells formatted, or header fields written, at a time.
+_CELLS = 1 << 16
 # Every float is written with 17 significant digits, so it reads back exactly.
 _FLOAT_SPEC = ".17g"
 
@@ -168,36 +172,56 @@ class _Lines:
             raise self.error(f"expected a positive count, found {n}")
         return n
 
-    def rest(self):
-        """The fields of every remaining line."""
-        while self.lineno < len(self.lines):
-            yield self.fields()
+
+def _open_text(path):
+    """``path`` opened to write UTF-8 text with line ends as given, its
+    folder made first."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _write_text(path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="")
+    with _open_text(path) as out:
+        out.write(text)
 
 
 def _write_lines(path, lines: Sequence[str]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _csv(rows) -> str:
-    text = io.StringIO()
-    csv.writer(text).writerows(rows)
-    return text.getvalue()
-
-
 def _write_csv(path, header: list[str], rows) -> None:
-    _write_text(path, _csv([header, *rows]))
+    """The header, then each row as it comes, through one ``csv.writer`` on
+    the open file, so no row is held after it is written."""
+    with _open_text(path) as out:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _write_numeric_csv(path, header: list[str], table) -> None:
+def _write_numeric_csv(path, header: Iterable[str], table) -> None:
     """The header as ``csv.writer`` writes it, quoting labels that need it,
-    then the rows of a numeric table, ended with CRLF as ``csv.writer`` does."""
-    _write_text(path, _csv([header]) + _numeric_rows(table, "\r\n"))
+    then the rows of a numeric table, ended with CRLF as ``csv.writer``
+    does.  Both go out ``_CELLS`` fields at a time: the header in pieces,
+    then a block of whole rows, or a row wider than that in pieces."""
+    with _open_text(path) as out:
+        labels = iter(header)
+        for i, piece in enumerate(iter(lambda: list(islice(labels, _CELLS)), [])):
+            out.write(("," if i else "") + _csv_fields(piece))
+        out.write("\r\n")
+        width = table.shape[1]
+        rows = max(1, _CELLS // width)  # one row at a time when it is wider
+        for start in range(0, len(table), rows):
+            for cut in range(0, width, _CELLS):
+                end = "\r\n" if cut + _CELLS >= width else ","
+                out.write(_numeric_rows(table[start : start + rows, cut : cut + _CELLS], end))
+
+
+def _csv_fields(fields: list[str]) -> str:
+    """``fields`` as ``csv.writer`` writes them in a row, without the row's end."""
+    text = io.StringIO()
+    csv.writer(text).writerow(fields)
+    return text.getvalue()[: -len("\r\n")]
 
 
 def _numeric_rows(table, end: str) -> str:
@@ -376,8 +400,7 @@ def write_dataset(
     labels = np.array([label for v in schema.variables for label in v.labels], dtype=object)
     offsets = np.cumsum([0, *schema.arities[:-1]])
     records = [_header("dataset"), f"provenance {data.provenance}", " ".join(_columns(schema))]
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "trials.txt", "w", encoding="utf-8", newline="") as out:
+    with _open_text(directory / "trials.txt") as out:
         out.write("\n".join(records) + "\n")
         for start in range(0, n, _BLOCK):
             block = labels[data.rows[start : start + _BLOCK] + offsets].tolist()
@@ -391,10 +414,14 @@ def read_dataset(directory, schema: WorldSchema) -> tuple[Dataset, dict[int, str
     """Rows as value indices plus the trajectory paths keyed by row number.
 
     The rows are decoded into an array sized from the file's line count, a
-    block at a time, so no list of every row is built.
+    block at a time, so no list of every row is built.  A block written as
+    ``write_dataset`` writes it takes the byte path, ``_decode_rows``; any
+    other block is walked one row at a time, which decodes it or names its
+    first faulty line.
     """
     codes = [{label: k for k, label in enumerate(v.labels)} for v in schema.variables]
     columns = _columns(schema)
+    labeled = _labeled_columns(schema)
     traj_paths: dict[int, str] = {}
     path = Path(directory) / "trials.txt"
     with _Lines(path) as lines:
@@ -405,20 +432,99 @@ def read_dataset(directory, schema: WorldSchema) -> tuple[Dataset, dict[int, str
         header = lines.fields()
         if header != columns:
             raise lines.error(_column_error(header, columns))
-        rows = np.empty((len(lines.lines) - lines.lineno, len(schema)), dtype=np.int64)
+        first = lines.lineno
+        rows = np.empty((len(lines.lines) - first, len(schema)), dtype=np.int64)
         for start in range(0, len(rows), _BLOCK):
-            block = []
-            for parts in islice(lines.rest(), _BLOCK):
-                row = list(map(dict.get, codes, parts))
-                if len(parts) != len(columns) or None in row:
-                    raise lines.error(_row_error(parts, row, columns))
-                if parts[-1] != "-":
-                    traj_paths[start + len(block)] = os.path.join(str(directory), parts[-1])
-                block.append(row)
-            rows[start : start + len(block)] = block
+            out = rows[start : start + _BLOCK]
+            block = lines.lines[first + start : first + start + len(out)]
+            trajs = None
+            if labeled is not None:
+                trajs = _decode_rows(block, codes[:labeled], out)
+            if trajs is None:
+                trajs = _walk_rows(lines, codes, columns, out)
+            else:
+                lines.lineno += len(out)
+            for row, traj in enumerate(trajs, start):
+                if traj != "-":
+                    traj_paths[row] = os.path.join(str(directory), traj)
     if not len(rows):
         raise SerializeError(f"{path}: no trial records")
     return Dataset(rows=rows, provenance=provenance), traj_paths
+
+
+def _labeled_columns(schema: WorldSchema) -> int | None:
+    """How many columns precede the schema's last run of boolean columns, or
+    None when no byte path fits it: no boolean column is last, or a label of
+    an earlier column is empty or holds whitespace, which no row of a
+    ``str.split`` walk can hold."""
+    labeled = len(schema)
+    while labeled and schema.variables[labeled - 1].labels == BOOL_LABELS:
+        labeled -= 1
+    tokens = [label for v in schema.variables[:labeled] for label in v.labels]
+    if labeled == len(schema) or any(label.split() != [label] for label in tokens):
+        return None
+    return labeled
+
+
+def _decode_rows(block: list[str], codes: list[dict], out: np.ndarray) -> Sequence[str] | None:
+    """The byte path: decode a block written with single spaces into ``out``
+    and return its trajectory fields, or None, leaving the block to
+    ``_walk_rows``.
+
+    Each line is split only at its labeled fields (``codes``) and at its
+    last field, the trajectory path.  The boolean fields between them are
+    joined as bytes, one line per row, and each ``false`` or ``true``
+    becomes ``0`` or ``1``.  The block is decoded only if those bytes held
+    no ``0`` or ``1`` and, once replaced, are one digit per boolean field
+    with one space between fields, every byte checked: so a bare ``0`` or
+    ``1``, a fused ``truefalse``, a word off by a letter or a non-ASCII
+    character is left to the walk.
+    """
+    labeled, n = len(codes), out.shape[1] - len(codes)
+    *labels, rests = zip(*[line.split(" ", labeled) for line in block])
+    if len(labels) != labeled:  # zip stops at the line of fewest fields
+        return None
+    try:
+        heads = [list(map(code.__getitem__, column)) for code, column in zip(codes, labels)]
+    except KeyError:
+        return None
+    # each copy of the block's text is dropped once the next one is made
+    del labels
+    bools, _, trajs = zip(*[rest.rpartition(" ") for rest in rests])
+    del rests
+    words = "\n".join(bools).encode()  # the file was read as UTF-8
+    del bools
+    if b"0" in words or b"1" in words:
+        return None
+    if "\n".join(trajs).split() != list(trajs):
+        return None
+    digits = words.replace(b"false", b"0").replace(b"true", b"1") + b"\n"
+    if len(digits) != 2 * n * len(out):
+        return None
+    text = np.frombuffer(digits, dtype=np.uint8).reshape(len(out), 2 * n)
+    bits = text[:, ::2] - ord("0")
+    gaps = np.frombuffer(b" " * (n - 1) + b"\n", dtype=np.uint8)  # what follows each field
+    if (bits > 1).any() or (text[:, 1::2] != gaps).any():
+        return None
+    out[:, :labeled] = np.array(heads, dtype=np.int64).T
+    out[:, labeled:] = bits
+    return trajs
+
+
+def _walk_rows(lines: _Lines, codes: list[dict], columns: list[str], out: np.ndarray) -> list[str]:
+    """The row walk: decode the next ``len(out)`` lines into ``out`` one row
+    at a time, each split at any run of whitespace, and return their
+    trajectory fields; the first faulty line raises, named by its number."""
+    block, trajs = [], []
+    for _ in range(len(out)):
+        parts = lines.fields()
+        row = list(map(dict.get, codes, parts))
+        if len(parts) != len(columns) or None in row:
+            raise lines.error(_row_error(parts, row, columns))
+        block.append(row)
+        trajs.append(parts[-1])
+    out[:] = block
+    return trajs
 
 
 def _column_error(header: list[str], columns: list[str]) -> str:
@@ -466,13 +572,14 @@ def write_anticipation_csv(path, curve: PrefixCurve, predictions: Sequence[Joint
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> None:
-    """One row per grid point; probability columns carry value labels."""
-    columns = ["confidence"]
-    for idx in np.ndindex(*sweep.posteriors.shape[1:]):
-        pairs = zip(sweep.variables, sweep.labels, idx)
-        columns.append("_".join(f"{var}={labels[i]}" for var, labels, i in pairs))
+    """One row per grid point; probability columns carry value labels,
+    named as they are written."""
+    cells = (
+        "_".join(f"{var}={labels[i]}" for var, labels, i in zip(sweep.variables, sweep.labels, idx))
+        for idx in np.ndindex(*sweep.posteriors.shape[1:])
+    )
     by_point = sweep.posteriors.reshape(len(sweep.grid), -1)  # cells in ``ndindex`` order
-    _write_numeric_csv(path, columns, np.column_stack([sweep.grid, by_point]))
+    _write_numeric_csv(path, chain(["confidence"], cells), np.column_stack([sweep.grid, by_point]))
 
 
 def write_nbest_csv(path, nbest_list: NBestList) -> None:

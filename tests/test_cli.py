@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from afftalk import cli, fusion, hmm, serialize, world
-from afftalk.bn import Dataset, Evidence
+from afftalk.bn import Dataset, Evidence, JointTable
 from afftalk.cli import COMMANDS, RunConfig, main
 from afftalk.fusion import SoftActionEvidence
 
@@ -100,6 +100,32 @@ def test_infer_writes_csv_with_labels(pipeline_dir, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["grasp", "tap", "touch"]
     total = sum(float(line.split(",")[1]) for line in lines[1:])
     assert abs(total - 1.0) < 1e-9
+
+
+def _print_table_in_two_walks(table: JointTable) -> None:
+    """The table print that walks the cells once for the width, then to print."""
+    width = max(len(" ".join(labels)) for labels, _ in table.iter_cells())
+    for labels, p in table.iter_cells():
+        print(f"  {' '.join(labels):<{width}}  {p:.6f}")
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        (("slow", "medium", "fast"),),
+        (("a", "much longer"), ("mid", "x", "longest here")),
+        (("short", "s"), ("x", "a wide label", "yy"), ("no", "forever and a day")),
+    ],
+    ids=["one variable", "two variables", "three variables"],
+)
+def test_printed_table_equals_the_print_in_two_walks(capsys, labels):
+    shape = tuple(map(len, labels))
+    probs = np.random.default_rng(len(shape)).dirichlet(np.ones(np.prod(shape))).reshape(shape)
+    table = JointTable(tuple(f"V{i}" for i in range(len(shape))), labels, probs)
+    _print_table_in_two_walks(table)
+    expected = capsys.readouterr().out
+    cli._print_table(table)
+    assert capsys.readouterr().out == expected
 
 
 def test_infer_with_gesture_evidence(pipeline_dir, capsys):

@@ -15,12 +15,14 @@ import string
 import tempfile
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from afftalk import serialize
 from afftalk.bn import ENUM_CAP, BayesNet, Variable, WorldSchema
 from afftalk.cli import _LIMITS, COMMANDS, RunConfig, main
 from afftalk.hmm import GestureBank, Trajectory
@@ -692,8 +694,23 @@ def test_dataset_errors_name_the_line_and_variable(tmp_path):
     lines = path.read_text().splitlines()
     columns, row = lines[2].split(), lines[3].split()
     assert columns[3] == "Shape"
+    words = [columns[i] for i in (8, 9, 20, 30, 56)]
+    assert words == ["the", "robot", "poking", "picks", "falling"]
     for lineno, broken, message in [
         (4, [*row[:3], "cone", *row[4:]], "unknown label 'cone' for variable 'Shape'"),
+        # word columns: each token a naive byte decode of false/true could take
+        (4, [*row[:8], "1", *row[9:]], "unknown label '1' for variable 'the'"),
+        (4, [*row[:56], "0", *row[57:]], "unknown label '0' for variable 'falling'"),
+        (4, [*row[:9], "True", *row[10:]], "unknown label 'True' for variable 'robot'"),
+        (4, [*row[:20], "tru", *row[21:]], "unknown label 'tru' for variable 'poking'"),
+        (4, [*row[:30], "truefalse", *row[31:]], "unknown label 'truefalse' for variable 'picks'"),
+        (4, [*row[:20], "x", *row[21:]], "unknown label 'x' for variable 'poking'"),
+        # 97 fused words decode to 49 digits and 48 more where the spaces belong
+        (
+            4,
+            [*row[:8], "false" * 97, row[-1]],
+            "row ends before column 'he': expected 58 fields, found 10",
+        ),
         (4, row[:-1], "row ends before column 'traj': expected 58 fields, found 57"),
         (4, row[:3] + row[4:], "row ends before column 'traj': expected 58 fields, found 57"),
         (4, [], "row ends before column 'Action': expected 58 fields, found 0"),
@@ -904,11 +921,66 @@ def test_dataset_round_trip_property(tmp_path, seed, n, per_action, provenance):
         write_dataset(directory, replace(data, provenance=provenance), trajectories, config.schema)
         loaded, traj_paths = read_dataset(directory, config.schema)
         frames = {row: load_trajectory(path).frames for row, path in traj_paths.items()}
+        walked = _outcome(_read_walking, directory, config.schema)
     assert loaded.provenance == provenance
     assert np.array_equal(loaded.rows, data.rows)
     assert sorted(traj_paths) == sorted(trajectories)
     for row, loaded_frames in frames.items():
         assert np.array_equal(loaded_frames, trajectories[row].frames)
+    assert walked == (loaded.rows.tolist(), provenance, traj_paths)
+
+
+def _read_walking(directory, schema):
+    """``read_dataset`` with every block walked one row at a time."""
+    with mock.patch.object(serialize, "_decode_rows", lambda *args: None):
+        return read_dataset(directory, schema)
+
+
+def _outcome(read, directory, schema):
+    """What ``read`` makes of a dataset: its rows, provenance and paths, or its error."""
+    try:
+        data, traj_paths = read(directory, schema)
+    except SerializeError as exc:
+        return str(exc)
+    return data.rows.tolist(), data.provenance, traj_paths
+
+
+@pytest.fixture(scope="module")
+def two_blocks(tmp_path_factory, world_config):
+    """The lines of a dataset of two blocks, with a trajectory in each."""
+    root = tmp_path_factory.mktemp("two_blocks")
+    data, drawn = generate_trials(world_config, 1100, seed=9, trajectories_per_action=1)
+    placed = dict(zip([5, 1030, 1099], drawn.values()))
+    write_dataset(root, data, placed, world_config.schema)
+    return (root / "trials.txt").read_text().splitlines()
+
+
+@PROPERTY
+@given(data=st.data())
+def test_byte_path_and_row_walk_agree_on_any_edited_row(tmp_path, two_blocks, world_config, data):
+    """A field replaced by a token near ``false``/``true``, or a character
+    inserted or deleted, anywhere in a row: the byte path decodes the file
+    exactly as the row walk does, or fails with its message and line."""
+    lines = list(two_blocks)
+    i = data.draw(st.integers(3, len(lines) - 1))
+    op = data.draw(st.sampled_from(["field", "insert", "delete"]))
+    if op == "field":
+        parts = lines[i].split(" ")
+        tokens = ["1", "0", "True", "tru", "truefalse", "x", "", "é", "false\ttrue", "true  false"]
+        parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(st.sampled_from(tokens))
+        lines[i] = " ".join(parts)
+    elif op == "insert":
+        at = data.draw(st.integers(0, len(lines[i])))
+        text = data.draw(st.sampled_from([" ", "\t", "  ", "\xa0", "\u2003", "e", "t"]))
+        lines[i] = lines[i][:at] + text + lines[i][at:]
+    else:
+        at = data.draw(st.integers(0, len(lines[i]) - 1))
+        lines[i] = lines[i][:at] + lines[i][at + 1 :]
+    directory = tmp_path / "edited"
+    directory.mkdir(exist_ok=True)
+    (directory / "trials.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    walked = _outcome(_read_walking, directory, world_config.schema)
+    assert _outcome(read_dataset, directory, world_config.schema) == walked
 
 
 # ---------------------------------------------------------------------------

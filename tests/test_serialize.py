@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import os
 import re
@@ -7,7 +9,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from afftalk.bn import Dataset, Evidence, JointTable, build_network, fit_parameters, query
+from afftalk import serialize
+from afftalk.bn import (
+    BOOL_LABELS,
+    Dataset,
+    Evidence,
+    JointTable,
+    WorldSchema,
+    build_network,
+    fit_parameters,
+    query,
+)
+from afftalk.cli import main
 from afftalk.fusion import SweepResult
 from afftalk.hmm import PrefixCurve, Trajectory, train_bank
 from afftalk.serialize import (
@@ -25,6 +38,7 @@ from afftalk.serialize import (
     write_anticipation_csv,
     write_dataset,
     write_sweep_csv,
+    write_table_csv,
 )
 from afftalk.world import default_config, generate_trials, sample_trajectory
 
@@ -261,12 +275,117 @@ def test_dataset_errors_in_the_third_block_name_their_own_line(tmp_path):
     for row, edit, message in [
         (2053, lambda p: [*p[:3], "cone", *p[4:]], "unknown label 'cone' for variable 'Shape'"),
         (2499, lambda p: p[:-1], "row ends before column 'traj': expected 58 fields, found 57"),
+        # word columns: each token a naive byte decode of false/true could take
+        (2048, lambda p: [*p[:8], "1", *p[9:]], "unknown label '1' for variable 'the'"),
+        (2300, lambda p: [*p[:56], "0", *p[57:]], "unknown label '0' for variable 'falling'"),
+        (2301, lambda p: [*p[:9], "True", *p[10:]], "unknown label 'True' for variable 'robot'"),
+        (2400, lambda p: [*p[:20], "tru", *p[21:]], "unknown label 'tru' for variable 'poking'"),
+        (
+            2499,
+            lambda p: [*p[:30], "truefalse", *p[31:]],
+            "unknown label 'truefalse' for variable 'picks'",
+        ),
+        (2402, lambda p: [*p[:20], "x", *p[21:]], "unknown label 'x' for variable 'poking'"),
+        (
+            2403,
+            lambda p: [*p[:8], "true" * 97, p[-1]],
+            "row ends before column 'he': expected 58 fields, found 10",
+        ),
     ]:
         text = list(lines)
         text[row + 3] = " ".join(edit(text[row + 3].split()))
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(SerializeError, match=re.escape(f"{path}:{row + 4}: {message}")):
             read_dataset(tmp_path, schema)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The row count of every block ``read_dataset`` walks one row at a time."""
+    calls = []
+    walk = serialize._walk_rows
+    monkeypatch.setattr(serialize, "_walk_rows", lambda *a: calls.append(len(a[-1])) or walk(*a))
+    return calls
+
+
+def test_the_default_dataset_takes_the_byte_path_in_every_block(tmp_path, walks):
+    assert main(["simulate", "--out", str(tmp_path)]) == 0
+    loaded, traj_paths = read_dataset(tmp_path, default_config().schema)
+    assert len(loaded) == 10000 and len(traj_paths) == 150
+    assert walks == []
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda line: line.replace(" ", "\t", 1),
+        lambda line: line.replace(" false ", " false  ", 1),
+        lambda line: " " + line,
+        lambda line: " " + line.replace(" ", "\t", 1).replace(" false ", " false  ", 1),
+        lambda line: "{0}\t{2}".format(*line.rpartition(" ")),
+        lambda line: line + "\t",
+    ],
+    ids=[
+        "tab",
+        "double space",
+        "leading space",
+        "tab, double space and leading space",
+        "tab before the path",
+        "tab after the path",
+    ],
+)
+def test_a_line_off_the_byte_path_decodes_as_the_canonical_file(tmp_path, walks, edit):
+    config = default_config()
+    data, drawn = generate_trials(config, 2500, seed=6, trajectories_per_action=1)
+    row = _BLOCK + _BLOCK // 2  # the middle of the second block
+    write_dataset(tmp_path, data, _placed(drawn, [row - 1, row]), config.schema)
+    canonical, canonical_paths = read_dataset(tmp_path, config.schema)
+    assert walks == []
+    path = tmp_path / "trials.txt"
+    lines = path.read_text().splitlines()
+    lines[row + 3] = edit(lines[row + 3])
+    path.write_text("\n".join(lines) + "\n")
+    loaded, traj_paths = read_dataset(tmp_path, config.schema)
+    assert np.array_equal(loaded.rows, canonical.rows) and loaded.provenance == canonical.provenance
+    assert traj_paths == canonical_paths and len(traj_paths) == 2
+    assert walks == [_BLOCK]  # the second block only
+
+
+ACTION, SIZE = ("Action", ("grasp", "tap", "touch")), ("Size", ("small", "big"))
+
+
+@pytest.mark.parametrize(
+    "pairs, walked",
+    [
+        ([("said", BOOL_LABELS), ACTION, ("heard", BOOL_LABELS), SIZE], [_BLOCK, 1500 - _BLOCK]),
+        ([ACTION, SIZE], [_BLOCK, 1500 - _BLOCK]),
+        ([ACTION, ("said", BOOL_LABELS), ("heard", BOOL_LABELS)], []),
+        ([("said", BOOL_LABELS), ("heard", BOOL_LABELS)], []),
+    ],
+    ids=["boolean columns not last", "no boolean column", "boolean columns last", "only booleans"],
+)
+def test_other_schemas_round_trip_through_the_path_their_columns_allow(
+    tmp_path, walks, pairs, walked
+):
+    schema = WorldSchema.of(pairs)
+    rows = np.random.default_rng(len(pairs)).integers(0, schema.arities, size=(1500, len(schema)))
+    write_dataset(tmp_path, Dataset(rows=rows, provenance="other"), {}, schema)
+    loaded, traj_paths = read_dataset(tmp_path, schema)
+    assert np.array_equal(loaded.rows, rows) and loaded.provenance == "other"
+    assert traj_paths == {} and walks == walked
+
+
+@pytest.mark.parametrize("label", ["", "a b", "a\tb"])
+def test_a_label_no_row_can_hold_leaves_the_file_to_the_row_walk(tmp_path, walks, label):
+    """A label that is empty or holds whitespace is written, but no row walk
+    reads it back; the byte path must not read it either."""
+    schema = WorldSchema.of([("Action", (label, "tap")), ("said", BOOL_LABELS)])
+    write_dataset(tmp_path, Dataset(rows=[[0, 1]], provenance="blank"), {}, schema)
+    found = len(label.split()) + 2
+    message = f":4: row {'ends before' if found < 3 else 'runs past'}"
+    with pytest.raises(SerializeError, match=re.escape(message)):
+        read_dataset(tmp_path, schema)
+    assert walks == [1]
 
 
 @pytest.mark.parametrize("key", [-1, 5, 6])
@@ -313,6 +432,50 @@ def test_read_dataset_holds_one_block_beyond_its_rows_and_text(tmp_path):
         beyond.append(peak - loaded.rows.nbytes - text)
     # one block of decoded rows as int64
     assert beyond[1] - beyond[0] < _BLOCK * len(config.schema) * 8
+
+
+def _table_csv_oracle(table: JointTable) -> bytes:
+    """``write_table_csv``'s file built in memory by one ``csv.writer``."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow([*table.variables, "p"])
+    writer.writerows([*labels, _fmt(p)] for labels, p in table.iter_cells())
+    return text.getvalue().encode()
+
+
+def test_result_csvs_hold_one_block_whatever_the_table_size(tmp_path, monkeypatch):
+    # the sweeps below span several pieces, and 1,001 fields are 13 whole pieces
+    piece = 77
+    monkeypatch.setattr(serialize, "_CELLS", piece)
+    beyond = []
+    for arity in (10, 20):  # 1,000 and 8,000 cells, and as many sweep points or columns
+        cells = np.random.default_rng(arity).dirichlet(np.ones(arity**3))
+        labels = ("a,b", "c\nd", *(f"v{k}" for k in range(2, arity)))  # csv quotes both
+        table = JointTable(("A", "B", "C"), (labels,) * 3, cells.reshape((arity,) * 3))
+        tall = SweepResult(
+            grid=tuple(np.linspace(0.5, 1, len(cells)).tolist()),
+            variables=("Action",),
+            labels=(("grasp", "tap, or not"),),
+            posteriors=np.column_stack([cells, 1 - cells]),
+        )
+        wide = SweepResult((0.5, 1.0), table.variables, table.labels, np.stack([table.probs] * 2))
+        peaks = []
+        for name, write, result, oracle in [
+            ("table", write_table_csv, table, _table_csv_oracle),
+            ("tall", write_sweep_csv, tall, reference_sweep_csv),
+            ("wide", write_sweep_csv, wide, reference_sweep_csv),
+        ]:
+            path = tmp_path / f"{name}{arity}.csv"
+            _, (_, peak) = _traced(lambda: write(path, result))
+            assert path.read_bytes() == oracle(result)
+            peaks.append(peak)
+        # each sweep's numeric table is stacked, with its grid, before it is written
+        stacked = [0, len(cells) * 3 * 8, (len(cells) + 1) * 2 * 8]
+        beyond.append(np.subtract(peaks, stacked))
+    # no row of the table is held once written, and one piece of a sweep
+    # (cells, or header fields of up to 17 characters) as Python objects and text
+    table, tall, wide = np.subtract(beyond[1], beyond[0])
+    assert table < 4096 and tall < piece * 64 and wide < piece * 128
 
 
 def test_read_dataset_missing_file(tmp_path):
