@@ -9,6 +9,7 @@ as an independent cross-check for ``query``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -396,9 +397,8 @@ class JointTable:
         )
 
     def iter_cells(self):
-        """Yield (label tuple, probability) in row-major order."""
-        for idx in np.ndindex(*self.probs.shape):
-            yield tuple(self.labels[a][i] for a, i in enumerate(idx)), float(self.probs[idx])
+        """(label tuple, probability) pairs in row-major order."""
+        return zip(itertools.product(*self.labels), map(float, self.probs.flat))
 
 
 @dataclass

@@ -13,10 +13,12 @@ rows) are parsed as blocks: their layout follows from the lines before them
 and, for the CPTs, from each CPT's own header.  Each line is split as any
 other line is, so runs of spaces and tabs are accepted; the field counts and
 leads are compared with the layout once, and one ``float`` pass converts
-every number.  A section off its layout is walked one line at a time only
-to name the first faulty line.  Dataset rows are decoded a block at a time
-in the same spirit: a block as ``write_dataset`` writes it is decoded from
-bytes, and any other block is walked one row at a time.
+every number.  A section off its layout is walked one line at a time, along
+the runs already laid out, only to name the first faulty line.  Dataset rows
+are decoded a block at a time in the same spirit: a block as
+``write_dataset`` writes it is decoded from bytes, and any other block is
+walked one row at a time.  Every file is written as it is formatted, through
+one open text file.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ import csv
 import io
 import math
 import os
-from functools import partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice, product, repeat
 from operator import getitem
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -120,22 +121,25 @@ class _Lines:
         return parts
 
     def numbers(self, layout) -> np.ndarray:
-        """The numbers of the section ``layout()`` describes, flattened in file order.
+        """The numbers of the section ``layout`` lays out, flattened in file order.
 
-        ``layout()`` yields the section's runs of lines, each as (count of
-        lines, count of fields per line, the lead fields of each line or
-        None).  It is lazy, and may read lines of its own with ``fields``
-        between runs, such as a CPT's header.  The lines are split as
-        ``fields`` splits them, their field counts and leads are compared
+        ``layout`` is an iterator over the section's runs of lines, each as
+        (count of lines, count of fields per line, the lead fields of each
+        line or None).  It is lazy, and may read lines of its own with
+        ``fields`` between runs, such as a CPT's header.  The lines are split
+        as ``fields`` splits them, their field counts and leads are compared
         with the layout in one comparison each, and all their numbers go
-        through one ``float`` pass.  A section off its layout is read again
-        one line at a time, along a second ``layout()``, only to name its
-        first faulty line.
+        through one ``float`` pass.  A section off its layout, or a layout
+        that raises, is walked one line at a time along the runs already laid
+        out, only to name its first faulty line: every line the layout read
+        before it stopped was read without a fault.  A fault the walk does
+        not meet, such as a header's, names the line it was raised on.
         """
-        start, rows, sizes, heads, text = self.lineno, [], [], [], self.lines
+        runs, rows, sizes, heads, text = [], [], [], [], self.lines
         try:
-            for n_lines, width, leads in layout():
+            for n_lines, width, leads in layout:
                 at = self.lineno
+                runs.append((at, n_lines, width, leads))
                 self.lineno = stop = at + n_lines
                 if stop > len(text):
                     raise ValueError("truncated file")
@@ -152,12 +156,13 @@ class _Lines:
                 fields = map(getitem, fields, map(slice, cuts, repeat(None)))
             return np.array(list(map(float, chain.from_iterable(fields))))
         except ValueError as exc:
-            fault = exc
-        self.lineno = start
-        for n_lines, width, leads in layout():
+            fault, lineno = exc, self.lineno
+        for at, n_lines, width, leads in runs:
+            self.lineno = at
             for lead in leads or repeat((), n_lines):
                 for cell in self.fields(*lead, count=width)[len(lead) :]:
                     float(cell)
+        self.lineno = lineno
         raise fault
 
     def room(self, n_lines: int) -> int:
@@ -179,15 +184,6 @@ def _open_text(path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     return open(path, "w", encoding="utf-8", newline="")
-
-
-def _write_text(path, text: str) -> None:
-    with _open_text(path) as out:
-        out.write(text)
-
-
-def _write_lines(path, lines: Sequence[str]) -> None:
-    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_csv(path, header: list[str], rows) -> None:
@@ -243,20 +239,18 @@ def _check_header(lines: _Lines, kind: str) -> None:
 
 
 def save_bayesnet(path, net: BayesNet) -> None:
-    lines = [_header("bayesnet")]
-    lines.append(f"variables {len(net.schema)}")
-    for var in net.schema.variables:
-        lines.append("var " + " ".join((var.name,) + var.labels))
     names = net.schema.names
-    for i, ps in enumerate(net.parents):
-        lines.append("parents " + " ".join((names[i],) + tuple(names[p] for p in ps)))
-    for i, cpt in enumerate(net.cpts):
-        rows = cpt.reshape(-1, cpt.shape[-1])
-        lines.append(f"cpt {names[i]} {rows.shape[0]} {rows.shape[1]}")
-        for row in rows:
-            lines.append(" ".join(_fmt(v) for v in row))
-    lines.append("end")
-    _write_lines(path, lines)
+    with _open_text(path) as out:
+        out.write(f"{_header('bayesnet')}\nvariables {len(net.schema)}\n")
+        for var in net.schema.variables:
+            out.write("var " + " ".join((var.name,) + var.labels) + "\n")
+        for i, ps in enumerate(net.parents):
+            out.write("parents " + " ".join((names[i],) + tuple(names[p] for p in ps)) + "\n")
+        for i, cpt in enumerate(net.cpts):
+            rows = cpt.reshape(-1, cpt.shape[-1])
+            out.write(f"cpt {names[i]} {rows.shape[0]} {rows.shape[1]}\n")
+            out.writelines(" ".join(map(_fmt, row)) + "\n" for row in rows)
+        out.write("end\n")
 
 
 def load_bayesnet(path) -> BayesNet:
@@ -275,7 +269,7 @@ def load_bayesnet(path) -> BayesNet:
             parents.append(tuple(map(schema.index, parts[2:])))
         shapes = [(*map(arities.__getitem__, ps), arities[i]) for i, ps in enumerate(parents)]
         sizes = list(map(math.prod, shapes))
-        values = lines.numbers(partial(_cpt_layout, lines, names, shapes, sizes))
+        values = lines.numbers(_cpt_layout(lines, names, shapes, sizes))
         ends = list(accumulate(sizes))
         cpts = map(np.ndarray.reshape, map(values.__getitem__, map(slice, [0, *ends], ends)), shapes)
         lines.fields("end", count=1)
@@ -297,25 +291,24 @@ def _cpt_layout(lines: _Lines, names, shapes, sizes):
         else:
             n_rows, arity = map(lines.size, lines.fields("cpt", name, count=4)[2:])
         yield n_rows, arity, None
-        if n_rows * arity != size:  # in numpy's words for a failed reshape
-            dims = ",".join(map(str, shape)) + ("," if len(shape) == 1 else "")
-            raise ValueError(f"cannot reshape array of size {n_rows * arity} into shape ({dims})")
+        if n_rows * arity != size:
+            held = f"{n_rows} x {arity} = {n_rows * arity}"
+            raise ValueError(f"cpt {name!r} holds {held} numbers, its parents give {size}")
 
 
 def save_gesture_bank(path, bank: GestureBank) -> None:
-    lines = [_header("gesturebank")]
-    lines.append(f"models {len(bank.models)}")
-    for m in bank.models:
-        lines.append(f"model {m.action_label} {m.n_states} {m.n_mixtures} {m.dim}")
-        for q in range(m.n_states):
-            lines.append(f"logtrans {q} " + " ".join(_fmt(v) for v in m.log_trans[q]))
-        for q in range(m.n_states):
-            lines.append(f"mix {q} " + " ".join(_fmt(v) for v in m.weights[q]))
-            for c in range(m.n_mixtures):
-                lines.append(f"mean {q} {c} " + " ".join(_fmt(v) for v in m.means[q, c]))
-                lines.append(f"var {q} {c} " + " ".join(_fmt(v) for v in m.variances[q, c]))
-    lines.append("end")
-    _write_lines(path, lines)
+    with _open_text(path) as out:
+        out.write(f"{_header('gesturebank')}\nmodels {len(bank.models)}\n")
+        for m in bank.models:
+            out.write(f"model {m.action_label} {m.n_states} {m.n_mixtures} {m.dim}\n")
+            for q in range(m.n_states):
+                out.write(f"logtrans {q} " + " ".join(map(_fmt, m.log_trans[q])) + "\n")
+            for q in range(m.n_states):
+                out.write(f"mix {q} " + " ".join(map(_fmt, m.weights[q])) + "\n")
+                for c in range(m.n_mixtures):
+                    out.write(f"mean {q} {c} " + " ".join(map(_fmt, m.means[q, c])) + "\n")
+                    out.write(f"var {q} {c} " + " ".join(map(_fmt, m.variances[q, c])) + "\n")
+        out.write("end\n")
 
 
 def load_gesture_bank(path) -> GestureBank:
@@ -325,7 +318,7 @@ def load_gesture_bank(path) -> GestureBank:
         for _ in range(lines.size(lines.fields("models", count=2)[1])):
             _, label, *dims = lines.fields("model", count=5)
             n_states, n_mix, dim = map(lines.size, dims)
-            values = lines.numbers(partial(_model_layout, lines, n_states, n_mix, dim))
+            values = lines.numbers(_model_layout(lines, n_states, n_mix, dim))
             per_state = values[n_states * n_states :].reshape(n_states, -1)
             pairs = per_state[:, n_mix:].reshape(n_states, n_mix, 2, dim)
             models.append(
@@ -354,7 +347,9 @@ def _model_layout(lines: _Lines, n_states: int, n_mix: int, dim: int):
 def save_trajectory(path, traj: Trajectory) -> None:
     header = "t," + ",".join("xyz"[d] if traj.dim <= 3 else f"d{d}" for d in range(traj.dim))
     table = np.column_stack([np.arange(len(traj)) * traj.frame_period, traj.frames])
-    _write_text(path, header + "\n" + _numeric_rows(table, "\n"))
+    with _open_text(path) as out:
+        out.write(header + "\n")
+        out.write(_numeric_rows(table, "\n"))
 
 
 def load_trajectory(path) -> Trajectory:
@@ -363,7 +358,7 @@ def load_trajectory(path) -> Trajectory:
         if width < 2:
             raise lines.error("expected a coordinate column after 't'")
         n_frames = len(lines.lines) - 1
-        table = lines.numbers(lambda: [(n_frames, width, None)]).reshape(-1, width)
+        table = lines.numbers([(n_frames, width, None)]).reshape(-1, width)
         steps = np.diff(table[:, 0])
         # written so that a NaN time fails too; frame k sits on line k + 2
         stalled = np.flatnonzero(~(steps > 0))
@@ -575,10 +570,10 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
     """One row per grid point; probability columns carry value labels,
     named as they are written."""
     cells = (
-        "_".join(f"{var}={labels[i]}" for var, labels, i in zip(sweep.variables, sweep.labels, idx))
-        for idx in np.ndindex(*sweep.posteriors.shape[1:])
+        "_".join(map("{}={}".format, sweep.variables, labels))
+        for labels in product(*sweep.labels)
     )
-    by_point = sweep.posteriors.reshape(len(sweep.grid), -1)  # cells in ``ndindex`` order
+    by_point = sweep.posteriors.reshape(len(sweep.grid), -1)  # cells in ``product`` order
     _write_numeric_csv(path, chain(["confidence"], cells), np.column_stack([sweep.grid, by_point]))
 
 

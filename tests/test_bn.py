@@ -466,6 +466,27 @@ def test_marginal_consistency_of_joint_tables():
     assert np.allclose(joint.marginal(["X2"]).probs, single.probs)
 
 
+@pytest.mark.parametrize("arities", [(2, 3, 4), (5,)])
+def test_iter_cells_walks_the_cells_as_ndindex_does(arities):
+    """Row-major order, whatever the memory layout: the probabilities are
+    drawn in reversed shape and transposed, so a table of two or more
+    variables holds them in column-major order."""
+    probs = np.random.default_rng(11).random(arities[::-1]).T
+    table = bn.JointTable(
+        variables=tuple(f"V{a}" for a in range(len(arities))),
+        labels=tuple(tuple(f"v{a}_{i}" for i in range(n)) for a, n in enumerate(arities)),
+        probs=probs / probs.sum(),
+    )
+    assert table.probs.flags.c_contiguous == (len(arities) == 1)
+    oracle = [
+        (tuple(table.labels[a][i] for a, i in enumerate(idx)), float(table.probs[idx]))
+        for idx in np.ndindex(*table.probs.shape)
+    ]
+    cells = list(table.iter_cells())
+    assert cells == oracle
+    assert {type(p) for _, p in cells} == {float}
+
+
 def _index_split(net, infer, obs):
     return [net.schema.index(v) for v in infer], {
         net.schema.index(n): v for n, v in obs.items()

@@ -131,6 +131,36 @@ def _cpt_header_rows_off(lines):
     return i + rows + 1
 
 
+def _cpt_header_rows_one_short(lines):
+    """A cpt header that promises one row fewer than its parents give: its
+    rows parse, but they hold too few numbers for the CPT."""
+    i, rows = _first_table(lines)
+    _, name, _, arity = lines[i].split()
+    lines[i] = f"cpt {name} {rows - 1} {arity}"
+    return i + rows - 1
+
+
+def _cpt_cell_before_a_misnamed_header(lines):
+    """A non-numeric cell in the first CPT with two rows or more, then a
+    later cpt header naming no variable: the cell is the first fault."""
+    i, _ = _first_table(lines)
+    lines[i + 1] = "x " + lines[i + 1].split(" ", 1)[1]
+    later = i + 1 + _first(lines[i + 1 :], "cpt ")
+    _, _, *counts = lines[later].split()
+    lines[later] = " ".join(["cpt", "Nowhere", *counts])
+    return i + 1
+
+
+def _cpt_header_rows_word(lines):
+    """The second cpt header's row count written as a word: the error names
+    that header, not the last row before it."""
+    i = _first(lines, "cpt ")
+    i += _first(lines[i + 1 :], "cpt ") + 1
+    _, name, _, arity = lines[i].split()
+    lines[i] = f"cpt {name} x {arity}"
+    return i
+
+
 def _cpt_cut_short(lines):
     """A CPT block without its last row: the next header is read in its place."""
     i, rows = _first_table(lines)
@@ -385,11 +415,24 @@ def _unchanged(lines):
 
 # (id, input kind, edit of the valid file's lines returning the 0-based
 # index of the line an error must name, or None for an error about the
-# whole file)
+# whole file, and optionally the text the error must give after it)
 FILE_CASES = [
     ("non-numeric CPT cell", "bn", _cpt_cell),
     ("adjacent CPT rows whose field counts cancel out", "bn", _cpt_rows_that_cancel_out),
     ("cpt header whose row count disagrees with the parents", "bn", _cpt_header_rows_off),
+    (
+        "cpt header one row short of its parents",
+        "bn",
+        _cpt_header_rows_one_short,
+        "cpt 'ObjVel' holds 5 x 3 = 15 numbers, its parents give 18",
+    ),
+    (
+        "non-numeric CPT cell before a misnamed cpt header",
+        "bn",
+        _cpt_cell_before_a_misnamed_header,
+        "could not convert string to float: 'x'",
+    ),
+    ("cpt header with a non-numeric row count", "bn", _cpt_header_rows_word),
     ("CPT block cut one row short", "bn", _cpt_cut_short),
     ("network cut off after a whole CPT", "bn", _cut_after_a_whole_cpt),
     ("cpt header with a huge row count", "bn", _huge_cpt_rows),
@@ -430,8 +473,12 @@ FILE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("kind,edit", [c[1:] for c in FILE_CASES], ids=[c[0] for c in FILE_CASES])
-def test_malformed_file_exits_4_naming_path_and_line(inputs, kind, edit):
+@pytest.mark.parametrize(
+    "kind,edit,message",
+    [(kind, edit, "".join(message)) for _, kind, edit, *message in FILE_CASES],
+    ids=[c[0] for c in FILE_CASES],
+)
+def test_malformed_file_exits_4_naming_path_and_line(inputs, kind, edit, message):
     lines = _source(kind, inputs).read_text().splitlines()
     index = edit(lines)
     path = inputs / "bad" / _source(kind, inputs).name
@@ -439,7 +486,7 @@ def test_malformed_file_exits_4_naming_path_and_line(inputs, kind, edit):
     code, err = _exit_code(_argv(kind, inputs, path))
     assert code == 4, err
     where = path if index is None else f"{path}:{index + 1}"
-    assert f"error[SerializeError]: {where}: " in err
+    assert f"error[SerializeError]: {where}: {message}" in err
 
 
 # (id, config file text or None, extra flags)
