@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -38,6 +39,8 @@ from .serialize import SerializeError
 from .world import WorldError
 
 CONFIG_VERSION = 1
+# An answer written with ``--out`` prints at most this many cells; the file has them all.
+_PRINTED_CELLS = 1000
 
 # Range of each numeric config field, and how an error states it.  The upper
 # bounds keep one command's memory and time bounded before it starts.
@@ -131,12 +134,15 @@ def _parse_names(text: str) -> tuple[str, ...]:
     return names
 
 
-def _print_table(table: JointTable) -> None:
+def _print_table(table: JointTable, out=None) -> None:
     # every combination of labels is a cell, so the widest cell's labels
     # are each variable's longest label
     width = len(" ".join(max(labels, key=len) for labels in table.labels))
-    for labels, p in table.iter_cells():
+    shown = _PRINTED_CELLS if out and table.probs.size > _PRINTED_CELLS else None
+    for labels, p in itertools.islice(table.iter_cells(), shown):
         print(f"  {' '.join(labels):<{width}}  {p:.6f}")
+    if shown:
+        print(f"  ... {table.probs.size - shown} more cells in {out}")
 
 
 def _load_soft(args) -> SoftActionEvidence | None:
@@ -236,7 +242,7 @@ def cmd_infer(args, config: RunConfig) -> int:
             f"P({', '.join(infer_vars)} | evidence, gesture) "
             f"[consistency {result.consistency:.6f}]:"
         )
-    _print_table(table)
+    _print_table(table, args.out)
     if args.out:
         serialize.write_table_csv(args.out, table)
         print(f"wrote {args.out}")

@@ -8,17 +8,18 @@ are small CSV files with a ``t,x,y,z`` header.  Results are CSV files with
 labeled header columns.  Every reader reports a malformed file as a
 ``SerializeError`` that names ``path:line``.
 
-The numeric sections (a network's CPTs, each bank model, a trajectory's
-rows) are parsed as blocks: their layout follows from the lines before them
-and, for the CPTs, from each CPT's own header.  Each line is split as any
-other line is, so runs of spaces and tabs are accepted; the field counts and
-leads are compared with the layout once, and one ``float`` pass converts
-every number.  A section off its layout is walked one line at a time, along
-the runs already laid out, only to name the first faulty line.  Dataset rows
-are decoded a block at a time in the same spirit: a block as
-``write_dataset`` writes it is decoded from bytes, and any other block is
-walked one row at a time.  Every file is written as it is formatted, through
-one open text file.
+A network's CPTs and a trajectory's rows are parsed as blocks: their layout
+follows from the lines before them and, for the CPTs, from each CPT's own
+header.  Lines are split on runs of spaces and tabs (on commas in a
+trajectory), their field counts are compared with the layout at once, and
+one ``float`` pass converts every number.  A block off its layout is walked
+one line at a time, along the runs already laid out, only to name its first
+faulty line.  A gesture bank is read one line at a time, each line's lead
+and field count checked as it is read, so nothing is built from a model
+line's counts before the lines they describe.  Dataset rows are decoded a
+block at a time: a block as ``write_dataset`` writes it is decoded from
+bytes, and any other block is walked one row at a time.  Every file is
+written as it is formatted, through one open text file.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import io
 import math
 import os
 from itertools import accumulate, chain, islice, product, repeat
-from operator import getitem
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -120,55 +120,46 @@ class _Lines:
             raise self.error(f"expected {count} fields, found {len(parts)}")
         return parts
 
+    def row(self, width: int, *lead: str) -> list[float]:
+        """The numbers of the next line, which must hold ``width`` fields and
+        begin with ``lead``; the lead is left out."""
+        return list(map(float, self.fields(*lead, count=width)[len(lead) :]))
+
     def numbers(self, layout) -> np.ndarray:
         """The numbers of the section ``layout`` lays out, flattened in file order.
 
         ``layout`` is an iterator over the section's runs of lines, each as
-        (count of lines, count of fields per line, the lead fields of each
-        line or None).  It is lazy, and may read lines of its own with
-        ``fields`` between runs, such as a CPT's header.  The lines are split
-        as ``fields`` splits them, their field counts and leads are compared
-        with the layout in one comparison each, and all their numbers go
-        through one ``float`` pass.  A section off its layout, or a layout
-        that raises, is walked one line at a time along the runs already laid
-        out, only to name its first faulty line: every line the layout read
-        before it stopped was read without a fault.  A fault the walk does
-        not meet, such as a header's, names the line it was raised on.
+        (count of lines, fields per line).  It is lazy, and may read lines of
+        its own with ``fields`` between runs, such as a CPT's header.  The
+        lines are split as ``fields`` splits them, their field counts are
+        compared with the layout at once, and all their numbers go through
+        one ``float`` pass.  A section off its layout, or a layout that
+        raises, is walked one ``row`` at a time along the runs already laid
+        out, only to name its first faulty line; a fault the walk does not
+        meet, such as a header's, names the line it was raised on.
         """
-        runs, rows, sizes, heads, text = [], [], [], [], self.lines
+        runs, rows, sizes, text = [], [], [], self.lines
         try:
-            for n_lines, width, leads in layout:
+            for n_lines, width in layout:
                 at = self.lineno
-                runs.append((at, n_lines, width, leads))
+                runs.append((at, n_lines, width))
                 self.lineno = stop = at + n_lines
                 if stop > len(text):
                     raise ValueError("truncated file")
                 rows += text[at:stop]
                 sizes += [width] * n_lines
-                heads += leads or [[]] * n_lines
             fields = list(map(str.split, rows, repeat(self.sep)))
             if list(map(len, fields)) != sizes:
                 raise ValueError("field counts off the layout")
-            if any(heads):  # compared, then left out of the numbers
-                cuts = list(map(len, heads))
-                if list(map(getitem, fields, map(slice, cuts))) != heads:
-                    raise ValueError("leads off the layout")
-                fields = map(getitem, fields, map(slice, cuts, repeat(None)))
             return np.array(list(map(float, chain.from_iterable(fields))))
         except ValueError as exc:
             fault, lineno = exc, self.lineno
-        for at, n_lines, width, leads in runs:
+        for at, n_lines, width in runs:
             self.lineno = at
-            for lead in leads or repeat((), n_lines):
-                for cell in self.fields(*lead, count=width)[len(lead) :]:
-                    float(cell)
+            for _ in range(n_lines):
+                self.row(width)
         self.lineno = lineno
         raise fault
-
-    def room(self, n_lines: int) -> int:
-        """``n_lines``, cut to one past the lines left: a run is never read
-        further, so nothing is built from a count the file cannot hold."""
-        return min(n_lines, len(self.lines) - self.lineno + 1)
 
     def size(self, text: str) -> int:
         """A count read from the current line, which must be positive."""
@@ -290,7 +281,7 @@ def _cpt_layout(lines: _Lines, names, shapes, sizes):
             lines.lineno += 1
         else:
             n_rows, arity = map(lines.size, lines.fields("cpt", name, count=4)[2:])
-        yield n_rows, arity, None
+        yield n_rows, arity
         if n_rows * arity != size:
             held = f"{n_rows} x {arity} = {n_rows * arity}"
             raise ValueError(f"cpt {name!r} holds {held} numbers, its parents give {size}")
@@ -318,30 +309,19 @@ def load_gesture_bank(path) -> GestureBank:
         for _ in range(lines.size(lines.fields("models", count=2)[1])):
             _, label, *dims = lines.fields("model", count=5)
             n_states, n_mix, dim = map(lines.size, dims)
-            values = lines.numbers(_model_layout(lines, n_states, n_mix, dim))
-            per_state = values[n_states * n_states :].reshape(n_states, -1)
-            pairs = per_state[:, n_mix:].reshape(n_states, n_mix, 2, dim)
-            models.append(
-                HmmModel(
-                    action_label=label,
-                    log_trans=values[: n_states * n_states].reshape(n_states, n_states),
-                    weights=np.ascontiguousarray(per_state[:, :n_mix]),
-                    means=np.ascontiguousarray(pairs[:, :, 0]),
-                    variances=np.ascontiguousarray(pairs[:, :, 1]),
-                )
-            )
+            log_trans = [lines.row(2 + n_states, "logtrans", str(q)) for q in range(n_states)]
+            weights, means, variances = [], [], []
+            for q in map(str, range(n_states)):
+                weights.append(lines.row(2 + n_mix, "mix", q))
+                pairs = [
+                    (lines.row(3 + dim, "mean", q, c), lines.row(3 + dim, "var", q, c))
+                    for c in map(str, range(n_mix))
+                ]
+                means.append([mean for mean, _ in pairs])
+                variances.append([var for _, var in pairs])
+            models.append(HmmModel(label, log_trans, weights, means, variances))
         lines.fields("end", count=1)
         return GestureBank(models=tuple(models))
-
-
-def _model_layout(lines: _Lines, n_states: int, n_mix: int, dim: int):
-    """The runs of the lines after a ``model`` line, its counts cut by ``room``."""
-    states = list(map(str, range(lines.room(n_states))))
-    components = list(map(str, range(lines.room(n_mix))))
-    yield len(states), 2 + n_states, [["logtrans", q] for q in states]
-    for q in states:
-        yield 1, 2 + n_mix, [["mix", q]]
-        yield 2 * len(components), 3 + dim, [[k, q, c] for c in components for k in ("mean", "var")]
 
 
 def save_trajectory(path, traj: Trajectory) -> None:
@@ -358,7 +338,7 @@ def load_trajectory(path) -> Trajectory:
         if width < 2:
             raise lines.error("expected a coordinate column after 't'")
         n_frames = len(lines.lines) - 1
-        table = lines.numbers([(n_frames, width, None)]).reshape(-1, width)
+        table = lines.numbers([(n_frames, width)]).reshape(-1, width)
         steps = np.diff(table[:, 0])
         # written so that a NaN time fails too; frame k sits on line k + 2
         stalled = np.flatnonzero(~(steps > 0))

@@ -102,6 +102,31 @@ def test_infer_writes_csv_with_labels(pipeline_dir, capsys):
     assert abs(total - 1.0) < 1e-9
 
 
+def test_infer_out_prints_its_first_thousand_cells_and_writes_them_all(
+    pipeline_dir, tmp_path, capsys
+):
+    """A 10-word answer (1,024 cells) with ``--out`` prints its first 1,000
+    cells in row-major order, then a note; the CSV holds every cell, and
+    without ``--out`` every cell prints."""
+    bn = str(pipeline_dir / "models/bn.txt")
+    words = serialize.load_bayesnet(bn).schema.names[-10:]
+    assert all(name.islower() for name in words)  # word variables, not affordances
+    out = tmp_path / "words.csv"
+    assert main(["infer", "--bn", bn, "--infer", ",".join(words)]) == 0
+    every = capsys.readouterr().out.splitlines()
+    assert main(["infer", "--bn", bn, "--infer", ",".join(words), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(every) == 1 + 1024
+    assert printed == [*every[:1001], f"  ... 24 more cells in {out}", f"wrote {out}"]
+    assert len(out.read_text().splitlines()) == 1 + 1024
+    # at the limit every cell prints; one cell past it leaves a note
+    for size, note in [(1000, []), (1001, ["  ... 1 more cells in t.csv"])]:
+        table = JointTable(("V",), (tuple(map(str, range(size))),), np.full(size, 1 / size))
+        cli._print_table(table, "t.csv")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1000:] == note and len(lines) == 1000 + len(note)
+
+
 def _print_table_in_two_walks(table: JointTable) -> None:
     """The table print that walks the cells once for the width, then to print."""
     width = max(len(" ".join(labels)) for labels, _ in table.iter_cells())

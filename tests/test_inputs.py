@@ -280,6 +280,36 @@ def _huge_mixture_counts(lines):
     return _first(lines, "mix ")
 
 
+def _billion_states(lines):
+    """A billion states: the first logtrans line is short of that many fields."""
+    i = _first(lines, "model ")
+    _, label, _, mixtures, dims = lines[i].split()
+    lines[i] = f"model {label} 1000000000 {mixtures} {dims}"
+    return _first(lines, "logtrans ")
+
+
+def _billion_dimensions(lines):
+    """A billion dimensions: the first mean line is short of that many fields."""
+    i = _first(lines, "model ")
+    _, label, states, mixtures, _ = lines[i].split()
+    lines[i] = f"model {label} {states} {mixtures} 1000000000"
+    return _first(lines, "mean ")
+
+
+def _billion_models(lines):
+    """A billion models: the bank's end line is read where the next model
+    line should be."""
+    lines[_first(lines, "models ")] = "models 1000000000"
+    return _first(lines, "end")
+
+
+def _var_before_its_mean(lines):
+    """The first var line moved ahead of its mean line."""
+    i = _first(lines, "mean ")
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return i
+
+
 def _first_model_value(lines, prefix, value, field=-1):
     """The first ``prefix`` line's number at ``field`` (the last by default)
     replaced by ``value``.  Its model is built, and so checked, once the
@@ -449,6 +479,25 @@ FILE_CASES = [
     ("non-numeric bank cell", "bank", _bank_word),
     ("bank line without its lead", "bank", _bank_line_without_lead),
     ("model line with huge mixture counts", "bank", _huge_mixture_counts),
+    (
+        "model line with a billion states",
+        "bank",
+        _billion_states,
+        "expected 1000000002 fields, found ",
+    ),
+    ("bank with a billion models", "bank", _billion_models, "expected a line starting 'model'"),
+    (
+        "model line with a billion dimensions",
+        "bank",
+        _billion_dimensions,
+        "expected 1000000003 fields, found ",
+    ),
+    (
+        "bank var line ahead of its mean",
+        "bank",
+        _var_before_its_mean,
+        "expected a line starting 'mean 0 0'",
+    ),
     ("NaN mean in a bank", "bank", _nan_mean),
     ("NaN variance in a bank", "bank", _nan_variance),
     ("infinite variance in a bank", "bank", _infinite_variance),
