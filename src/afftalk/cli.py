@@ -2,9 +2,9 @@
 
 Every command is deterministic given its config and seeds; all randomness is
 routed through explicit seeds.  Evidence is written as ``Var=value`` pairs
-using the schema's value labels.  Exit codes: 0 success, 2 usage, 3 missing
-file, 4 invalid input or model mismatch, 5 impossible evidence, 1 anything
-else.
+using the schema's value labels.  Exit codes: 0 success, 2 usage, 3 a path
+that cannot be read or written (a missing file among them), 4 invalid input
+or model mismatch, 5 impossible evidence, 1 anything else.
 """
 
 from __future__ import annotations
@@ -360,9 +360,9 @@ COMMANDS = {
 
 _EXIT_CODES = (
     (ImpossibleEvidenceError, 5),
-    # a directory where a file should be, or a file where a directory
-    # should be, is a missing file too
-    ((FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError), 3),
+    # a missing file, a directory where a file should be or a file where a
+    # directory should be, an over-long name, a symlink loop, a denied access
+    (OSError, 3),
     ((BnError, HmmError, GrammarError, WorldError, SerializeError), 4),
 )
 

@@ -19,18 +19,19 @@ and field count checked as it is read, so nothing is built from a model
 line's counts before the lines they describe.  Dataset rows are decoded a
 block at a time: a block as ``write_dataset`` writes it is decoded from
 bytes, and any other block is walked one row at a time.  Every file is
-written as it is formatted, through one open text file.
+written as it is formatted, through one open text file; every result CSV
+through one writer, its header and then the blocks of rows its caller formats.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from itertools import accumulate, chain, islice, product, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +44,7 @@ MAGIC = "afftalk-model"
 FORMAT_VERSION = 2
 # Dataset rows labelled, or decoded, at a time.
 _BLOCK = 1024
-# Numeric CSV cells formatted, or header fields written, at a time.
+# Result CSV cells formatted, or header fields written, at a time.
 _CELLS = 1 << 16
 # Every float is written with 17 significant digits, so it reads back exactly.
 _FLOAT_SPEC = ".17g"
@@ -177,38 +178,34 @@ def _open_text(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    """The header, then each row as it comes, through one ``csv.writer`` on
-    the open file, so no row is held after it is written."""
-    with _open_text(path) as out:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_numeric_csv(path, header: Iterable[str], table) -> None:
-    """The header as ``csv.writer`` writes it, quoting labels that need it,
-    then the rows of a numeric table, ended with CRLF as ``csv.writer``
-    does.  Both go out ``_CELLS`` fields at a time: the header in pieces,
-    then a block of whole rows, or a row wider than that in pieces."""
+def _stream_csv(path, header: Iterable[str], blocks: Iterable[str]) -> None:
+    """The header as ``csv.writer`` writes it, ``_CELLS`` fields at a time and
+    ended with CRLF as it ends rows, then each block of rows as it comes."""
     with _open_text(path) as out:
         labels = iter(header)
         for i, piece in enumerate(iter(lambda: list(islice(labels, _CELLS)), [])):
-            out.write(("," if i else "") + _csv_fields(piece))
+            out.write(("," if i else "") + _csv_rows([piece])[0][:-2])
         out.write("\r\n")
-        width = table.shape[1]
-        rows = max(1, _CELLS // width)  # one row at a time when it is wider
-        for start in range(0, len(table), rows):
-            for cut in range(0, width, _CELLS):
-                end = "\r\n" if cut + _CELLS >= width else ","
-                out.write(_numeric_rows(table[start : start + rows, cut : cut + _CELLS], end))
+        out.writelines(blocks)
 
 
-def _csv_fields(fields: list[str]) -> str:
-    """``fields`` as ``csv.writer`` writes them in a row, without the row's end."""
-    text = io.StringIO()
-    csv.writer(text).writerow(fields)
-    return text.getvalue()[: -len("\r\n")]
+def _csv_rows(rows: Iterable[list]) -> list[str]:
+    """Each of ``rows`` as the one string ``csv.writer`` writes for it, CRLF-ended."""
+    written: list[str] = []
+    csv.writer(SimpleNamespace(write=written.append)).writerows(rows)
+    return written
+
+
+def _numeric_blocks(columns) -> Iterator[str]:
+    """Numeric ``columns`` stacked side by side, as rows ``_CELLS`` cells at a
+    time: a block of whole rows, or a row wider than that in pieces."""
+    table = np.column_stack(columns)
+    width = table.shape[1]
+    rows = max(1, _CELLS // width)  # one row at a time when it is wider
+    for start in range(0, len(table), rows):
+        for cut in range(0, width, _CELLS):
+            end = "\r\n" if cut + _CELLS >= width else ","
+            yield _numeric_rows(table[start : start + rows, cut : cut + _CELLS], end)
 
 
 def _numeric_rows(table, end: str) -> str:
@@ -525,9 +522,15 @@ def _row_error(parts: list[str], row: list, columns: list[str]) -> str:
 
 
 def write_table_csv(path, table: JointTable) -> None:
-    """One row per cell: the variables' labels, then the probability."""
-    cells = ([*labels, _fmt(p)] for labels, p in table.iter_cells())
-    _write_csv(path, [*table.variables, "p"], cells)
+    """One row per cell: the variables' labels, then the probability.  Each
+    label is quoted once, as a field of a row, and the rows' labels are the
+    ``product`` of the quoted labels; rows go out ``_CELLS`` at a time."""
+    quoted = [[q[:-2] for q in _csv_rows([label, ""] for label in axis)] for axis in table.labels]
+    prefixes = map("".join, product(*quoted))
+    row = "%s%" + _FLOAT_SPEC + "\r\n"
+    blocks = (table.probs.flat[i : i + _CELLS].tolist() for i in range(0, table.probs.size, _CELLS))
+    text = ("".join(map(row.__mod__, zip(islice(prefixes, len(block)), block))) for block in blocks)
+    _stream_csv(path, [*table.variables, "p"], text)
 
 
 def write_anticipation_csv(path, curve: PrefixCurve, predictions: Sequence[JointTable]) -> None:
@@ -543,7 +546,7 @@ def write_anticipation_csv(path, curve: PrefixCurve, predictions: Sequence[Joint
     header += [f"{effect.variables[0]}={lab}" for lab in effect.labels[0]]
     columns = [np.arange(1, len(predictions) + 1), curve.scores, curve.posteriors]
     columns.append([table.vector() for table in predictions])
-    _write_numeric_csv(path, header, np.column_stack(columns))
+    _stream_csv(path, header, _numeric_blocks(columns))
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> None:
@@ -554,13 +557,10 @@ def write_sweep_csv(path, sweep: SweepResult) -> None:
         for labels in product(*sweep.labels)
     )
     by_point = sweep.posteriors.reshape(len(sweep.grid), -1)  # cells in ``product`` order
-    _write_numeric_csv(path, chain(["confidence"], cells), np.column_stack([sweep.grid, by_point]))
+    _stream_csv(path, chain(["confidence"], cells), _numeric_blocks([sweep.grid, by_point]))
 
 
 def write_nbest_csv(path, nbest_list: NBestList) -> None:
-    """CSV rows of (rank, score, sentence)."""
-    rows = (
-        [rank, _fmt(score), sentence.text]
-        for rank, (sentence, score) in enumerate(nbest_list.entries, 1)
-    )
-    _write_csv(path, ["rank", "score", "sentence"], rows)
+    """CSV rows of (rank, score, sentence), quoted as one block."""
+    rows = ([rank, _fmt(score), s.text] for rank, (s, score) in enumerate(nbest_list.entries, 1))
+    _stream_csv(path, ["rank", "score", "sentence"], _csv_rows(rows))

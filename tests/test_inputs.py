@@ -1,8 +1,8 @@
 """The input boundary: malformed files, configs and flags map to exit codes.
 
-The README's contract is 0 success, 3 missing file, 4 invalid input, 5
-impossible evidence.  A malformed input must never surface as 1 (an
-uncaught error) or 0 (silently accepted).
+The README's contract is 0 success, 3 a path that cannot be read or
+written, 4 invalid input, 5 impossible evidence.  A malformed input must
+never surface as 1 (an uncaught error) or 0 (silently accepted).
 """
 
 import contextlib
@@ -679,6 +679,24 @@ def test_evidence_label_outside_the_schema_and_empty_evidence_tokens(inputs):
 def test_missing_input_file_exits_3(inputs, kind, missing):
     code, err = _exit_code(_argv(kind, inputs, inputs / missing))
     assert code == 3, err
+
+
+@pytest.mark.parametrize("case", ["bn", "config", "infer --out", "simulate --out", "bn loop"])
+def test_path_that_cannot_be_opened_exits_3_naming_it(inputs, tmp_path, case):
+    path = tmp_path / ("n" * 300)  # longer than a file name may be
+    if case == "bn loop":
+        path = tmp_path / "loop"
+        path.symlink_to(path)
+    argv = {
+        "bn": _argv("bn", inputs, path),
+        "bn loop": _argv("bn", inputs, path),
+        "config": _argv("config", inputs, path),
+        "infer --out": ["infer", "--bn", inputs / "bn.txt", "--infer", "Action", "--out", path],
+        "simulate --out": ["simulate", "--out", path, "--trials", "30"],
+    }[case]
+    code, err = _exit_code(argv)
+    assert code == 3, err
+    assert str(path) in err
 
 
 @pytest.mark.parametrize("kind", ["bn", "bank", "traj"])

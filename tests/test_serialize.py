@@ -22,6 +22,7 @@ from afftalk.bn import (
 )
 from afftalk.cli import main
 from afftalk.fusion import SweepResult
+from afftalk.grammar import NBestList, Sentence
 from afftalk.hmm import PrefixCurve, Trajectory, train_bank
 from afftalk.serialize import (
     _BLOCK,
@@ -37,6 +38,7 @@ from afftalk.serialize import (
     save_trajectory,
     write_anticipation_csv,
     write_dataset,
+    write_nbest_csv,
     write_sweep_csv,
     write_table_csv,
 )
@@ -476,6 +478,28 @@ def test_result_csvs_hold_one_block_whatever_the_table_size(tmp_path, monkeypatc
     # (cells, or header fields of up to 17 characters) as Python objects and text
     table, tall, wide = np.subtract(beyond[1], beyond[0])
     assert table < 4096 and tall < piece * 64 and wide < piece * 128
+
+
+def test_table_csv_quotes_each_label_as_a_field_of_its_row(tmp_path, monkeypatch):
+    # the 6-cell table goes out in two blocks, the second one short
+    monkeypatch.setattr(serialize, "_CELLS", 4)
+    labels = ("", 'say "hi"', "a,b")  # csv writes nothing for the first, quotes the others
+    table = JointTable(("A", "B"), (labels, ("x", "")), np.arange(1, 7).reshape(3, 2) / 21)
+    for result in (table, table.marginal(("B",))):
+        write_table_csv(tmp_path / "t.csv", result)
+        assert (tmp_path / "t.csv").read_bytes() == _table_csv_oracle(result)
+
+
+def test_nbest_csv_equals_one_csv_writer(tmp_path):
+    words = [("the", "robot", "grasps"), ("it", "pokes,", "then"), ('"quoted"', "word")]
+    nbest_list = NBestList(tuple((Sentence(w), 0.5**k) for k, w in enumerate(words)), 3)
+    write_nbest_csv(tmp_path / "n.csv", nbest_list)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["rank", "score", "sentence"])
+    for rank, (sentence, score) in enumerate(nbest_list.entries, 1):
+        writer.writerow([rank, _fmt(score), sentence.text])
+    assert (tmp_path / "n.csv").read_bytes() == text.getvalue().encode()
 
 
 def test_read_dataset_missing_file(tmp_path):

@@ -422,15 +422,47 @@ TRAIN_DIGESTS = {
 }
 
 
-def test_trained_model_bytes_are_pinned(tmp_path):
-    """Dataset reading, the structure search and EM produce these exact bytes."""
-    data = tmp_path / "ds"
+@pytest.fixture(scope="module")
+def models_300(tmp_path_factory):
+    """The 300-trial dataset of ``SIMULATE_DIGESTS`` and the models trained on it."""
+    root = tmp_path_factory.mktemp("models_300")
+    data = root / "ds"
     argv = ["simulate", "--out", str(data), "--trials", "300"]
     assert main(argv + ["--trajectories-per-action", "2", "--seed", "1234"]) == 0
-    bn_path, hmm_path = tmp_path / "bn.txt", tmp_path / "hmm.txt"
-    assert main(["train-bn", "--dataset", str(data), "--out", str(bn_path)]) == 0
-    argv = ["train-hmm", "--dataset", str(data), "--out", str(hmm_path), "--seed", "7"]
+    assert main(["train-bn", "--dataset", str(data), "--out", str(root / "bn.txt")]) == 0
+    argv = ["train-hmm", "--dataset", str(data), "--out", str(root / "hmm.txt"), "--seed", "7"]
     assert main(argv) == 0
-    for path in (bn_path, hmm_path):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == TRAIN_DIGESTS[path.name], path.name
+    return root
+
+
+def test_trained_model_bytes_are_pinned(models_300):
+    """Dataset reading, the structure search and EM produce these exact bytes."""
+    for name, digest in TRAIN_DIGESTS.items():
+        assert hashlib.sha256((models_300 / name).read_bytes()).hexdigest() == digest, name
+
+
+# SHA-256 of the result CSVs each command below writes from the models of
+# ``TRAIN_DIGESTS``, pinned before the result writers shared one streamed path.
+RESULT_DIGESTS = {
+    "infer.csv": "bb4f8fc23b0a3b5b371142397677ca5263b51b2d8b35020df27a433154453e60",
+    "anticipate.csv": "058bfdf1654dff37b47736c0710fdc20bf5d05f0b630a8e2eaa6fef5b2d2ba51",
+    "describe.csv": "dc1fed3c9308457aa2d3a8bf80e17c20c9664306e74d49bffa47390185077141",
+    "sweep.csv": "2f37515194a82d0e3f50960a5ba58dc52b68e7684ecd83c36de4271f1459fc96",
+}
+
+
+def test_result_bytes_are_pinned(models_300, tmp_path):
+    """``infer``, ``anticipate``, ``describe`` and ``sweep`` write these exact bytes."""
+    net = ["--bn", str(models_300 / "bn.txt")]
+    traj = str(models_300 / "ds" / "traj" / "00000.csv")
+    gesture = ["--bank", str(models_300 / "hmm.txt"), "--traj", traj]
+    sweep_ev = "Size=small,Shape=sphere,ObjVel=slow"
+    commands = {
+        "infer.csv": ["infer", *net, *gesture, "--infer", "Action,ObjVel", "--ev", "Shape=sphere"],
+        "anticipate.csv": ["anticipate", *net, *gesture, "--ev", "Shape=sphere"],
+        "describe.csv": ["describe", *net, "--ev", "Action=grasp,ObjVel=medium"],
+        "sweep.csv": ["sweep", *net, "--target", "tap", "--ev", sweep_ev],
+    }
+    for name, digest in RESULT_DIGESTS.items():
+        assert main([*commands[name], "--out", str(tmp_path / name)]) == 0, name
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
