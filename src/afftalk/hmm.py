@@ -372,6 +372,7 @@ def train_bank(
         for offset, (label, trajs) in enumerate(trajs_by_action.items())
     ]
     frames = [np.concatenate([traj.frames for traj in trajs]) for trajs in sets]
+    squares = [f ** 2 for f in frames]
     lengths = [np.array([len(traj) for traj in trajs]) for trajs in sets]
     histories: list[list[float]] = [[] for _ in sets]
     active = list(range(len(sets)))
@@ -392,7 +393,7 @@ def train_bank(
                 occupancy=gamma.sum(axis=0),
                 resp_sum=resp.sum(axis=0),
                 mean_num=np.einsum("tqm,td->qmd", resp, frames[k]),
-                sq_num=np.einsum("tqm,td->qmd", resp, frames[k] ** 2),
+                sq_num=np.einsum("tqm,td->qmd", resp, squares[k]),
                 trans_num=trans_num,
             )
             training.append(k)

@@ -2,19 +2,21 @@
 
 The passes work on a batch of N sequences stored frame-major: the rows of
 all sequences concatenated into one ``(sum(lengths), Q)`` array, with
-``lengths`` giving each sequence's frame count.  Inside, they pad to
-``(T_max, N, Q)`` and step every sequence at once; the backward pass pads
-end-aligned, so that every sequence ends on its last step.  Transitions are
-left-to-right (``HmmModel`` validates this), so a step combines each state
-only with its neighbour: a diagonal term plus a shifted superdiagonal term,
-one two-way ``logaddexp`` per step instead of a Q-way reduction per state.
+``lengths`` giving each sequence's frame count.  Inside, they pad
+states-major, to ``(T_max, Q, N)``, and step every sequence at once over
+contiguous (Q, N) rows; the backward pass pads end-aligned, so that every
+sequence ends on its last step.  Transitions are left-to-right
+(``HmmModel`` validates this), so a step combines each state only with its
+neighbour: a diagonal term plus a shifted superdiagonal term, one two-way
+``logaddexp`` per step instead of a Q-way reduction per state.  A step runs
+the same elementwise operations in any layout, so the layout moves no bit.
 
 * ``gmm_obs_logprob`` gives the log density of each frame under each
   mixture component, ``log_wcomp`` (F, Q, M), and under each state,
   ``log_b`` (F, Q).  It adds the squared distances one dimension at a
-  time, each as an exact difference ``(x_d - mu_d)^2 / sigma_d^2`` over an
-  (F, Q*M) array, so a trajectory far from the origin loses nothing to
-  cancellation, and combines the components with one two-way
+  time, each as an exact difference ``(x_d - mu_d)^2 / sigma_d^2`` over a
+  frames-minor (Q*M, F) array, so a trajectory far from the origin loses
+  nothing to cancellation, and combines the components with one two-way
   ``logaddexp`` per component.
 * ``log_forward`` gives log alpha_t(j) = log P(o_1..t, q_t = j), entering
   in state 0; ``logaddexp.reduce`` over its states is the log-likelihood
@@ -58,17 +60,20 @@ def gmm_obs_logprob(frames, log_weights, means, variances):
     (Q, M[, D]) mixture arrays.  A squared distance past the float range
     is ``inf``, without a warning, which makes its component ``-inf``."""
     n_states, n_mix, dim = means.shape
-    mu = means.reshape(-1, dim).T
-    var = variances.reshape(-1, dim).T
-    quad = np.zeros((len(frames), n_states * n_mix))
+    mu = means.reshape(-1, dim)
+    var = variances.reshape(-1, dim)
+    cols = np.ascontiguousarray(frames.T)
+    quad = np.zeros((n_states * n_mix, len(frames)))
+    term = np.empty_like(quad)
     with np.errstate(over="ignore"):
         for d in range(dim):
-            term = np.subtract.outer(frames[:, d], mu[d])
+            np.subtract(cols[d], mu[:, d, None], out=term)
             term *= term
-            term /= var[d]
+            term /= var[:, d, None]
             quad += term
+    quad = np.ascontiguousarray(quad.T).reshape(-1, n_states, n_mix)
     norm = np.log(variances).sum(axis=-1) + dim * _LOG_2PI
-    log_wcomp = log_weights - 0.5 * (quad.reshape(-1, n_states, n_mix) + norm)
+    log_wcomp = log_weights - 0.5 * (quad + norm)
     log_b = log_wcomp[:, :, 0]
     for m in range(1, n_mix):
         log_b = np.logaddexp(log_b, log_wcomp[:, :, m])
@@ -81,32 +86,43 @@ def _band(log_trans):
     return np.diagonal(log_trans, 0, -2, -1), np.diagonal(log_trans, 1, -2, -1)
 
 
+def _band_rows(log_trans, n_seqs):
+    """``_band`` states-major: contiguous (Q, N) self and (Q-1, N) advance
+    arrays, one column per sequence."""
+    for band in _band(log_trans):
+        rows = band.T if band.ndim == 2 else band[:, None]
+        yield np.ascontiguousarray(np.broadcast_to(rows, (len(rows), n_seqs)))
+
+
 def _padded(rows, lengths, end_aligned):
-    """Frame-major ``rows`` as a zero-padded (T_max, N, Q) array, plus the
-    (time, sequence) index of every row, which maps the padding back.
-    Every sequence starts on the first step, or, ``end_aligned``, ends on
-    the last."""
+    """Frame-major ``rows`` as a zero-padded states-major (T_max, Q, N)
+    array, so that each step's rows of one state across sequences are
+    contiguous, plus the (time, sequence) index of every row, which maps
+    the padding back.  Every sequence starts on the first step, or,
+    ``end_aligned``, ends on the last."""
     lengths = np.asarray(lengths)
     starts = np.cumsum(lengths) - lengths
     if end_aligned:
         starts -= lengths.max() - lengths
     seq = np.repeat(np.arange(len(lengths)), lengths)
     time = np.arange(len(rows)) - starts[seq]
-    out = np.zeros((lengths.max(), len(lengths), rows.shape[1]))
-    out[time, seq] = rows
-    return out, (time, seq)
+    out = np.zeros((lengths.max(), rows.shape[1], len(lengths)))
+    out[time, :, seq] = rows
+    return out, (time, slice(None), seq)
 
 
 def log_forward(log_trans, log_obs, lengths):
     """Log alpha, frame-major.  ``log_trans`` is (Q, Q), or (N, Q, Q) to
     give each sequence its own transitions."""
-    stay, advance = _band(log_trans)
     log_b, index = _padded(log_obs, lengths, end_aligned=False)
+    stay, advance = _band_rows(log_trans, log_b.shape[2])
     log_alpha = np.full_like(log_b, -np.inf)
-    log_alpha[0, :, 0] = log_b[0, :, 0]
+    log_alpha[0, 0] = log_b[0, 0]
+    moved = np.empty_like(advance)
     for t in range(1, len(log_b)):
         cur = np.add(log_alpha[t - 1], stay, out=log_alpha[t])
-        np.logaddexp(cur[:, 1:], log_alpha[t - 1, :, :-1] + advance, out=cur[:, 1:])
+        np.add(log_alpha[t - 1, :-1], advance, out=moved)
+        np.logaddexp(cur[1:], moved, out=cur[1:])
         cur += log_b[t]
     del log_b  # before the frame-major copy: a bank-wide pass peaks lower
     return log_alpha[index]
@@ -115,13 +131,16 @@ def log_forward(log_trans, log_obs, lengths):
 def log_backward(log_trans, log_obs, lengths):
     """Log beta, frame-major; zero on each sequence's last frame.  The
     padding is end-aligned, so every sequence ends on the last step."""
-    stay, advance = _band(log_trans)
     log_b, index = _padded(log_obs, lengths, end_aligned=True)
+    stay, advance = _band_rows(log_trans, log_b.shape[2])
     log_beta = np.zeros_like(log_b)
+    ahead = np.empty_like(stay)
+    moved = np.empty_like(advance)
     for t in range(len(log_b) - 2, -1, -1):
-        ahead = log_b[t + 1] + log_beta[t + 1]
+        np.add(log_b[t + 1], log_beta[t + 1], out=ahead)
         cur = np.add(ahead, stay, out=log_beta[t])
-        np.logaddexp(cur[:, :-1], ahead[:, 1:] + advance, out=cur[:, :-1])
+        np.add(ahead[1:], advance, out=moved)
+        np.logaddexp(cur[:-1], moved, out=cur[:-1])
     del log_b  # as in log_forward
     return log_beta[index]
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from afftalk import bn
+from afftalk import bn, kernels
 from afftalk.bn import (
     BayesNet,
     WorldSchema,
@@ -204,6 +204,50 @@ def reference_gmm_obs_logprob(frames, log_weights, means, variances):
     norm = np.log(variances).sum(axis=-1) + frames.shape[1] * math.log(2.0 * math.pi)
     log_wcomp = log_weights[None, :, :] - 0.5 * (quad + norm[None, :, :])
     return log_wcomp, np.logaddexp.reduce(log_wcomp, axis=-1)
+
+
+def _reference_padded(rows, lengths, end_aligned):
+    """Frame-major ``rows`` as a zero-padded (T_max, N, Q) array, plus the
+    (time, sequence) index of every row, which maps the padding back.
+    Every sequence starts on the first step, or, ``end_aligned``, ends on
+    the last."""
+    lengths = np.asarray(lengths)
+    starts = np.cumsum(lengths) - lengths
+    if end_aligned:
+        starts -= lengths.max() - lengths
+    seq = np.repeat(np.arange(len(lengths)), lengths)
+    time = np.arange(len(rows)) - starts[seq]
+    out = np.zeros((lengths.max(), len(lengths), rows.shape[1]))
+    out[time, seq] = rows
+    return out, (time, seq)
+
+
+def reference_log_forward(log_trans, log_obs, lengths):
+    """The forward pass stepping a frame-major (T_max, N, Q) padding: the
+    bitwise reference for ``kernels.log_forward``, which steps the same
+    terms states-major."""
+    stay, advance = kernels._band(log_trans)
+    log_b, index = _reference_padded(log_obs, lengths, end_aligned=False)
+    log_alpha = np.full_like(log_b, -np.inf)
+    log_alpha[0, :, 0] = log_b[0, :, 0]
+    for t in range(1, len(log_b)):
+        cur = np.add(log_alpha[t - 1], stay, out=log_alpha[t])
+        np.logaddexp(cur[:, 1:], log_alpha[t - 1, :, :-1] + advance, out=cur[:, 1:])
+        cur += log_b[t]
+    return log_alpha[index]
+
+
+def reference_log_backward(log_trans, log_obs, lengths):
+    """The backward pass on a frame-major (T_max, N, Q) padding: the
+    bitwise reference for ``kernels.log_backward``."""
+    stay, advance = kernels._band(log_trans)
+    log_b, index = _reference_padded(log_obs, lengths, end_aligned=True)
+    log_beta = np.zeros_like(log_b)
+    for t in range(len(log_b) - 2, -1, -1):
+        ahead = log_b[t + 1] + log_beta[t + 1]
+        cur = np.add(ahead, stay, out=log_beta[t])
+        np.logaddexp(cur[:, :-1], ahead[:, 1:] + advance, out=cur[:, :-1])
+    return log_beta[index]
 
 
 def _emission_density(model: HmmModel, q: int, x: np.ndarray) -> float:

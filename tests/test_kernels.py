@@ -4,7 +4,13 @@ import pytest
 from afftalk import kernels
 from afftalk.hmm import HmmError, _bank_statistics
 
-from conftest import brute_force_posteriors, random_left_right_model, reference_gmm_obs_logprob
+from conftest import (
+    brute_force_posteriors,
+    random_left_right_model,
+    reference_gmm_obs_logprob,
+    reference_log_backward,
+    reference_log_forward,
+)
 
 
 def _batch_statistics(model, seqs):
@@ -68,6 +74,28 @@ def test_backward_of_each_sequence_is_bitwise_its_backward_alone():
         assert np.array_equal(got_shared, alone)
         assert np.array_equal(got_own, kernels.log_backward(model.log_trans, seq, [len(seq)]))
         assert not got_own[-1].any()  # zero on the last frame
+
+
+@pytest.mark.parametrize("n_states", [1, 2, 3, 4, 6])
+def test_passes_are_bitwise_the_frame_major_reference(n_states):
+    # ragged lengths with ones and a tied maximum, shared and per-sequence
+    # transitions, and frames (and one whole sequence) no state can emit
+    rng = np.random.default_rng(17 + n_states)
+    for _ in range(12):
+        lengths = rng.permutation([1, 1, *rng.integers(1, 25, 5), 25, 25])
+        log_obs = rng.normal(-5.0, 20.0, (lengths.sum(), n_states))
+        log_obs[rng.random(len(log_obs)) < 0.1] = -np.inf
+        log_obs[rng.random(log_obs.shape) < 0.1] = -np.inf
+        log_obs[: lengths[0]] = -np.inf
+        models = [random_left_right_model(rng, n_states, 1, 1) for _ in lengths]
+        for log_trans in (models[0].log_trans, np.stack([m.log_trans for m in models])):
+            for kernel, reference in (
+                (kernels.log_forward, reference_log_forward),
+                (kernels.log_backward, reference_log_backward),
+            ):
+                got = kernel(log_trans, log_obs, lengths)
+                want = reference(log_trans, log_obs, lengths)
+                assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_forward_keeps_wide_emission_ranges_exact():

@@ -422,6 +422,20 @@ TRAIN_DIGESTS = {
 }
 
 
+# SHA-256 of ``train-hmm --seed 7`` on the dataset ``simulate`` writes at the
+# defaults: 150 ragged sequences, where grasp and touch reach
+# ``MAX_EM_ITERATIONS`` and tap stops at iteration 59.
+DEFAULT_BANK_DIGEST = "e9ea3944e8e02d6bd303a031fab8ce416fb928950a4f1a8065f08c3ff7df2552"
+
+
+def test_default_config_bank_bytes_are_pinned(tmp_path):
+    """EM over the default dataset's batch produces these exact bytes."""
+    data, bank = tmp_path / "ds", tmp_path / "hmm.txt"
+    assert main(["simulate", "--out", str(data)]) == 0
+    assert main(["train-hmm", "--dataset", str(data), "--out", str(bank), "--seed", "7"]) == 0
+    assert hashlib.sha256(bank.read_bytes()).hexdigest() == DEFAULT_BANK_DIGEST
+
+
 @pytest.fixture(scope="module")
 def models_300(tmp_path_factory):
     """The 300-trial dataset of ``SIMULATE_DIGESTS`` and the models trained on it."""
