@@ -172,10 +172,10 @@ def confidence_sweep(
     """Fused inference while ramping the recognizer's confidence.
 
     Each grid point ``p`` puts mass ``p`` on the target action and splits the
-    remainder equally over the other actions, so ``p`` must stay in
-    [1/K, 1].  With ``infer_vars`` None the posterior over the action itself
-    is returned; an empty ``infer_vars`` is an error.
-    Every grid point weights the one network query.
+    remainder equally over the other actions, so ``p`` must stay in [1/K, 1]
+    (a point within 1e-9 of it is clipped into it, in ``grid`` too).  With
+    ``infer_vars`` None the posterior over the action itself is returned; an
+    empty ``infer_vars`` is an error.  Every grid point weights the one query.
     """
     actions = net.schema.variable(ACTION_VAR).labels
     if target_action not in actions:
@@ -186,15 +186,15 @@ def confidence_sweep(
     if not grid:
         raise BnError("confidence grid must hold at least one point")
     for p in grid:
-        if p < lo - 1e-9 or p > 1.0 + 1e-9:
+        if not lo - 1e-9 <= p <= 1.0 + 1e-9:  # a NaN fails too
             raise BnError(f"grid value {p} outside [{lo}, 1]")
     infer = (ACTION_VAR,) if infer_vars is None else tuple(infer_vars)
-    points = np.array(grid)
+    points = np.clip(grid, lo, 1.0)
     weights = np.repeat(((1.0 - points) / (k - 1))[:, None], k, axis=1)
     weights[:, actions.index(target_action)] = points
     weights /= weights.sum(axis=1, keepdims=True)
     variables, labels, posteriors, _ = _fuse(net, infer, obs, weights)
-    return SweepResult(grid, variables, labels, posteriors)
+    return SweepResult(tuple(points.tolist()), variables, labels, posteriors)
 
 
 @dataclass(frozen=True)

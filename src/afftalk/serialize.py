@@ -8,13 +8,13 @@ are small CSV files with a ``t,x,y,z`` header.  Results are CSV files with
 labeled header columns.  Every reader reports a malformed file as a
 ``SerializeError`` that names ``path:line``.
 
-A network's CPTs and a trajectory's rows are parsed as blocks: their layout
-follows from the lines before them and, for the CPTs, from each CPT's own
-header.  Lines are split on runs of spaces and tabs (on commas in a
-trajectory), their field counts are compared with the layout at once, and
-one ``float`` pass converts every number.  A block off its layout is walked
-one line at a time, along the runs already laid out, only to name its first
-faulty line.  A gesture bank is read one line at a time, each line's lead
+A network's CPTs and a trajectory's rows are parsed as blocks: each CPT's
+layout is read from its own ``cpt`` line, a trajectory's from its header.
+Lines are split on runs of spaces and tabs (on commas in a trajectory),
+a block's field counts are compared with its layout at once, and one
+``float`` pass converts its numbers.  A block off its layout, or longer than
+the lines left, is walked one line at a time only to name its first faulty
+line.  A gesture bank is read one line at a time, each line's lead
 and field count checked as it is read, so nothing is built from a model
 line's counts before the lines they describe.  Dataset rows are decoded a
 block at a time: a block as ``write_dataset`` writes it is decoded from
@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from itertools import accumulate, chain, islice, product, repeat
+from itertools import chain, islice, product, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -126,41 +126,24 @@ class _Lines:
         begin with ``lead``; the lead is left out."""
         return list(map(float, self.fields(*lead, count=width)[len(lead) :]))
 
-    def numbers(self, layout) -> np.ndarray:
-        """The numbers of the section ``layout`` lays out, flattened in file order.
-
-        ``layout`` is an iterator over the section's runs of lines, each as
-        (count of lines, fields per line).  It is lazy, and may read lines of
-        its own with ``fields`` between runs, such as a CPT's header.  The
-        lines are split as ``fields`` splits them, their field counts are
-        compared with the layout at once, and all their numbers go through
-        one ``float`` pass.  A section off its layout, or a layout that
-        raises, is walked one ``row`` at a time along the runs already laid
-        out, only to name its first faulty line; a fault the walk does not
-        meet, such as a header's, names the line it was raised on.
-        """
-        runs, rows, sizes, text = [], [], [], self.lines
-        try:
-            for n_lines, width in layout:
-                at = self.lineno
-                runs.append((at, n_lines, width))
-                self.lineno = stop = at + n_lines
-                if stop > len(text):
-                    raise ValueError("truncated file")
-                rows += text[at:stop]
-                sizes += [width] * n_lines
-            fields = list(map(str.split, rows, repeat(self.sep)))
-            if list(map(len, fields)) != sizes:
-                raise ValueError("field counts off the layout")
-            return np.array(list(map(float, chain.from_iterable(fields))))
-        except ValueError as exc:
-            fault, lineno = exc, self.lineno
-        for at, n_lines, width in runs:
-            self.lineno = at
-            for _ in range(n_lines):
-                self.row(width)
-        self.lineno = lineno
-        raise fault
+    def numbers(self, n_lines: int, width: int) -> np.ndarray:
+        """The next ``n_lines`` lines of ``width`` numbers each, as an
+        (n_lines, width) array.  The lines are split as ``fields`` splits
+        them, their field counts are compared at once, and all their numbers
+        go through one ``float`` pass.  Lines off that layout, or fewer lines
+        left than asked for, are walked one ``row`` at a time only to name
+        the first faulty line."""
+        at = self.lineno
+        if at + n_lines <= len(self.lines):
+            fields = list(map(str.split, self.lines[at : at + n_lines], repeat(self.sep)))
+            try:
+                if list(map(len, fields)) == [width] * n_lines:
+                    values = np.array(list(map(float, chain.from_iterable(fields))))
+                    self.lineno = at + n_lines
+                    return values.reshape(n_lines, width)
+            except ValueError:
+                pass
+        return np.array([self.row(width) for _ in range(n_lines)])
 
     def size(self, text: str) -> int:
         """A count read from the current line, which must be positive."""
@@ -251,37 +234,19 @@ def load_bayesnet(path) -> BayesNet:
             variables.append(Variable(name, tuple(labels)))
         schema = WorldSchema(tuple(variables))
         names, arities = schema.names, schema.arities
-        parents = []
-        for i in range(n):
-            parts = lines.fields("parents", names[i])
-            parents.append(tuple(map(schema.index, parts[2:])))
-        shapes = [(*map(arities.__getitem__, ps), arities[i]) for i, ps in enumerate(parents)]
-        sizes = list(map(math.prod, shapes))
-        values = lines.numbers(_cpt_layout(lines, names, shapes, sizes))
-        ends = list(accumulate(sizes))
-        cpts = map(np.ndarray.reshape, map(values.__getitem__, map(slice, [0, *ends], ends)), shapes)
+        parents = [tuple(map(schema.index, lines.fields("parents", name)[2:])) for name in names]
+        cpts = []
+        for name, ps, arity in zip(names, parents, arities):
+            # a ``cpt <name> <rows> <arity>`` line, then rows that fill the shape
+            shape = (*map(arities.__getitem__, ps), arity)
+            n_rows, width = map(lines.size, lines.fields("cpt", name, count=4)[2:])
+            rows, size = lines.numbers(n_rows, width), math.prod(shape)
+            if rows.size != size:
+                held = f"{n_rows} x {width} = {rows.size}"
+                raise ValueError(f"cpt {name!r} holds {held} numbers, its parents give {size}")
+            cpts.append(rows.reshape(shape))
         lines.fields("end", count=1)
         return BayesNet(schema=schema, parents=tuple(parents), cpts=tuple(cpts))
-
-
-def _cpt_layout(lines: _Lines, names, shapes, sizes):
-    """The runs of the CPT section, read from its own headers: each CPT is a
-    ``cpt <name> <rows> <arity>`` line, then ``rows`` lines of ``arity``
-    numbers, which must fill the CPT's shape.  A header written as saved,
-    with the counts the shape gives, is taken as it stands, which is what
-    reading its fields would give."""
-    text = lines.lines
-    for name, shape, size in zip(names, shapes, sizes):
-        arity = shape[-1]
-        n_rows = size // arity
-        if text[lines.lineno : lines.lineno + 1] == [f"cpt {name} {n_rows} {arity}"]:
-            lines.lineno += 1
-        else:
-            n_rows, arity = map(lines.size, lines.fields("cpt", name, count=4)[2:])
-        yield n_rows, arity
-        if n_rows * arity != size:
-            held = f"{n_rows} x {arity} = {n_rows * arity}"
-            raise ValueError(f"cpt {name!r} holds {held} numbers, its parents give {size}")
 
 
 def save_gesture_bank(path, bank: GestureBank) -> None:
@@ -334,8 +299,7 @@ def load_trajectory(path) -> Trajectory:
         width = len(lines.fields("t"))
         if width < 2:
             raise lines.error("expected a coordinate column after 't'")
-        n_frames = len(lines.lines) - 1
-        table = lines.numbers([(n_frames, width)]).reshape(-1, width)
+        table = lines.numbers(len(lines.lines) - 1, width)
         steps = np.diff(table[:, 0])
         # written so that a NaN time fails too; frame k sits on line k + 2
         stalled = np.flatnonzero(~(steps > 0))

@@ -159,8 +159,24 @@ def test_sweep_endpoints_and_monotone_odds(action_net):
 def test_sweep_grid_validation(action_net):
     with pytest.raises(BnError, match="outside"):
         confidence_sweep(action_net, Evidence.empty(), "b", [0.1])
+    with pytest.raises(BnError, match="grid value nan outside"):
+        confidence_sweep(action_net, Evidence.empty(), "b", [0.7, np.nan])
     with pytest.raises(EvidenceError, match="unknown action"):
         confidence_sweep(action_net, Evidence.empty(), "zzz", [0.6])
+
+
+def test_sweep_points_within_the_tolerance_are_clipped_into_the_range(trained_net):
+    """A point just past either end, inside the 1e-9 tolerance, weights the
+    query as that end does: no posterior is negative, each row sums to 1."""
+    labeled = {"Size": "small", "Shape": "sphere", "ObjVel": "slow"}
+    obs = Evidence.from_labels(trained_net.schema, labeled)
+    lo = 1.0 / trained_net.schema.variable("Action").arity
+    sweep = confidence_sweep(trained_net, obs, "tap", [1.0 + 9e-10, lo - 9e-10])
+    assert sweep.grid == (1.0, lo)
+    assert (sweep.posteriors >= 0.0).all()
+    assert np.abs(sweep.posteriors.sum(axis=1) - 1.0).max() <= 1e-12
+    ends = confidence_sweep(trained_net, obs, "tap", [1.0, lo])
+    assert np.array_equal(sweep.posteriors, ends.posteriors)
 
 
 def test_sweep_refuses_weighted_tables_over_the_cap(action_net, monkeypatch):
