@@ -616,11 +616,11 @@ def _bic(counts: np.ndarray, n: int) -> float:
     """BIC of a family from its counts, indexed (parent values..., node
     value), over ``n`` rows (maximum-likelihood fit)."""
     totals = counts.sum(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(counts > 0, counts * np.log(counts / totals), 0.0)
+    # an empty cell's ratio stays 1, so its term is 0 * log(1) = 0.0
+    ratios = np.divide(counts, totals, out=np.ones(counts.shape), where=counts > 0)
     q = math.prod(counts.shape[:-1])
     penalty = 0.5 * math.log(max(n, 1)) * q * (counts.shape[-1] - 1)
-    return float(terms.sum()) - penalty
+    return float((counts * np.log(ratios)).sum()) - penalty
 
 
 def family_bic(
@@ -631,16 +631,54 @@ def family_bic(
     return _bic(counts, len(data.rows))
 
 
-def _family_scorer(rows: np.ndarray, arities, node: int, candidates: Sequence[int]):
+def _candidate_code(rows: np.ndarray, arities, candidates: Sequence[int]) -> np.ndarray:
+    """Each row's configuration of ``candidates``, numbered in C order over
+    their arities as ``np.ravel_multi_index`` numbers it; all zeros when
+    there are none."""
+    code = np.zeros(len(rows), dtype=np.int64)
+    for c in candidates:
+        code = code * arities[c] + rows[:, c]
+    return code
+
+
+def _coded_counts(
+    rows: np.ndarray, arities, node: int, candidates: Sequence[int], code: np.ndarray
+) -> np.ndarray:
+    """``_family_counts`` of ``node`` over all of ``candidates``, counted
+    from their configuration ``code``."""
+    shape = tuple(arities[c] for c in candidates) + (arities[node],)
+    cells = np.bincount(code * arities[node] + rows[:, node], minlength=math.prod(shape))
+    return cells.astype(float).reshape(shape)
+
+
+def _marginal(table: np.ndarray, kept: Sequence[int]) -> np.ndarray:
+    """``table`` summed over every leading axis not in the ascending
+    ``kept``, its last axis always kept.
+
+    The kept axes are moved to the front, so each output cell sums one
+    contiguous run of cells.  The counts are integers, so the sums are
+    exact and equal ``table.sum(axis=left_out)`` bit for bit.
+    """
+    node_axis = table.ndim - 1
+    left_out = [k for k in range(node_axis) if k not in kept]
+    shape = tuple(table.shape[k] for k in kept) + (table.shape[-1],)
+    moved = table.transpose([*kept, node_axis, *left_out])
+    return moved.reshape(math.prod(shape), -1).sum(axis=1).reshape(shape)
+
+
+def _family_scorer(
+    rows: np.ndarray, arities, node: int, candidates: Sequence[int], code: np.ndarray
+):
     """``family_bic`` of ``node`` for any ascending subset of the ascending
     ``candidates``, read from one count table over (candidates, node): a
-    family's counts are that table summed over the candidates it leaves
-    out.  The counts are integers, so the sums are exact."""
-    table, _ = _family_counts(rows, arities, node, candidates)
+    family's counts are the ``_marginal`` of that table over the candidates
+    it keeps.  ``code`` is ``_candidate_code`` of the candidates, which
+    every node with the same candidates shares."""
+    table = _coded_counts(rows, arities, node, candidates, code)
 
     def score(parents: Sequence[int]) -> float:
-        left_out = tuple(k for k, c in enumerate(candidates) if c not in parents)
-        return _bic(table.sum(axis=left_out), len(rows))
+        kept = [k for k, c in enumerate(candidates) if c in parents]
+        return _bic(_marginal(table, kept), len(rows))
 
     return score
 
@@ -658,7 +696,10 @@ def greedy_structure_fit(
     a candidate of its own ancestors); the assembled structure is verified to
     be acyclic before it is returned.  Each node's families are scored from
     one count table over all its candidates, whose cells may number at most
-    ``ENUM_CAP``.
+    ``ENUM_CAP``.  The rows' configuration code over a candidate set is
+    computed once and shared by every node with that set, as the word
+    nodes share the affordance layer; each node still counts its own table
+    and runs its own greedy loop.
     """
     if max_parents < 0:
         raise BnError("max_parents must be >= 0")
@@ -666,8 +707,11 @@ def greedy_structure_fit(
     if len(candidate_parents) != len(schema):
         raise BnError("need one candidate set per schema variable")
     result: list[tuple[int, ...]] = []
+    codes: dict[tuple[int, ...], np.ndarray] = {}
     for node in range(len(schema)):
-        candidates = sorted(set(int(c) for c in candidate_parents[node]))
+        candidates = tuple(sorted(set(int(c) for c in candidate_parents[node])))
+        if candidates and (candidates[0] < 0 or candidates[-1] >= len(schema)):
+            raise BnError(f"candidate parent index out of range for {schema.names[node]!r}")
         if node in candidates:
             raise BnError(f"{schema.names[node]!r} cannot be its own candidate parent")
         cells = math.prod(schema.arities[c] for c in candidates) * schema.arities[node]
@@ -676,7 +720,9 @@ def greedy_structure_fit(
                 f"the count table of {schema.names[node]!r} over its candidate parents "
                 f"has {cells} cells, more than the cap of {ENUM_CAP}"
             )
-        score = _family_scorer(data.rows, schema.arities, node, candidates)
+        if candidates not in codes:
+            codes[candidates] = _candidate_code(data.rows, schema.arities, candidates)
+        score = _family_scorer(data.rows, schema.arities, node, candidates, codes[candidates])
         chosen: list[int] = []
         best = score(())
         while len(chosen) < max_parents:

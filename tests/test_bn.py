@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -679,8 +680,8 @@ def test_table_search_scores_are_bitwise_family_bic(seed, monkeypatch):
     scored = []
     scorer = bn._family_scorer
 
-    def recording(rows, arities, node, cands):
-        score = scorer(rows, arities, node, cands)
+    def recording(rows, arities, node, cands, code):
+        score = scorer(rows, arities, node, cands, code)
 
         def recorded(parents):
             scored.append((node, tuple(parents), score(parents)))
@@ -704,6 +705,50 @@ def test_count_table_over_the_candidates_is_bounded():
     candidates = [list(range(1, 25))] + [[]] * 24
     with pytest.raises(StateSpaceError, match="'X0' over its candidate parents has 33554432 cells"):
         greedy_structure_fit(data, schema, 1, candidates)
+
+
+@pytest.mark.parametrize(
+    "candidates, name",
+    [([(), (0,), (-3,)], "C"), ([(), (-2,), (0,)], "B"), ([(), (0,), (0, 5)], "C")],
+)
+def test_out_of_range_candidate_parents_name_the_node(candidates, name):
+    """A negative index would alias another variable (C copies A, so -3
+    would be chosen), the node's own index written negatively would read as
+    a cycle, and 5 would index past the columns: each is rejected up front,
+    naming the node."""
+    schema = WorldSchema.of([("A", ("x", "y")), ("B", ("x", "y")), ("C", ("x", "y"))])
+    rows = _independent_rows(np.random.default_rng(0), 50, (2, 2, 2))
+    rows[:, 2] = rows[:, 0]
+    with pytest.raises(BnError, match=rf"^candidate parent index out of range for '{name}'$"):
+        greedy_structure_fit(Dataset(rows), schema, 1, candidates)
+
+
+@pytest.mark.parametrize("candidates", [(), (0, 1, 2, 3)])
+@pytest.mark.parametrize("n_rows", [0, 1, 500])
+def test_candidate_tables_equal_family_counts(candidates, n_rows):
+    """The table counted from the shared candidate code, and its contiguous
+    marginal for every subset of up to 3 candidates, equal
+    ``_family_counts`` and the multi-axis sum: same values, shape, dtype
+    and C order."""
+    rng = np.random.default_rng(n_rows)
+    arities = (3, 2, 4, 2, 3)
+    rows = np.stack([rng.integers(a, size=n_rows) for a in arities], axis=1)
+    node = 4
+    code = bn._candidate_code(rows, arities, candidates)
+    table = bn._coded_counts(rows, arities, node, candidates, code)
+    expected, _ = bn._family_counts(rows, arities, node, candidates)
+    assert table.dtype == expected.dtype and table.shape == expected.shape
+    assert table.flags.c_contiguous and np.array_equal(table, expected)
+    for k in range(min(3, len(candidates)) + 1):
+        for kept in itertools.combinations(range(len(candidates)), k):
+            marginal = bn._marginal(table, kept)
+            parents = tuple(candidates[j] for j in kept)
+            counts, _ = bn._family_counts(rows, arities, node, parents)
+            summed = table.sum(axis=tuple(j for j in range(len(candidates)) if j not in kept))
+            for other in (counts, summed):
+                assert marginal.dtype == other.dtype and marginal.shape == other.shape
+                assert np.array_equal(marginal, other)
+            assert marginal.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n_parents", [0, 1, 3])

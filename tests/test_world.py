@@ -10,6 +10,7 @@ from afftalk.bn import build_network, fit_parameters
 from afftalk.cli import main
 from afftalk.grammar import default_grammar, derivable
 from afftalk.schema import ACTION_VAR, ACTIONS, EFFECT_VARS, FEATURE_VARS
+from afftalk.serialize import save_bayesnet
 from afftalk import world
 from afftalk.world import (
     AGENT_WEIGHTS,
@@ -434,6 +435,21 @@ def test_default_config_bank_bytes_are_pinned(tmp_path):
     assert main(["simulate", "--out", str(data)]) == 0
     assert main(["train-hmm", "--dataset", str(data), "--out", str(bank), "--seed", "7"]) == 0
     assert hashlib.sha256(bank.read_bytes()).hexdigest() == DEFAULT_BANK_DIGEST
+
+
+# SHA-256 of ``save_bayesnet`` of the session ``trained_net``: the 3-parent
+# structure search over the 10k-trial default dataset, 61 edges, then the
+# Laplace fit.  ``train-bn`` writes the same bytes on the dataset
+# ``simulate`` writes at the defaults.
+DEFAULT_NETWORK_DIGEST = "59a93b4dd299693532910f353344e9b0e6b86164338e0cf32ed23a69cad23574"
+
+
+def test_default_network_bytes_are_pinned(trained_net, tmp_path):
+    """The default structure search and parameter fit produce these exact bytes."""
+    assert sum(len(ps) for ps in trained_net.parents) == 61
+    save_bayesnet(tmp_path / "bn.txt", trained_net)
+    digest = hashlib.sha256((tmp_path / "bn.txt").read_bytes()).hexdigest()
+    assert digest == DEFAULT_NETWORK_DIGEST
 
 
 @pytest.fixture(scope="module")
