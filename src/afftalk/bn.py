@@ -199,8 +199,9 @@ class BayesNet:
     ``cpts[i]`` has one axis per parent (ascending schema order) plus a last
     axis over the variable's own values; every row along that last axis is a
     distribution.  Each instance keeps the last answer ``query`` computed
-    from it, so a new network, even one read from the same file, starts
-    with none.
+    from it, for ``anticipate``, which asks one network the same fused
+    query on every frame; a new network, even one read from the same file,
+    starts with none.
     """
 
     schema: WorldSchema
@@ -325,14 +326,29 @@ def build_network(schema: WorldSchema, parents: Sequence[Sequence[int]]) -> Baye
     return BayesNet(schema=schema, parents=tuple(canon), cpts=tuple(cpts))
 
 
-def _family_counts(
-    rows: np.ndarray, arities, node: int, parents: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Counts indexed (parent values..., node value) and their per-row totals."""
-    shape = tuple(arities[p] for p in parents) + (arities[node],)
-    cells = np.ravel_multi_index(tuple(rows[:, p] for p in parents) + (rows[:, node],), shape)
-    counts = np.bincount(cells, minlength=math.prod(shape)).astype(float).reshape(shape)
-    return counts, counts.sum(axis=-1, keepdims=True)
+def _family_counter(rows: np.ndarray, arities: Sequence[int]):
+    """``count(node, columns)``: the counts of ``node`` over a tuple of
+    ``columns``, indexed (column values..., node value) in C order, as floats.
+
+    Each row's configuration of ``columns`` is numbered once, in C order over
+    their arities as ``np.ravel_multi_index`` numbers it, and that code is
+    shared by every later count over the same tuple, as the word nodes share
+    the affordance layer; each count is then one ``bincount``.
+    """
+    codes: dict[tuple[int, ...], np.ndarray] = {}
+
+    def count(node: int, columns: tuple[int, ...]) -> np.ndarray:
+        code = codes.get(columns)
+        if code is None:
+            code = np.zeros(len(rows), dtype=np.int64)
+            for c in columns:
+                code = code * arities[c] + rows[:, c]
+            codes[columns] = code
+        shape = (*(arities[c] for c in columns), arities[node])
+        cells = np.bincount(code * arities[node] + rows[:, node], minlength=math.prod(shape))
+        return cells.astype(float).reshape(shape)
+
+    return count
 
 
 def fit_parameters(net: BayesNet, data: Dataset, alpha: float = 1.0) -> BayesNet:
@@ -345,11 +361,12 @@ def fit_parameters(net: BayesNet, data: Dataset, alpha: float = 1.0) -> BayesNet
     if alpha < 0:
         raise BnError("alpha must be >= 0")
     data.validate(net.schema)
-    rows = data.rows
     arities = net.schema.arities
+    count = _family_counter(data.rows, arities)
     cpts = []
     for i, ps in enumerate(net.parents):
-        counts, totals = _family_counts(rows, arities, i, ps)
+        counts = count(i, ps)
+        totals = counts.sum(axis=-1, keepdims=True)
         if alpha == 0.0 and (totals == 0).any():
             raise BnError(
                 f"unobserved parent configuration for {net.schema.names[i]!r}; "
@@ -535,7 +552,7 @@ def query(net: BayesNet, infer_vars: Sequence[str], obs: Evidence) -> JointTable
     a factor of more than ``ENUM_CAP`` cells raises ``StateSpaceError``
     before it is allocated.  The answer is read-only, and ``net`` keeps the
     last one, so asking the same (query variables, evidence) again in a row,
-    as every frame or grid point of a fused query does, costs a lookup.
+    as ``anticipate``'s fused query does on every frame, costs a lookup.
     """
     infer_idx, obs_idx = _validated_query(net, infer_vars, obs)
     key = (tuple(infer_idx), tuple(sorted(obs_idx.items())))
@@ -627,28 +644,9 @@ def family_bic(
     data: Dataset, schema: WorldSchema, node: int, parents: Sequence[int]
 ) -> float:
     """BIC score of one node given a parent set (maximum-likelihood fit)."""
-    counts, _ = _family_counts(data.rows, schema.arities, node, parents)
+    data.validate(schema)
+    counts = _family_counter(data.rows, schema.arities)(node, tuple(parents))
     return _bic(counts, len(data.rows))
-
-
-def _candidate_code(rows: np.ndarray, arities, candidates: Sequence[int]) -> np.ndarray:
-    """Each row's configuration of ``candidates``, numbered in C order over
-    their arities as ``np.ravel_multi_index`` numbers it; all zeros when
-    there are none."""
-    code = np.zeros(len(rows), dtype=np.int64)
-    for c in candidates:
-        code = code * arities[c] + rows[:, c]
-    return code
-
-
-def _coded_counts(
-    rows: np.ndarray, arities, node: int, candidates: Sequence[int], code: np.ndarray
-) -> np.ndarray:
-    """``_family_counts`` of ``node`` over all of ``candidates``, counted
-    from their configuration ``code``."""
-    shape = tuple(arities[c] for c in candidates) + (arities[node],)
-    cells = np.bincount(code * arities[node] + rows[:, node], minlength=math.prod(shape))
-    return cells.astype(float).reshape(shape)
 
 
 def _marginal(table: np.ndarray, kept: Sequence[int]) -> np.ndarray:
@@ -666,19 +664,16 @@ def _marginal(table: np.ndarray, kept: Sequence[int]) -> np.ndarray:
     return moved.reshape(math.prod(shape), -1).sum(axis=1).reshape(shape)
 
 
-def _family_scorer(
-    rows: np.ndarray, arities, node: int, candidates: Sequence[int], code: np.ndarray
-):
+def _family_scorer(count, n_rows: int, node: int, candidates: tuple[int, ...]):
     """``family_bic`` of ``node`` for any ascending subset of the ascending
     ``candidates``, read from one count table over (candidates, node): a
     family's counts are the ``_marginal`` of that table over the candidates
-    it keeps.  ``code`` is ``_candidate_code`` of the candidates, which
-    every node with the same candidates shares."""
-    table = _coded_counts(rows, arities, node, candidates, code)
+    it keeps.  ``count`` is the ``_family_counter`` of the ``n_rows`` rows."""
+    table = count(node, candidates)
 
     def score(parents: Sequence[int]) -> float:
         kept = [k for k, c in enumerate(candidates) if c in parents]
-        return _bic(_marginal(table, kept), len(rows))
+        return _bic(_marginal(table, kept), n_rows)
 
     return score
 
@@ -707,7 +702,7 @@ def greedy_structure_fit(
     if len(candidate_parents) != len(schema):
         raise BnError("need one candidate set per schema variable")
     result: list[tuple[int, ...]] = []
-    codes: dict[tuple[int, ...], np.ndarray] = {}
+    count = _family_counter(data.rows, schema.arities)
     for node in range(len(schema)):
         candidates = tuple(sorted(set(int(c) for c in candidate_parents[node])))
         if candidates and (candidates[0] < 0 or candidates[-1] >= len(schema)):
@@ -720,9 +715,7 @@ def greedy_structure_fit(
                 f"the count table of {schema.names[node]!r} over its candidate parents "
                 f"has {cells} cells, more than the cap of {ENUM_CAP}"
             )
-        if candidates not in codes:
-            codes[candidates] = _candidate_code(data.rows, schema.arities, candidates)
-        score = _family_scorer(data.rows, schema.arities, node, candidates, codes[candidates])
+        score = _family_scorer(count, len(data.rows), node, candidates)
         chosen: list[int] = []
         best = score(())
         while len(chosen) < max_parents:

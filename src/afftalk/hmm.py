@@ -277,8 +277,6 @@ def _bank_statistics(models: Sequence[HmmModel], frames, lengths):
     log_trans = np.repeat([model.log_trans for model in models], list(map(len, lengths)), axis=0)
     log_alpha = kernels.log_forward(log_trans, log_b, seq_lengths)
     logliks = np.logaddexp.reduce(log_alpha[np.cumsum(seq_lengths) - 1], axis=1)
-    if not np.isfinite(logliks).all():
-        raise HmmError("sequence has zero likelihood under the current model")
     log_beta = kernels.log_backward(log_trans, log_b, seq_lengths)
     rows = np.cumsum([0] + [len(f) for f in frames])
     seqs = np.cumsum([0] + list(map(len, lengths)))

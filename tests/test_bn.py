@@ -80,6 +80,21 @@ def test_build_network_uniform_and_validation():
         build_network(schema, [(5,), ()])
     with pytest.raises(BnError, match="one parent list"):
         build_network(schema, [()])
+    with pytest.raises(BnError, match="^duplicate parent for 'E'$"):
+        build_network(schema, [(), (0, 0)])
+
+
+@pytest.mark.parametrize(
+    "parents, cpts, message",
+    [
+        (((),), (np.full(2, 0.5),), "parents and cpts must match the schema length"),
+        (((), (2,)), (np.full(2, 0.5), np.full((2, 2), 0.5)), "parent index out of range for 'E'"),
+        (((), (-1,)), (np.full(2, 0.5), np.full((2, 2), 0.5)), "parent index out of range for 'E'"),
+    ],
+)
+def test_network_rejects_a_structure_outside_the_schema(parents, cpts, message):
+    with pytest.raises(BnError, match=f"^{message}$"):
+        BayesNet(small_schema(), parents, cpts)
 
 
 def test_build_full_layered_structure_on_default_schema():
@@ -303,6 +318,39 @@ def test_fit_rejects_negative_alpha_and_bad_rows():
         fit_parameters(net, Dataset(np.array([[0, 0]])), alpha=-1.0)
     with pytest.raises(BnError, match="out-of-range"):
         fit_parameters(net, Dataset(np.array([[0, 5]])), alpha=1.0)
+    with pytest.raises(BnError, match="must cover every schema variable"):
+        fit_parameters(net, Dataset(np.array([[0, 1, 0]])), alpha=1.0)
+
+
+def _shared_parent_net():
+    """C, D and E share the parent set (A, B), and F has (C, D)."""
+    arities = (3, 2, 2, 3, 2, 4)
+    schema = WorldSchema.of([(name, tuple(map(str, range(a)))) for name, a in zip("ABCDEF", arities)])
+    return build_network(schema, [(), (), (0, 1), (0, 1), (0, 1), (2, 3)]), arities
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 500])
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_fit_with_shared_parent_sets_equals_scattered_counts(n_rows, alpha):
+    """The CPTs fitted with one configuration code per parent set equal the
+    smoothed ``np.add.at`` counts, and fits of one node at a time."""
+    net, arities = _shared_parent_net()
+    rows = _independent_rows(np.random.default_rng(n_rows), n_rows, arities)
+    fitted = fit_parameters(net, Dataset(rows), alpha=alpha)
+    for i, ps in enumerate(net.parents):
+        counts = _scattered_counts(rows, arities, i, ps)
+        expected = (counts + alpha) / (counts.sum(axis=-1, keepdims=True) + alpha * arities[i])
+        assert np.array_equal(fitted.cpts[i], expected)
+        alone = build_network(net.schema, [ps if j == i else () for j in range(len(arities))])
+        assert np.array_equal(fit_parameters(alone, Dataset(rows), alpha=alpha).cpts[i], expected)
+
+
+def test_fit_alpha_zero_names_the_first_node_of_a_shared_unobserved_configuration():
+    net, arities = _shared_parent_net()
+    rows = _independent_rows(np.random.default_rng(0), 500, arities)
+    rows = rows[~((rows[:, 0] == 2) & (rows[:, 1] == 1))]  # A=2, B=1 never seen
+    with pytest.raises(BnError, match="^unobserved parent configuration for 'C'; use alpha > 0$"):
+        fit_parameters(net, Dataset(rows), alpha=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +513,9 @@ def test_marginal_consistency_of_joint_tables():
     joint = query(net, ["X1", "X2"], Evidence.empty())
     single = query(net, ["X2"], Evidence.empty())
     assert np.allclose(joint.marginal(["X2"]).probs, single.probs)
+    assert single.vector() is single.probs
+    with pytest.raises(BnError, match="single-variable"):
+        joint.vector()
 
 
 @pytest.mark.parametrize("arities", [(2, 3, 4), (5,)])
@@ -635,6 +686,19 @@ def test_family_bic_by_hand():
     assert family_bic(data, schema, 1, (0,)) == pytest.approx(ll_ba - 0.5 * math.log(7) * 2 * 2, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[[0, 2]], [[-1, 0]], [[2, 0]], [[0, 1, 0]]],
+    ids=["node value", "negative parent value", "parent value", "width"],
+)
+def test_family_bic_rejects_rows_outside_the_schema(rows):
+    """Counted through the configuration code, ``[0, 2]`` over arities
+    (2, 2) would land in cell (1, 0) unnoticed."""
+    schema = WorldSchema.of([("A", ("x", "y")), ("B", ("x", "y"))])
+    with pytest.raises(BnError, match="dataset"):
+        family_bic(Dataset(np.array(rows)), schema, 1, (0,))
+
+
 def _reference_greedy_fit(data, schema, max_parents, candidate_parents):
     """Greedy forward selection that scores every family with ``family_bic``,
     one count over all rows each: the reference for the table-based search."""
@@ -680,8 +744,8 @@ def test_table_search_scores_are_bitwise_family_bic(seed, monkeypatch):
     scored = []
     scorer = bn._family_scorer
 
-    def recording(rows, arities, node, cands, code):
-        score = scorer(rows, arities, node, cands, code)
+    def recording(count, n_rows, node, cands):
+        score = scorer(count, n_rows, node, cands)
 
         def recorded(parents):
             scored.append((node, tuple(parents), score(parents)))
@@ -697,6 +761,21 @@ def test_table_search_scores_are_bitwise_family_bic(seed, monkeypatch):
         assert score == family_bic(data, schema, node, family)
     assert parents == _reference_greedy_fit(data, schema, max_parents, candidates)
     assert any(parents)
+
+
+@pytest.mark.parametrize(
+    "max_parents, candidates, message",
+    [
+        (-1, [(), (0,)], "max_parents must be >= 0"),
+        (1, [()], "need one candidate set per schema variable"),
+        (1, [(), (0, 1)], "'B' cannot be its own candidate parent"),
+    ],
+)
+def test_greedy_structure_fit_rejects_bad_requests(max_parents, candidates, message):
+    schema = WorldSchema.of([("A", ("x", "y")), ("B", ("x", "y"))])
+    data = Dataset(_independent_rows(np.random.default_rng(0), 20, (2, 2)))
+    with pytest.raises(BnError, match=f"^{message}$"):
+        greedy_structure_fit(data, schema, max_parents, candidates)
 
 
 def test_count_table_over_the_candidates_is_bounded():
@@ -723,27 +802,33 @@ def test_out_of_range_candidate_parents_name_the_node(candidates, name):
         greedy_structure_fit(Dataset(rows), schema, 1, candidates)
 
 
+def _scattered_counts(rows, arities, node, parents):
+    """The family counts by ``np.add.at``, one scattered add per row: the
+    oracle for the configuration-code counts."""
+    counts = np.zeros(tuple(arities[p] for p in parents) + (arities[node],))
+    np.add.at(counts, tuple(rows[:, p] for p in parents) + (rows[:, node],), 1.0)
+    return counts
+
+
 @pytest.mark.parametrize("candidates", [(), (0, 1, 2, 3)])
 @pytest.mark.parametrize("n_rows", [0, 1, 500])
 def test_candidate_tables_equal_family_counts(candidates, n_rows):
-    """The table counted from the shared candidate code, and its contiguous
-    marginal for every subset of up to 3 candidates, equal
-    ``_family_counts`` and the multi-axis sum: same values, shape, dtype
-    and C order."""
+    """The table counted over all candidates, and its contiguous marginal
+    for every subset of up to 3 candidates, equal the scattered counts and
+    the multi-axis sum: same values, shape, dtype and C order."""
     rng = np.random.default_rng(n_rows)
     arities = (3, 2, 4, 2, 3)
     rows = np.stack([rng.integers(a, size=n_rows) for a in arities], axis=1)
     node = 4
-    code = bn._candidate_code(rows, arities, candidates)
-    table = bn._coded_counts(rows, arities, node, candidates, code)
-    expected, _ = bn._family_counts(rows, arities, node, candidates)
+    table = bn._family_counter(rows, arities)(node, candidates)
+    expected = _scattered_counts(rows, arities, node, candidates)
     assert table.dtype == expected.dtype and table.shape == expected.shape
     assert table.flags.c_contiguous and np.array_equal(table, expected)
     for k in range(min(3, len(candidates)) + 1):
         for kept in itertools.combinations(range(len(candidates)), k):
             marginal = bn._marginal(table, kept)
             parents = tuple(candidates[j] for j in kept)
-            counts, _ = bn._family_counts(rows, arities, node, parents)
+            counts = _scattered_counts(rows, arities, node, parents)
             summed = table.sum(axis=tuple(j for j in range(len(candidates)) if j not in kept))
             for other in (counts, summed):
                 assert marginal.dtype == other.dtype and marginal.shape == other.shape
@@ -753,17 +838,18 @@ def test_candidate_tables_equal_family_counts(candidates, n_rows):
 
 @pytest.mark.parametrize("n_parents", [0, 1, 3])
 def test_family_counts_equal_scattered_adds(n_parents):
-    """The bincount tables equal an ``np.add.at`` scatter cell for cell."""
+    """Counts over parents in any order, from one counter that shares each
+    configuration code between the nodes it counts, equal an ``np.add.at``
+    scatter cell for cell."""
     rng = np.random.default_rng(n_parents)
     arities = (3, 2, 4, 2, 3)
     for n_rows in (0, 1, 500):
         rows = np.stack([rng.integers(a, size=n_rows) for a in arities], axis=1)
-        node, parents = 4, tuple(rng.permutation(4)[:n_parents])
-        counts, totals = bn._family_counts(rows, arities, node, parents)
-        shape = tuple(arities[p] for p in parents) + (arities[node],)
-        expected = np.zeros(shape)
-        np.add.at(expected, tuple(rows[:, p] for p in parents) + (rows[:, node],), 1.0)
-        assert counts.dtype == expected.dtype and counts.shape == shape
-        assert np.array_equal(counts, expected)
-        assert np.array_equal(totals, expected.sum(axis=-1, keepdims=True))
-        assert totals.sum() == n_rows
+        parents = tuple(int(p) for p in rng.permutation(4)[:n_parents])
+        count = bn._family_counter(rows, arities)
+        for node in (4, 3):
+            counts = count(node, parents)
+            expected = _scattered_counts(rows, arities, node, parents)
+            assert counts.dtype == expected.dtype and counts.shape == expected.shape
+            assert np.array_equal(counts, expected)
+            assert counts.sum() == n_rows

@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -609,6 +610,18 @@ def test_console_entry_point_runs():
     assert out.returncode == 0
     for sub in ("simulate", "train-bn", "train-hmm", "infer", "anticipate", "describe", "sweep"):
         assert sub in out.stdout
+
+
+def test_module_run_as_main_exits_with_the_code_main_returns(tmp_path, monkeypatch, capsys):
+    """``python -m afftalk.cli``, run in this process: the ``__main__`` line
+    hands main's exit code to ``SystemExit``."""
+    monkeypatch.delitem(sys.modules, "afftalk.cli")  # runpy warns when it is loaded
+    argv = ["afftalk", "infer", "--bn", str(tmp_path / "nope.txt"), "--infer", "Action"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("afftalk.cli", run_name="__main__")
+    assert stop.value.code == 3
+    assert "nope.txt" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,8 @@ def test_soft_evidence_validation():
         SoftActionEvidence(np.array([np.nan, 1.0]), AB)
     with pytest.raises(BnError, match="nonnegative"):
         SoftActionEvidence(np.array([1.5, -0.5]), AB)
+    with pytest.raises(BnError, match="must be a vector"):
+        SoftActionEvidence(np.full((2, 2), 0.25), AB)
     with pytest.raises(BnError, match="disagree in length"):
         SoftActionEvidence(np.array([0.5, 0.5]), ACTIONS)
     uniform = SoftActionEvidence.uniform(("grasp", "tap", "touch"))
@@ -65,6 +67,11 @@ def test_action_observed_is_rejected(action_net):
         fuse_query(
             action_net, SoftActionEvidence.uniform(AB), ["X1"], Evidence({"Action": 1})
         )
+
+
+def test_fused_query_needs_a_variable(action_net):
+    with pytest.raises(BnError, match="^infer_vars must be nonempty$"):
+        fuse_query(action_net, SoftActionEvidence.uniform(AB), [], Evidence.empty())
 
 
 def test_uniform_soft_equals_plain_query(action_net):
@@ -163,6 +170,8 @@ def test_sweep_grid_validation(action_net):
         confidence_sweep(action_net, Evidence.empty(), "b", [0.7, np.nan])
     with pytest.raises(EvidenceError, match="unknown action"):
         confidence_sweep(action_net, Evidence.empty(), "zzz", [0.6])
+    with pytest.raises(BnError, match="at least one point"):
+        confidence_sweep(action_net, Evidence.empty(), "b", [])
 
 
 def test_sweep_points_within_the_tolerance_are_clipped_into_the_range(trained_net):

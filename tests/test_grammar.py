@@ -94,6 +94,8 @@ def test_generation_is_deterministic_and_sound():
     assert [s.words for s in first] == [s.words for s in second]
     assert all(derivable(g, s) for s in first)
     assert generate_sentences(g, 5, seed=1) != generate_sentences(g, 5, seed=2)
+    with pytest.raises(GrammarError, match="n must be >= 1"):
+        generate_sentences(g, 0, seed=1)
 
 
 def test_known_sentence_is_derivable():

@@ -62,6 +62,9 @@ def test_preprocess_errors():
         Trajectory(frames=np.zeros((0, 3)))
     with pytest.raises(HmmError, match="finite"):
         Trajectory(frames=np.array([[np.nan, 0, 0]]))
+    for period in (0.0, -1.0):
+        with pytest.raises(HmmError, match="frame_period must be positive"):
+            Trajectory(frames=np.zeros((2, 3)), frame_period=period)
 
 
 def test_preprocess_names_an_overflowing_peak():
@@ -99,10 +102,37 @@ def test_model_rejects_variances_below_floor():
         )
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"log_trans": np.zeros((2, 3))}, "log_trans must be square"),
+        ({"weights": np.full((2, 2), 0.5)}, "mixture arrays must share"),
+        ({"variances": np.ones((2, 1, 2))}, "mixture arrays must share"),
+        (
+            {"weights": np.ones((3, 1)), "means": np.zeros((3, 1, 3)), "variances": np.ones((3, 1, 3))},
+            "mixture arrays must have one row per state",
+        ),
+    ],
+)
+def test_model_rejects_misshapen_arrays(change, message):
+    good = random_left_right_model(np.random.default_rng(0), 2, 1, 3)
+    fields = {
+        "log_trans": good.log_trans,
+        "weights": good.weights,
+        "means": good.means,
+        "variances": good.variances,
+        **change,
+    }
+    with pytest.raises(HmmError, match=message):
+        HmmModel("x", **fields)
+
+
 def test_bank_requires_unique_labels():
     m = random_left_right_model(np.random.default_rng(0), 2, 1, 3, label="tap")
     with pytest.raises(HmmError, match="duplicate"):
         GestureBank(models=(m, m))
+    with pytest.raises(HmmError, match="at least one model"):
+        GestureBank(models=())
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +332,9 @@ def test_training_input_validation():
     short = [traj(np.zeros((2, 3)))]
     with pytest.raises(HmmError, match="shorter"):
         train_hmm(short, 4, 1, seed=0)
+    for n_states, n_mix in ((0, 1), (1, 0)):
+        with pytest.raises(HmmError, match="at least one state and one mixture"):
+            train_bank({"tap": short}, n_states, n_mix, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +424,23 @@ def test_action_posterior_examples():
     lls = np.array([-10.0, -12.0, -14.0])
     w = np.exp(lls - lls.max())
     assert np.allclose(w / w.sum(), [0.86681, 0.11731, 0.01587], atol=1e-5)
+
+
+def test_models_far_from_the_trajectory_leave_no_likelihood_to_normalise():
+    """Each frame's log density, about -5e307, is finite, so ``_emissions``
+    passes it, but from the fourth frame on the sum is not: every model
+    gives those prefixes zero likelihood.  The forward pass's overflow
+    warning is silenced so the check that follows it is reached."""
+
+    def far_model(label, mean):
+        log_trans = np.array([[math.log(0.5), math.log(0.5)], [-np.inf, 0.0]])
+        return HmmModel(label, log_trans, np.ones((2, 1)), np.full((2, 1, 1), mean), np.ones((2, 1, 1)))
+
+    bank = GestureBank(models=(far_model("grasp", 1e154), far_model("tap", -1e154)))
+    t = traj(np.zeros((6, 1)))
+    for score in (action_posterior, prefix_curve):
+        with np.errstate(over="ignore"), pytest.raises(HmmError, match="zero likelihood under every model"):
+            score(bank, t)
 
 
 def test_posterior_invariant_to_constant_loglik_shift():

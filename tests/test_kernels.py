@@ -21,6 +21,10 @@ def _batch_statistics(model, seqs):
     return logliks, np.split(gamma, np.cumsum(lengths)[:-1]), xi
 
 
+def test_backend_is_numpy():
+    assert kernels.backend() == "numpy"
+
+
 def test_gamma_and_xi_match_path_enumeration():
     rng = np.random.default_rng(11)
     for _ in range(15):
